@@ -203,27 +203,53 @@ def _extremal_profile(curve: Curve, t0: complex, p: ExponentField,
     return f
 
 
+def _level_functions(curve: Curve, t0: complex, config: ExperimentConfig,
+                     level_n: int, join_ends: bool):
+    """The gamma-independent test functions of one level.
+
+    Returns (arcs, randoms): the nested arc indicators and the seeded
+    nonnegative random functions, as (tag, values) lists.
+    """
+    arcs = _nested_arc_indicators(curve, t0, join_ends)
+    rng = np.random.default_rng([config.seed, level_n])
+    randoms = [(f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples))
+               for k in range(config.n_random)]
+    return arcs, randoms
+
+
 def build_family(curve: Curve, t0: complex, p: ExponentField,
                  log_phi: np.ndarray, config: ExperimentConfig, level_n: int,
-                 join_ends: bool):
+                 join_ends: bool, *, shared=None):
     """The probe's test functions.
 
     Nested arc indicators and their weight-inverted companions phi^-1 * chi
     (the classical two-sided witnesses, which blow up at the full rate when
     the conditions fail), one near-critical profile, and seeded nonnegative
-    random functions.
+    random functions.  shared: the level's gamma-independent functions from
+    _level_functions, reused across gammas; built here when absent.
     """
-    arcs = _nested_arc_indicators(curve, t0, join_ends)
+    if shared is None:
+        shared = _level_functions(curve, t0, config, level_n, join_ends)
+    arcs, randoms = shared
     inv_phi = np.exp(np.clip(-log_phi, -700.0, 700.0))
     family = list(arcs)
     family += [(tag.replace("arc", "warc"), f * inv_phi) for tag, f in arcs]
     family.append(("extremal",
                    _extremal_profile(curve, t0, p, log_phi,
                                      config.extremal_margin)))
-    rng = np.random.default_rng([config.seed, level_n])
-    for k in range(config.n_random):
-        family.append((f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples)))
+    family += randoms
     return family
+
+
+def _denominator(curve: Curve, f: np.ndarray, one, p: ExponentField):
+    """(||f||, None), or (None, the reason f is skipped)."""
+    try:
+        den = luxemburg_norm(curve, f, one, p)
+    except NotLocallyIntegrable as exc:
+        return None, str(exc)
+    if den == 0.0:
+        return None, "zero norm"
+    return den, None
 
 
 def _subcurve(curve: Curve, idx: np.ndarray) -> Curve:
@@ -250,24 +276,30 @@ def _probe_levels(config: ExperimentConfig, gammas):
         sub_p = tabulated_exponent(sub, p.values[eval_idx])
         sub_one = unit_weight(sub)
         one = unit_weight(curve)
+        # arcs, random functions and their norms do not depend on gamma
+        shared = _level_functions(curve, t0, config, n, join_ends)
+        dens = {tag: _denominator(curve, f, one, p)
+                for tag, f in shared[0] + shared[1]}
         for gamma in gammas:
             gamma = complex(gamma)
             log_phi = (gamma.real * branch.log_abs
                        - gamma.imag * branch.values)
             family = build_family(curve, t0, p, log_phi, config, n,
-                                  join_ends)
+                                  join_ends, shared=shared)
             rows, skipped = [], []
             for tag, f in family:
-                try:
-                    den = luxemburg_norm(curve, f, one, p)
-                    if den == 0.0:
-                        skipped.append((n, tag, "zero norm"))
-                        continue
-                    res = weighted_maximal(curve, f, t0, gamma, branch=branch,
-                                           evaluator=evaluator)
-                    num = luxemburg_norm(sub, res.values, sub_one, sub_p)
-                except NotLocallyIntegrable as exc:
-                    skipped.append((n, tag, str(exc)))
+                den, reason = dens[tag] if tag in dens \
+                    else _denominator(curve, f, one, p)
+                if reason is None:
+                    try:
+                        res = weighted_maximal(curve, f, t0, gamma,
+                                               branch=branch,
+                                               evaluator=evaluator)
+                        num = luxemburg_norm(sub, res.values, sub_one, sub_p)
+                    except NotLocallyIntegrable as exc:
+                        reason = str(exc)
+                if reason is not None:
+                    skipped.append((n, tag, reason))
                     continue
                 rows.append({"level": n, "function": tag,
                              "ratio": num / den, "num": num, "den": den})

@@ -7,8 +7,9 @@ from click.testing import CliRunner
 import carlesonlab as cl
 from carlesonlab.cli import main
 from carlesonlab.errors import PreconditionError
-from carlesonlab.harness import (build_curve, probe_report_csv,
-                                 probe_report_json, sweep_csv)
+from carlesonlab.harness import (_denominator, build_curve, build_family,
+                                 probe_report_csv, probe_report_json,
+                                 sweep_csv)
 
 
 def small_config(**overrides):
@@ -100,6 +101,41 @@ def test_sweep_rows_and_csv():
     assert lines[0].startswith("re_gamma,im_gamma,lower,upper")
     assert len(lines) == len(gammas) + 2
     assert "NECESSARY_VIOLATED" in lines[3]
+
+
+def test_sweep_matches_single_probes_byte_for_byte():
+    # the sweep shares arcs, random functions and their norms across gammas
+    config = small_config(spirality=(1.0, 1.0))
+    gammas = [0.0, 0.3 + 0.2j, -0.4]
+    reports = cl.run_sweep(config, gammas)
+    for gamma, swept in zip(gammas, reports):
+        solo = cl.run_probe(small_config(gamma=gamma, spirality=(1.0, 1.0)))
+        assert probe_report_csv(solo) == probe_report_csv(swept)
+        assert probe_report_json(solo) == probe_report_json(swept)
+
+
+def test_build_family_without_shared_functions():
+    config = small_config()
+    curve, t0, join = build_curve(config.curve, 256)
+    p = cl.constant_exponent(curve, 2.0)
+    log_phi = 0.3 * np.log(curve.distances_from(t0))
+    family = build_family(curve, t0, p, log_phi, config, 256, join)
+    tags = [tag for tag, _ in family]
+    assert tags[0] == "arc_j0" and "warc_j0" in tags and "extremal" in tags
+    assert tags[-3:] == ["random_0", "random_1", "random_2"]
+
+
+def test_denominator_skip_reasons(segment):
+    one = cl.unit_weight(segment)
+    p = cl.constant_exponent(segment, 2.0)
+    assert _denominator(segment, np.zeros(segment.n_samples), one, p) \
+        == (None, "zero norm")
+    huge = np.full(segment.n_samples, 1e300)
+    steep = cl.power_weight(segment, 0j, -50.0)
+    den, reason = _denominator(segment, huge, steep, p)
+    assert den is None and "overflows" in reason
+    den, reason = _denominator(segment, np.ones(segment.n_samples), one, p)
+    assert reason is None and den > 0.0
 
 
 def test_spirality_override_used():

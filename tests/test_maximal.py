@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
-from carlesonlab.errors import EmptyArc
+from carlesonlab.errors import EmptyArc, PreconditionError
 
 
 def brute_force_maximal_at(curve, f, i):
@@ -89,6 +89,39 @@ def test_sublinearity(segment, seed):
     split = cl.maximal(segment, f, evaluator=ev).values \
         + cl.maximal(segment, g, evaluator=ev).values
     assert np.all(both <= split + 1e-12)
+
+
+# --- rejected inputs ----------------------------------------------------------
+
+
+def test_rejects_negative_eval_index(segment):
+    with pytest.raises(PreconditionError):
+        cl.maximal(segment, 1.0, eval_indices=[-1])
+
+
+def test_rejects_fractional_eval_index(segment):
+    with pytest.raises(PreconditionError):
+        cl.maximal(segment, 1.0, eval_indices=[1.5])
+
+
+def test_rejects_eval_index_past_the_end(segment):
+    with pytest.raises(PreconditionError):
+        cl.maximal(segment, 1.0, eval_indices=[10**6])
+
+
+def test_rejects_two_dimensional_eval_indices(segment):
+    with pytest.raises(PreconditionError):
+        cl.maximal(segment, 1.0, eval_indices=np.array([[0, 1], [2, 3]]))
+
+
+def test_rejects_empty_eval_indices(segment):
+    with pytest.raises(PreconditionError):
+        cl.MaximalEvaluator(segment, np.array([], dtype=int))
+
+
+def test_rejects_nonpositive_max_radii(segment):
+    with pytest.raises(PreconditionError):
+        cl.maximal(segment, 1.0, eval_indices=[0, 5], max_radii=0)
 
 
 # --- weighted variants ------------------------------------------------------
