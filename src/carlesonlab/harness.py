@@ -219,18 +219,15 @@ def _level_functions(curve: Curve, t0: complex, config: ExperimentConfig,
 
 def build_family(curve: Curve, t0: complex, p: ExponentField,
                  log_phi: np.ndarray, config: ExperimentConfig, level_n: int,
-                 join_ends: bool, *, shared=None):
+                 join_ends: bool):
     """The probe's test functions.
 
     Nested arc indicators and their weight-inverted companions phi^-1 * chi
     (the classical two-sided witnesses, which blow up at the full rate when
     the conditions fail), one near-critical profile, and seeded nonnegative
-    random functions.  shared: the level's gamma-independent functions from
-    _level_functions, reused across gammas; built here when absent.
+    random functions.
     """
-    if shared is None:
-        shared = _level_functions(curve, t0, config, level_n, join_ends)
-    arcs, randoms = shared
+    arcs, randoms = _level_functions(curve, t0, config, level_n, join_ends)
     inv_phi = np.exp(np.clip(-log_phi, -700.0, 700.0))
     family = list(arcs)
     family += [(tag.replace("arc", "warc"), f * inv_phi) for tag, f in arcs]
@@ -276,16 +273,16 @@ def _probe_levels(config: ExperimentConfig, gammas):
         sub_p = tabulated_exponent(sub, p.values[eval_idx])
         sub_one = unit_weight(sub)
         one = unit_weight(curve)
-        # arcs, random functions and their norms do not depend on gamma
-        shared = _level_functions(curve, t0, config, n, join_ends)
+        # the norms of the arcs and random functions do not depend on gamma
+        arcs, randoms = _level_functions(curve, t0, config, n, join_ends)
         dens = {tag: _denominator(curve, f, one, p)
-                for tag, f in shared[0] + shared[1]}
+                for tag, f in arcs + randoms}
         for gamma in gammas:
             gamma = complex(gamma)
             log_phi = (gamma.real * branch.log_abs
                        - gamma.imag * branch.values)
             family = build_family(curve, t0, p, log_phi, config, n,
-                                  join_ends, shared=shared)
+                                  join_ends)
             rows, skipped = [], []
             for tag, f in family:
                 den, reason = dens[tag] if tag in dens \

@@ -50,9 +50,11 @@ class MaximalResult:
 
 def _check_eval_indices(eval_indices, n: int) -> np.ndarray:
     idx = np.asarray(eval_indices)
-    if idx.ndim != 1 or idx.size == 0:
+    if idx.ndim != 1:
         raise PreconditionError(
-            "eval_indices must be a nonempty one-dimensional index array")
+            "eval_indices must be a one-dimensional index array")
+    if idx.size == 0:
+        return np.empty(0, dtype=np.intp)
     if not np.issubdtype(idx.dtype, np.integer):
         raise PreconditionError(
             f"eval_indices must be integers, got dtype {idx.dtype}")
@@ -105,7 +107,8 @@ class MaximalEvaluator:
         n_radii = n if exact else int(max_radii)
         slots = n_radii + 1
         self._eps = np.empty((rows, n_radii))
-        starts, bins = [], []
+        starts = [np.empty(0, dtype=np.intp)]  # no rows: an empty table
+        bins = [np.empty(0, dtype=np.intp)]
         chunk = max(1, _CHUNK_ENTRIES // n)
         for lo in range(0, rows, chunk):
             idx = self.eval_indices[lo:lo + chunk]

@@ -7,9 +7,8 @@ from click.testing import CliRunner
 import carlesonlab as cl
 from carlesonlab.cli import main
 from carlesonlab.errors import PreconditionError
-from carlesonlab.harness import (_denominator, build_curve, build_family,
-                                 probe_report_csv, probe_report_json,
-                                 sweep_csv)
+from carlesonlab.harness import (_denominator, build_curve, probe_report_csv,
+                                 probe_report_json, sweep_csv)
 
 
 def small_config(**overrides):
@@ -112,17 +111,6 @@ def test_sweep_matches_single_probes_byte_for_byte():
         solo = cl.run_probe(small_config(gamma=gamma, spirality=(1.0, 1.0)))
         assert probe_report_csv(solo) == probe_report_csv(swept)
         assert probe_report_json(solo) == probe_report_json(swept)
-
-
-def test_build_family_without_shared_functions():
-    config = small_config()
-    curve, t0, join = build_curve(config.curve, 256)
-    p = cl.constant_exponent(curve, 2.0)
-    log_phi = 0.3 * np.log(curve.distances_from(t0))
-    family = build_family(curve, t0, p, log_phi, config, 256, join)
-    tags = [tag for tag, _ in family]
-    assert tags[0] == "arc_j0" and "warc_j0" in tags and "extremal" in tags
-    assert tags[-3:] == ["random_0", "random_1", "random_2"]
 
 
 def test_denominator_skip_reasons(segment):

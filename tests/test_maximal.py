@@ -114,9 +114,12 @@ def test_rejects_two_dimensional_eval_indices(segment):
         cl.maximal(segment, 1.0, eval_indices=np.array([[0, 1], [2, 3]]))
 
 
-def test_rejects_empty_eval_indices(segment):
-    with pytest.raises(PreconditionError):
-        cl.MaximalEvaluator(segment, np.array([], dtype=int))
+def test_empty_eval_indices_give_empty_result(segment):
+    res = cl.maximal(segment, 1.0, eval_indices=[])
+    assert res.values.shape == res.argmax_eps.shape == (0,)
+    assert res.eval_indices.shape == (0,)
+    res = cl.weighted_maximal(segment, 1.0, 0j, 0.2 + 0.1j, eval_indices=[])
+    assert res.values.shape == (0,)
 
 
 def test_rejects_nonpositive_max_radii(segment):
