@@ -29,13 +29,12 @@ class ArgBranch:
     """A continuous branch of arg(tau - t0) sampled along the curve.
 
     The branch is unique up to a global 2*pi*k shift; it is pinned by taking
-    the principal value at anchor_index = 0.  log_abs carries log|tau - t0|
+    the principal value at the first sample.  log_abs carries log|tau - t0|
     alongside, since every consumer needs both.
     """
 
     t0: complex
     values: np.ndarray
-    anchor_index: int
     log_abs: np.ndarray = field(repr=False, default=None)
 
 
@@ -78,7 +77,7 @@ def unwrap_arg(curve: Curve, t0: complex) -> ArgBranch:
     values = np.empty(curve.n_samples)
     values[0] = np.angle(d[0])
     values[1:] = values[0] + np.cumsum(inc)
-    return ArgBranch(t0, values, 0, np.log(np.abs(d)))
+    return ArgBranch(t0, values, np.log(np.abs(d)))
 
 
 def eta(branch: ArgBranch) -> Weight:

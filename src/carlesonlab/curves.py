@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,17 +76,24 @@ class Curve:
     def total_length(self) -> float:
         return float(self.cumlen[-1])
 
-    @property
+    @cached_property
     def seg_lengths(self) -> np.ndarray:
-        return np.diff(self.cumlen)
+        """Arc length of each segment; computed once, read-only."""
+        seg = np.diff(self.cumlen)
+        seg.setflags(write=False)
+        return seg
 
-    @property
+    @cached_property
     def arc_weights(self) -> np.ndarray:
-        """Per-sample quadrature weights (half the adjacent segment lengths)."""
+        """Per-sample quadrature weights (half the adjacent segment lengths).
+
+        Computed once per curve and read-only.
+        """
         seg = self.seg_lengths
         w = np.zeros(self.n_samples)
         w[:-1] += 0.5 * seg
         w[1:] += 0.5 * seg
+        w.setflags(write=False)
         return w
 
     def distances_from(self, t: complex) -> np.ndarray:
@@ -446,7 +454,7 @@ def load_curve(path) -> Curve:
             doc = json.load(fh, parse_constant=_bad_const)
         except json.JSONDecodeError as exc:
             raise PreconditionError(f"malformed curve file: {exc}") from exc
-    if not isinstance(doc, dict) or "points" in doc is None:
+    if not isinstance(doc, dict):
         raise PreconditionError("curve file must be a JSON object")
     try:
         pts_raw = doc["points"]

@@ -3,6 +3,16 @@
 Quadrature is trapezoidal on the curve's own samples; the generators place
 log-spaced nodes near weight singularities, which gives uniform relative
 resolution exactly where the modular concentrates.
+
+The Luxemburg norm is solved in s = log lam.  The trapezoid modular equals
+sum_i aw_i * |f_i w_i / lam|^p_i with aw the arc weights, so its log is
+F(s) = logsumexp(x - p*s) with x_i = p_i*log|f_i w_i| + log aw_i: convex,
+because F'' is the variance of p under the normalized terms, and
+decreasing, because F' = -(their p-weighted mean) < 0.  For constant p the
+root is exactly logsumexp(x)/p.  Otherwise Newton started left of the root
+never overshoots it on a convex decreasing function, so the iterates climb
+to it monotonically.  Nothing is bracketed, so no bracket end can be
+returned in place of the norm.
 """
 
 from __future__ import annotations
@@ -13,9 +23,10 @@ import numpy as np
 
 from .argbranch import Weight
 from .curves import Curve
-from .errors import NotLocallyIntegrable, PreconditionError
+from .errors import NotLocallyIntegrable, NumericalError, PreconditionError
 
 LUXEMBURG_RTOL = 1e-10
+NEWTON_MAX_STEPS = 50
 DINI_ANCHORS = 256
 LOG_SAFE = 700.0
 
@@ -130,34 +141,80 @@ def modular(curve: Curve, f, w: Weight, p: ExponentField,
     return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * seg))
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) for an array whose maximum is finite."""
+    m = float(np.max(x))
+    return m + float(np.log(np.sum(np.exp(x - m))))
+
+
+def _newton_log_lambda(x: np.ndarray, p: ExponentField, rtol: float) -> float:
+    """Root s of F(s) = log(sum exp(x - p*s)) by Newton from the left.
+
+    F is convex and decreasing, and s0 = min(L/p_min, L/p_max) with
+    L = F(0) has F(s0) >= 0, so every iterate stays left of the root and
+    the iterates increase monotonically to it.  Raises NumericalError
+    rather than return an iterate that has not converged.
+    """
+    log_mass = _logsumexp(x)
+    s = min(log_mass / p.p_min, log_mass / p.p_max)
+    for _ in range(NEWTON_MAX_STEPS):
+        y = x - p.values * s
+        m = float(np.max(y))
+        np.subtract(y, m, out=y)
+        e = np.exp(y, out=y)
+        mass = float(np.sum(e))
+        # -F / F'(s), with F'(s) the negated p-weighted mean of the terms
+        step = (m + np.log(mass)) * mass / float(np.dot(p.values, e))
+        s += step
+        if step <= 0.1 * rtol:
+            return s
+    raise NumericalError(
+        f"Luxemburg Newton solve did not converge in {NEWTON_MAX_STEPS} steps")
+
+
 def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
                    rtol: float = LUXEMBURG_RTOL) -> float:
-    """inf{lam > 0 : modular(f, w, p, lam) <= 1} by bisection on log lam.
+    """inf{lam > 0 : modular(f, w, p, lam) <= 1}, solved in s = log lam.
 
-    Returns 0 for f*w identically zero.  For constant p this equals the
-    classical weighted p-norm up to the bisection tolerance.
+    With x_i = p_i*log|f_i*w_i| + log aw_i (aw the arc weights), the
+    trapezoid modular is exactly sum_i exp(x_i - p_i*s).  For constant p
+    the norm is exp(logsumexp(x)/p) in closed form; otherwise Newton on the
+    convex log-modular converges monotonically (see _newton_log_lambda) and
+    stops once a step is at most rtol/10 in log lam.  Returns 0 for f*w
+    identically zero.  Raises NotLocallyIntegrable when f*w overflows, when
+    a term of the modular is infinite, or when the norm exceeds
+    max|f*w| * (total length + 1); NumericalError when the norm itself
+    leaves the float range.
     """
+    if not rtol > 0:
+        raise PreconditionError("rtol must be positive")
     f = as_sampled(curve, f)
+    abs_f = np.abs(f)
     with np.errstate(over="ignore"):
-        peak = np.abs(f) * np.exp(np.minimum(w.log_values, LOG_SAFE))
+        peak = abs_f * np.exp(np.minimum(w.log_values, LOG_SAFE))
     fmax = float(np.max(peak))
     if fmax == 0.0:
         return 0.0
     if not np.isfinite(fmax):
         raise NotLocallyIntegrable("f * w overflows the float range")
-    lo = fmax * 1e-18
-    hi = fmax * (curve.total_length + 1.0)
-    if modular(curve, f, w, p, hi) > 1.0:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.log(abs_f)
+        x += w.log_values
+        x *= p.values
+        x += np.log(curve.arc_weights)
+    x[np.isnan(x)] = -np.inf  # |f| == 0 contributes nothing
+    if np.any(x == np.inf):
         raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
-    if modular(curve, f, w, p, lo) <= 1.0:
-        return lo
-    while hi / lo > 1.0 + rtol:
-        mid = np.sqrt(lo * hi)
-        if modular(curve, f, w, p, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    if p.p_min == p.p_max:
+        s = _logsumexp(x) / p.p_min
+    else:
+        s = _newton_log_lambda(x, p, rtol)
+    if s > np.log(fmax) + np.log(curve.total_length + 1.0):
+        raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
+    norm = float(np.exp(s))
+    if not 0.0 < norm < np.inf:
+        raise NumericalError("Luxemburg norm outside the float range")
+    return norm
 
 
 def _cum_logsumexp(x_sorted: np.ndarray) -> tuple[float, np.ndarray]:

@@ -226,6 +226,21 @@ def test_omega_arc_empty(spiral1):
         cl.omega_arc(spiral1, 0j, 1e-7)
 
 
+def test_cached_lengths_are_readonly(spiral1):
+    seg = np.diff(spiral1.cumlen)
+    aw = np.zeros(spiral1.n_samples)
+    aw[:-1] += 0.5 * seg
+    aw[1:] += 0.5 * seg
+    for got, want in ((spiral1.seg_lengths, seg),
+                      (spiral1.arc_weights, aw)):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    assert spiral1.seg_lengths is spiral1.seg_lengths
+    assert spiral1.arc_weights is spiral1.arc_weights
+
+
 # --- file format ----------------------------------------------------------
 
 
@@ -251,4 +266,11 @@ def test_curve_json_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json")
     with pytest.raises(PreconditionError):
+        cl.load_curve(path)
+
+
+def test_curve_json_rejects_missing_points(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"closed":false,"provenance":"x"}')
+    with pytest.raises(PreconditionError, match="points"):
         cl.load_curve(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
-from carlesonlab.errors import PreconditionError
+from carlesonlab.errors import NumericalError, PreconditionError
 
 
 def golden_section_norm(curve, f, w, p, tol=1e-8):
@@ -183,6 +183,84 @@ def test_luxemburg_vs_golden_section(segment):
     lux = cl.luxemburg_norm(segment, f, w, p)
     oracle = golden_section_norm(segment, f, w, p)
     assert lux == pytest.approx(oracle, rel=1e-6)
+
+
+def _tiny_first_arc():
+    """64 samples whose first segment, of length 1e-20, is 1e18x shorter
+    than the others, so sample 0 has arc weight 5e-21."""
+    cumlen = np.concatenate(([0.0, 1e-20],
+                             np.linspace(0.01, 1.0, 62) + 1e-20))
+    return cl.Curve(np.exp(2j * np.pi * cumlen), cumlen, False, "test")
+
+
+def test_luxemburg_below_any_bracket():
+    # a sample of arc weight 5e-21 carries all of f: the norm is
+    # aw[0]**(1/p) = 7.9e-21, below the bisection's old lower bracket 1e-18
+    curve = _tiny_first_arc()
+    f = np.zeros(curve.n_samples)
+    f[0] = 1.0
+    p = cl.constant_exponent(curve, 1.01)
+    norm = cl.luxemburg_norm(curve, f, cl.unit_weight(curve), p)
+    assert norm == pytest.approx(curve.arc_weights[0] ** (1 / 1.01),
+                                 rel=1e-12, abs=0.0)
+
+
+def test_luxemburg_underflow_raises():
+    # the norm 5e-324 * 5e-21**(1/1.01) is below the smallest subnormal
+    curve = _tiny_first_arc()
+    f = np.zeros(curve.n_samples)
+    f[0] = 5e-324
+    p = cl.constant_exponent(curve, 1.01)
+    with pytest.raises(NumericalError):
+        cl.luxemburg_norm(curve, f, cl.unit_weight(curve), p)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_luxemburg_extreme_scales(unit_circle, scale):
+    # the bracket product lo * hi leaves the float range at these scales
+    w = cl.unit_weight(unit_circle)
+    for p in (cl.constant_exponent(unit_circle, 2.0),
+              cl.profile_exponent(unit_circle, 1.1 + 0j, 1.7, 2.4)):
+        norm = cl.luxemburg_norm(unit_circle, 1.0, w, p)
+        assert cl.luxemburg_norm(unit_circle, scale, w, p) == pytest.approx(
+            scale * norm, rel=1e-12, abs=0.0)
+
+
+def test_luxemburg_rejects_nonpositive_rtol(unit_circle):
+    p = cl.constant_exponent(unit_circle, 2.0)
+    with pytest.raises(PreconditionError):
+        cl.luxemburg_norm(unit_circle, 1.0, cl.unit_weight(unit_circle), p,
+                          rtol=0.0)
+
+
+@pytest.mark.parametrize("profile", [False, True])
+def test_luxemburg_invariant_under_reversal(spiral1, spiral1_branch,
+                                            profile):
+    rng = np.random.default_rng(3)
+    f = rng.uniform(0.0, 1.0, spiral1.n_samples)
+    w = cl.phi(spiral1_branch, 0.2 - 0.3j)
+    p = (cl.profile_exponent(spiral1, 0j, 1.8, 2.2) if profile
+         else cl.constant_exponent(spiral1, 2.5))
+    rev = spiral1.reversed()
+    w_rev = cl.tabulated_weight(log_values=w.log_values[::-1])
+    p_rev = cl.tabulated_exponent(rev, p.values[::-1])
+    assert cl.luxemburg_norm(rev, f[::-1], w_rev, p_rev) == pytest.approx(
+        cl.luxemburg_norm(spiral1, f, w, p), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.37, 42.0])
+def test_luxemburg_dilation(spiral1, c):
+    rng = np.random.default_rng(4)
+    f = rng.uniform(0.0, 1.0, spiral1.n_samples)
+    dilated = cl.Curve(c * spiral1.samples, c * spiral1.cumlen,
+                       spiral1.closed, "dilated")
+    for p_val in (1.3, 2.0, 3.5):
+        norm = cl.luxemburg_norm(spiral1, f, cl.unit_weight(spiral1),
+                                 cl.constant_exponent(spiral1, p_val))
+        scaled = cl.luxemburg_norm(dilated, f, cl.unit_weight(dilated),
+                                   cl.constant_exponent(dilated, p_val))
+        assert scaled == pytest.approx(c ** (1 / p_val) * norm, rel=1e-12,
+                                       abs=0.0)
 
 
 # --- muckenhoupt -------------------------------------------------------------
