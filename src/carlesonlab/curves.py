@@ -331,19 +331,28 @@ def portion(curve: Curve, t: complex, eps: float) -> Portion:
     partial = inside[:-1] ^ inside[1:]
     if partial.any():
         idx = np.flatnonzero(partial)
-        u = curve.samples[idx] - t
-        v = curve.samples[idx + 1] - curve.samples[idx]
-        a = (v * v.conj()).real
-        b = 2.0 * (u * v.conj()).real
-        c = (u * u.conj()).real - eps * eps
-        sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-        r1 = (-b - sq) / (2.0 * a)
-        r2 = (-b + sq) / (2.0 * a)
-        s = np.where((r1 >= 0.0) & (r1 <= 1.0), r1, r2)
-        s = np.clip(s, 0.0, 1.0)
-        frac = np.where(inside[idx], s, 1.0 - s)
+        frac = _inside_fractions(curve, idx, t, eps, inside[idx])
         measure += float((frac * seg[idx]).sum())
     return Portion(ranges, measure)
+
+
+def _inside_fractions(curve: Curve, k, t: complex, eps, first_inside):
+    """Fraction of each segment k that lies in the disk |tau - t| < eps.
+
+    Every segment crosses the circle once, leaving the disk when its first
+    end is inside and entering it otherwise.
+    """
+    u = curve.samples[k] - t
+    v = curve.samples[k + 1] - curve.samples[k]
+    a = (v * v.conj()).real
+    b = 2.0 * (u * v.conj()).real
+    c = (u * u.conj()).real - eps * eps
+    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    r1 = (-b - sq) / (2.0 * a)
+    r2 = (-b + sq) / (2.0 * a)
+    s = np.where((r1 >= 0.0) & (r1 <= 1.0), r1, r2)
+    s = np.clip(s, 0.0, 1.0)
+    return np.where(first_inside, s, 1.0 - s)
 
 
 def d_t(curve: Curve, t: complex) -> float:
@@ -354,8 +363,11 @@ def d_t(curve: Curve, t: complex) -> float:
 def carleson_constant(curve: Curve, t_points, eps_grid) -> float:
     """Grid maximum of |portion(t, eps)| / eps, a lower bound for C_Gamma.
 
-    Nondecreasing under grid refinement.  Cost is O(|t| * |eps| * n); callers
-    control the grids.
+    Nondecreasing under grid refinement.  Each t takes one distance pass for
+    every eps at once: the segments with both ends inside the disk are a
+    prefix of the segments sorted by their farther end, and the quadratic
+    crossing of portion() is solved only for the (eps, segment) pairs with
+    one end inside.  Cost is O(|t| * (n log n + |eps| + crossings)).
     """
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.complex128))
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
@@ -363,10 +375,27 @@ def carleson_constant(curve: Curve, t_points, eps_grid) -> float:
         raise PreconditionError("grids must be nonempty")
     if np.any(eps_grid <= 0):
         raise PreconditionError("eps grid must be positive")
+    eps = np.sort(eps_grid)
+    seg = curve.seg_lengths
     best = 0.0
     for t in t_points:
-        for eps in eps_grid:
-            best = max(best, portion(curve, t, eps).measure / eps)
+        d = curve.distances_from(t)
+        near = np.minimum(d[:-1], d[1:])
+        far = np.maximum(d[:-1], d[1:])
+        # segments inside the disk: far < eps
+        order = np.argsort(far)
+        full = np.concatenate(([0.0], np.cumsum(seg[order])))
+        measure = full[np.searchsorted(far[order], eps, side="left")]
+        # segments crossing the circle: near < eps <= far
+        first = np.searchsorted(eps, near, side="right")
+        count = np.searchsorted(eps, far, side="right") - first
+        k = np.repeat(np.arange(seg.size), count)
+        e = np.repeat(first - np.cumsum(count) + count, count) \
+            + np.arange(k.size)
+        frac = _inside_fractions(curve, k, t, eps[e], d[k] < eps[e])
+        measure = measure + np.bincount(e, weights=frac * seg[k],
+                                        minlength=eps.size)
+        best = max(best, float(np.max(measure / eps)))
     return best
 
 
@@ -401,25 +430,18 @@ def omega_arc(curve: Curve, t0: complex, delta: float,
         raise EmptyArc(f"no sample within {delta} of t0={t0}")
     m = d.size
     mask = np.zeros(m, dtype=bool)
-    lo = k0
-    while lo > 0 and inside[lo - 1]:
-        lo -= 1
-    hi = k0
-    while hi + 1 < m and inside[hi + 1]:
-        hi += 1
-    mask[lo:hi + 1] = True
-    wrap = join_ends or curve.closed
-    if wrap and (mask[0] != mask[-1]):
-        if mask[0] and inside[-1]:
-            j = m - 1
-            while j > 0 and inside[j - 1] and not mask[j - 1]:
-                j -= 1
-            mask[j:] = True
-        elif mask[-1] and inside[0]:
-            j = 0
-            while j + 1 < m and inside[j + 1] and not mask[j + 1]:
-                j += 1
-            mask[:j + 1] = True
+    # the run of inside samples around k0 lies between two outside ones
+    outside = np.flatnonzero(~inside)
+    pos = int(np.searchsorted(outside, k0))
+    lo = int(outside[pos - 1]) + 1 if pos > 0 else 0
+    hi = int(outside[pos]) if pos < outside.size else m
+    mask[lo:hi] = True
+    # the arc touches exactly one array end: join the run at the other end
+    if (join_ends or curve.closed) and outside.size:
+        if lo == 0 and inside[-1]:
+            mask[outside[-1] + 1:] = True
+        elif hi == m and inside[0]:
+            mask[:outside[0]] = True
     if curve.closed:
         mask[-1] = mask[0] = mask[0] or mask[-1]
     return mask

@@ -88,6 +88,8 @@ class ProbeReport:
     skipped: tuple = ()
 
     def __post_init__(self):
+        if not all(math.isfinite(r) for r in self.max_ratios):
+            raise PreconditionError("probe ratios must be finite")
         if any(r <= 0 for r in self.max_ratios):
             raise PreconditionError("probe ratios must be positive")
 
@@ -95,6 +97,8 @@ class ProbeReport:
 def classify_trend(ratios) -> str:
     """growing: monotone increase by >= 1.5x across the last three levels;
     stable: bounded within 1.35x over the same window; else indeterminate."""
+    if not all(math.isfinite(r) for r in ratios):
+        raise PreconditionError("a trend needs finite ratios")
     if len(ratios) < 3:
         return TREND_INDETERMINATE
     r1, r2, r3 = ratios[-3], ratios[-2], ratios[-1]
@@ -295,6 +299,8 @@ def _probe_levels(config: ExperimentConfig, gammas):
                         num = luxemburg_norm(sub, res.values, sub_one, sub_p)
                     except NotLocallyIntegrable as exc:
                         reason = str(exc)
+                if reason is None and not math.isfinite(num / den):
+                    reason = "non-finite ratio"
                 if reason is not None:
                     skipped.append((n, tag, reason))
                     continue

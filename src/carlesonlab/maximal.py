@@ -12,9 +12,11 @@ b_j = #{r : eps_r <= d_j}, so that j lies in the radius-r portion
 (d_j < eps_r) exactly when b_j <= r.  Along the curve the distance to the
 point changes slowly, so b_j, taken in sample order, is constant over long
 runs: one rise and fall of the distance gives at most about 2R runs, and
-the probe curves have 260-450 runs per point at R = 256 from n = 2048 to
-32768.  Only the run starts and their bucket ids are stored; a portion sum
-is the sum of its run sums, bucketed and accumulated over the radii.
+the probe curves have 260-460 runs per point at R = 256 from n = 2048 to
+131072.  Only the run starts and their bucket ids are stored; a portion sum
+is the sum of its run sums, bucketed and accumulated over the radii.  Each
+run sum is a difference of two compensated prefix sums of the integrand, so
+one evaluation costs O(n + runs), not O(E * n).
 
 Portion integrals use per-sample arc weights (trapezoid in disguise), and
 averages over empty portions never arise because evaluation points are curve
@@ -24,6 +26,7 @@ samples, each inside its own portion.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -35,7 +38,8 @@ from .errors import PreconditionError
 from .norms import as_sampled
 
 MAX_RADII = 256
-_CHUNK_ENTRIES = 1 << 20  # distances per build chunk: bounds its memory
+_CHUNK_ENTRIES = 1 << 18  # distances per build chunk: bounds its memory
+_GATHER_BLOCK = 1 << 14  # run starts per prefix-sum gather
 
 
 @dataclass(frozen=True)
@@ -75,20 +79,36 @@ class MaximalEvaluator:
     ``starts``/``bins`` pair: each run's first sample index and its slot
     row * (R + 1) + b in an E x (R + 1) bucket table.  Every row ends with a
     boundary start at n, so that its last run stops there and not at the
-    next row's first start; the boundary's own sum is a zero sentinel at
-    index n and goes to the row's last slot, the bucket beyond the largest
-    radius, which is never read.
+    next row's first start; a run ends at the next entry of ``starts``, and
+    the boundary's own entry goes to the row's last slot, the bucket beyond
+    the largest radius, which is never read.
 
-    One evaluation is three whole-array calls: ``np.add.reduceat`` of
-    g * arc_weights over the starts (run sums), one ``np.bincount`` into the
-    bucket table, and a ``cumsum`` along the radii.  Every term added is
-    nonnegative, so no cancellation occurs: each portion sum is exact up to
-    a relative rounding error of its number of terms times the unit
-    roundoff.  The denominators come from the same kernel applied to g = 1,
-    so a constant averages to exactly 1.  Storage is O(E * runs) rather than
-    the O(E * n) that a per-point sort order with cumulative weights needs;
-    the build works through the distance matrix in chunks of at most
-    _CHUNK_ENTRIES entries (one row when n exceeds it).
+    One evaluation takes the prefix sums hi of x = g * arc_weights by one
+    sequential ``cumsum`` and the exact rounding error of each of its steps
+    by TwoSum; their running sum is lo.  A run [s, s') then sums to
+    (hi[s'] - hi[s]) + (lo[s'] - lo[s]), clamped at 0, and a run of one
+    sample is that sample's x.  The run sums go into the bucket table by one
+    ``np.bincount`` and are accumulated along the radii by one ``cumsum``.
+    The prefix sums are gathered in blocks of _GATHER_BLOCK runs, so the run
+    sums are the only temporary with one entry per run.  The denominators come
+    from the same kernel applied to g = 1, so a constant averages to
+    exactly 1.
+
+    Error: hi + lo is the prefix sum up to an absolute error of about
+    n * u^2 * sum(x) (u the unit roundoff), against u * sum(x) for hi alone,
+    which puts tiny runs far down the array, where hi is about sum(x), off
+    by percents.  The largest radius covers the whole curve, so each row's
+    sup is at least sum(x) / L (L the curve length), and the relative error
+    of a returned sup is at most about n * u^2 * L / (smallest portion
+    measure).  With a single radius (max_radii = 1) no portion covers the
+    curve; there every read run is one sample, summed exactly.
+    sup_average scales g by a power of two, so that an integrand whose
+    total overflows still gives a finite sup.
+
+    Storage is O(E * runs) rather than the O(E * n) that a per-point sort
+    order with cumulative weights needs; the build works through the
+    distance matrix in chunks of at most _CHUNK_ENTRIES entries (one row
+    when n exceeds it).
     """
 
     def __init__(self, curve: Curve, eval_indices=None,
@@ -145,28 +165,58 @@ class MaximalEvaluator:
             bins.append(chunk_bins)
         self._starts = np.concatenate(starts)
         self._bins = np.concatenate(bins)
+        del starts, bins  # before the denominators' evaluation below
+        # one-sample runs: a boundary (n) is never followed by n + 1
+        self._single = np.flatnonzero(np.diff(self._starts) == 1)
         self._shape = (rows, slots)
         self._aw = curve.arc_weights
         self._den = self._portion_sums(np.ones(n))
 
+    def _run_sums(self, g: np.ndarray) -> np.ndarray:
+        """Per entry of starts: the sum of g * arc_weights over its run."""
+        x = g * self._aw
+        # compensated prefix sums: sum(x[:k]) = pre[k].real + pre[k].imag
+        pre = np.zeros(x.size + 1, dtype=np.complex128)
+        hi, lo = pre.real, pre.imag
+        np.cumsum(x, out=hi[1:])
+        # TwoSum: the exact rounding error of hi[k+1] = hi[k] + x[k]
+        b = hi[2:] - hi[1:-1]
+        err = (hi[1:-1] - (hi[2:] - b)) + (x[1:] - b)
+        np.cumsum(err, out=lo[2:])
+        starts = self._starts
+        run_sums = np.zeros(starts.size)
+        at = np.empty(_GATHER_BLOCK + 1, dtype=np.complex128)
+        diff = np.empty(_GATHER_BLOCK, dtype=np.complex128)
+        # run i ends at starts[i + 1]; the last (a boundary) stays 0
+        for a in range(0, starts.size - 1, _GATHER_BLOCK):
+            m = min(_GATHER_BLOCK, starts.size - 1 - a)
+            np.take(pre, starts[a:a + m + 1], out=at[:m + 1])
+            np.subtract(at[1:m + 1], at[:m], out=diff[:m])
+            np.add(diff[:m].real, diff[:m].imag, out=run_sums[a:a + m])
+        np.maximum(run_sums, 0.0, out=run_sums)
+        # a one-sample run is its sample, with no prefix cancellation
+        run_sums[self._single] = x[starts[self._single]]
+        return run_sums
+
     def _portion_sums(self, g: np.ndarray) -> np.ndarray:
         """E x R table: per row and radius, the sum of g * arc_weights."""
-        gw = np.zeros(self._aw.size + 1)  # the boundary runs' zero sentinel
-        np.multiply(g, self._aw, out=gw[:-1])
-        run_sums = np.add.reduceat(gw, self._starts)
-        table = np.bincount(self._bins, weights=run_sums,
+        table = np.bincount(self._bins, weights=self._run_sums(g),
                             minlength=self._shape[0] * self._shape[1])
         return np.cumsum(table.reshape(self._shape)[:, :-1], axis=1)
 
     def sup_average(self, g: np.ndarray):
         """Per evaluation point: max over radii of avg(g over the portion).
 
-        g must be a nonnegative per-sample array.
+        g must be a nonnegative per-sample array.  It is scaled by an exact
+        power of two so that its maximum lies in [1, 2), and the sup scaled
+        back, so that an integrand whose total overflows still gives a
+        finite sup.
         """
-        avg = self._portion_sums(g) / self._den
+        shift = math.frexp(float(np.max(g)))[1] - 1
+        avg = self._portion_sums(np.ldexp(g, -shift)) / self._den
         hit = np.argmax(avg, axis=1)
         rows = np.arange(avg.shape[0])
-        return avg[rows, hit], self._eps[rows, hit]
+        return np.ldexp(avg[rows, hit], shift), self._eps[rows, hit]
 
 
 def maximal(curve: Curve, f, eval_indices=None,

@@ -97,7 +97,8 @@ def _band_extrema(log_d: np.ndarray, log_psi: np.ndarray, queries: np.ndarray,
 
     Band half-width is half the log-spacing of the gap containing the query
     (times a small safety factor), so any query inside the sampled radius
-    range finds at least one sample.
+    range finds at least one sample.  log_psi carries one padding entry past
+    log_d, so that a band may end at the last sample.
     """
     m = log_d.size
     j = np.searchsorted(log_d, queries)
@@ -105,14 +106,15 @@ def _band_extrema(log_d: np.ndarray, log_psi: np.ndarray, queries: np.ndarray,
     hw = 0.5 * widen * (log_d[jc] - log_d[jc - 1])
     lo = np.searchsorted(log_d, queries - hw, side="left")
     hi = np.searchsorted(log_d, queries + hw, side="right")
+    ok = hi > lo
     bmax = np.full(queries.size, -np.inf)
     bmin = np.full(queries.size, np.inf)
-    for k in range(queries.size):
-        if hi[k] > lo[k]:
-            sl = log_psi[lo[k]:hi[k]]
-            bmax[k] = sl.max()
-            bmin[k] = sl.min()
-    return bmax, bmin, hi > lo
+    if ok.any():
+        # even cuts open the bands [lo, hi); odd ones the gaps, dropped
+        cuts = np.column_stack((lo[ok], hi[ok])).ravel()
+        bmax[ok] = np.maximum.reduceat(log_psi, cuts)[0::2]
+        bmin[ok] = np.minimum.reduceat(log_psi, cuts)[0::2]
+    return bmax, bmin, ok
 
 
 def compute_W(curve: Curve, t0: complex, psi: Weight,
@@ -141,7 +143,7 @@ def compute_W(curve: Curve, t0: complex, psi: Weight,
 
     order = np.argsort(d)
     log_d = np.log(d[order])
-    log_psi = psi.log_values[order]
+    log_psi = np.append(psi.log_values[order], 0.0)  # _band_extrema's pad
     log_R = np.log(R_grid)
 
     log_vals = np.empty(x_grid.size)

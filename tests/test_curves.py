@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
 from carlesonlab.errors import EmptyArc, PreconditionError
@@ -182,6 +183,29 @@ def test_carleson_monotone_under_grid_refinement(unit_circle):
     assert v2 >= v1 - 1e-12
 
 
+ZOO = {
+    "circle": lambda n: cl.generate_circle(1.0, max(n, 16)),
+    "graded_circle": lambda n: cl.generate_graded_circle(1.0, max(n, 16)),
+    "spiral": lambda n: cl.generate_log_spiral(1.0, 1e-3, 1.0, n),
+    "spiral_2": lambda n: cl.generate_log_spiral(2.0, 1e-2, 1.0, 4 * n),
+    "mixed": lambda n: cl.generate_mixed_spirality(-1.0, 1.0, 1e-3, 1.0,
+                                                   4 * n),
+    "segment": lambda n: cl.generate_segment(1e-3, 1.0, n),
+    "corner": lambda n: cl.generate_corner(np.pi / 2, 1e-3, 1.0, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_carleson_equals_portion_grid_max(name):
+    curve = ZOO[name](400)
+    t_pts, eps = cl.default_carleson_grids(curve, 12, 40)
+    t_pts = np.concatenate((t_pts, [0j, 0.3 + 0.2j]))
+    v = cl.carleson_constant(curve, t_pts, eps[::-1])
+    ref = max(cl.portion(curve, t, e).measure / e
+              for t in t_pts for e in eps)
+    assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_d_t(unit_circle, spiral1):
     assert cl.d_t(unit_circle, 1.0 + 0j) == pytest.approx(2.0, rel=1e-6)
     assert cl.d_t(unit_circle, 0j) == pytest.approx(1.0, rel=1e-12)
@@ -224,6 +248,73 @@ def test_omega_arc_joins_slit_ends(graded_circle):
 def test_omega_arc_empty(spiral1):
     with pytest.raises(EmptyArc):
         cl.omega_arc(spiral1, 0j, 1e-7)
+
+
+def loop_omega_arc(curve, t0, delta, join_ends=False):
+    """The sample-by-sample walk omega_arc replaced, kept as its oracle."""
+    d = curve.distances_from(t0)
+    inside = d < delta
+    k0 = int(np.argmin(d))
+    if not inside[k0]:
+        raise EmptyArc(f"no sample within {delta} of t0={t0}")
+    m = d.size
+    mask = np.zeros(m, dtype=bool)
+    lo = k0
+    while lo > 0 and inside[lo - 1]:
+        lo -= 1
+    hi = k0
+    while hi + 1 < m and inside[hi + 1]:
+        hi += 1
+    mask[lo:hi + 1] = True
+    wrap = join_ends or curve.closed
+    if wrap and (mask[0] != mask[-1]):
+        if mask[0] and inside[-1]:
+            j = m - 1
+            while j > 0 and inside[j - 1] and not mask[j - 1]:
+                j -= 1
+            mask[j:] = True
+        elif mask[-1] and inside[0]:
+            j = 0
+            while j + 1 < m and inside[j + 1] and not mask[j + 1]:
+                j += 1
+            mask[:j + 1] = True
+    if curve.closed:
+        mask[-1] = mask[0] = mask[0] or mask[-1]
+    return mask
+
+
+@st.composite
+def arc_cases(draw):
+    curve = ZOO[draw(st.sampled_from(sorted(ZOO)))](
+        draw(st.integers(32, 200)))
+    n = curve.n_samples
+    where = draw(st.sampled_from(["origin", "sample", "near", "anchor"]))
+    if where == "origin":
+        t0 = 0j
+    elif where == "anchor":
+        t0 = 1.0 + 0j
+    else:
+        t0 = complex(curve.samples[draw(st.integers(0, n - 1))])
+        if where == "near":
+            t0 += complex(draw(st.floats(-0.1, 0.1)),
+                          draw(st.floats(-0.1, 0.1)))
+    delta = 10.0 ** draw(st.floats(-4.0, 0.5))
+    return curve, t0, delta, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=arc_cases())
+def test_omega_arc_matches_loop(case):
+    curve, t0, delta, join_ends = case
+    try:
+        expected = loop_omega_arc(curve, t0, delta, join_ends)
+    except EmptyArc:
+        with pytest.raises(EmptyArc):
+            cl.omega_arc(curve, t0, delta, join_ends=join_ends)
+        return
+    mask = cl.omega_arc(curve, t0, delta, join_ends=join_ends)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, expected)
 
 
 def test_cached_lengths_are_readonly(spiral1):

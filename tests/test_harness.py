@@ -42,6 +42,34 @@ def test_classify_trend():
     assert cl.classify_trend([1.0, 2.0]) == "indeterminate"
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_classify_trend_rejects_non_finite(bad):
+    with pytest.raises(PreconditionError):
+        cl.classify_trend([1.0, bad, 2.0])
+    with pytest.raises(PreconditionError):
+        cl.classify_trend([bad])
+
+
+def test_probe_report_rejects_non_finite():
+    verdict = cl.check_kps(2.0, 0.0)
+    with pytest.raises(PreconditionError):
+        cl.ProbeReport(0j, (256, 512, 1024), (1.0, np.inf, 1.0), "stable",
+                    verdict)
+
+
+def test_non_finite_ratio_is_skipped():
+    # phi^-1 reaches exp(700) on the extremal profile, whose norm is 1e-122
+    config = cl.ExperimentConfig(
+        curve={"kind": "log_spiral", "delta": 20.0, "r_min": 1e-3},
+        exponent={"kind": "profile", "p_at": 1.5, "p_far": 2.5},
+        gamma=10j, levels=(1024, 2048, 4096))
+    report = cl.run_probe(config)
+    assert report.skipped == tuple((n, "extremal", "non-finite ratio")
+                                   for n in config.levels)
+    assert all(np.isfinite(r) for r in report.max_ratios)
+    assert all(np.isfinite(row["ratio"]) for row in report.rows)
+
+
 def test_gamma_rectangle_count():
     grid = cl.gamma_rectangle(-0.6, 0.6, -0.6, 0.6, 0.2)
     assert len(grid) == 49

@@ -127,6 +127,15 @@ def test_rejects_nonpositive_max_radii(segment):
         cl.maximal(segment, 1.0, eval_indices=[0, 5], max_radii=0)
 
 
+def test_overflowing_total_stays_finite():
+    """f = 1.5e308 integrates past the float range over the circle; the
+    engine scales it by a power of two, so Mf is still f."""
+    c = cl.generate_circle(1.0, 256)
+    res = cl.maximal(c, 1.5e308, eval_indices=np.arange(0, 256, 16))
+    assert np.all(np.isfinite(res.values))
+    np.testing.assert_allclose(res.values, 1.5e308, rtol=1e-12, atol=0.0)
+
+
 # --- weighted variants ------------------------------------------------------
 
 
@@ -253,3 +262,31 @@ def test_csv_export(tmp_path, unit_circle):
     lines = path.read_bytes().decode().split("\r\n")
     assert lines[0] == "arclen,Mf,argmax_eps"
     assert len(lines) == res.values.size + 2
+
+
+def _dyadic(curve):
+    """The curve with cumlen on a 2^-40 grid, so that reversal is exact."""
+    cum = np.round(curve.cumlen * 2.0**40) / 2.0**40
+    return cl.Curve(curve.samples, cum, curve.closed, curve.provenance)
+
+
+@pytest.mark.parametrize("make, t0", [
+    (lambda: cl.generate_log_spiral(1.0, 1e-4, 1.0, 4096), 0j),
+    (lambda: cl.generate_graded_circle(1.0, 2048), 1.0 + 0j),
+    (lambda: cl.generate_mixed_spirality(-1.0, 1.0, 1e-3, 1.0, 2048), 0j),
+])
+def test_weighted_invariant_under_reversal(make, t0):
+    # Curve.reversed() recomputes cumlen as L - cumlen, whose rounding moves
+    # the smallest arc weights; on dyadic cumlen the weights map exactly
+    curve = _dyadic(make())
+    rev = curve.reversed()
+    assert np.array_equal(rev.arc_weights[::-1], curve.arc_weights)
+    n = curve.n_samples
+    idx = np.unique(np.linspace(0, n - 1, 64).round().astype(int))
+    f = np.random.default_rng(8).uniform(0.0, 1.0, n)
+    for gamma in (0.3, -0.4, 0.2 - 0.3j, 1j):
+        fwd = cl.weighted_maximal(curve, f, t0, gamma, eval_indices=idx)
+        bwd = cl.weighted_maximal(rev, f[::-1], t0, gamma,
+                                  eval_indices=n - 1 - idx)
+        np.testing.assert_allclose(bwd.values, fwd.values, rtol=1e-12,
+                                   atol=0.0)

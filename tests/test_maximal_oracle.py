@@ -1,9 +1,11 @@
-"""The bucket-table maximal engine against the sorted-cumsum engine it replaced.
+"""The bucket-table maximal engine against the two kernels it replaced.
 
-``SortedCumsumEvaluator`` is the previous ``MaximalEvaluator``: per
+``SortedCumsumEvaluator`` is the first ``MaximalEvaluator``: per
 evaluation point it sorts every distance, keeps the sort order and the
 cumulative arc weights, and answers each integrand with a gather and a
-cumulative sum.  It is kept here only as a test reference.
+cumulative sum.  ``ReduceatEvaluator`` is the bucket table with the run
+sums taken by ``np.add.reduceat`` over every sample, as before the
+compensated prefix sums.  Both are kept here only as test references.
 """
 
 import importlib
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
+from carlesonlab.harness import _eval_subgrid
 
 # the package re-exports the function maximal() under the module's name
 engine_module = importlib.import_module("carlesonlab.maximal")
@@ -56,6 +59,19 @@ class SortedCumsumEvaluator:
         hits = [np.argmax(avg) for _, avg in table]
         return (np.array([avg[h] for (_, avg), h in zip(table, hits)]),
                 np.array([eps[h] for (eps, _), h in zip(table, hits)]))
+
+
+class ReduceatEvaluator(cl.MaximalEvaluator):
+    """Reference kernel: each run sum added up term by term."""
+
+    def _portion_sums(self, g: np.ndarray) -> np.ndarray:
+        """E x R table: per row and radius, the sum of g * arc_weights."""
+        gw = np.zeros(self._aw.size + 1)  # the boundary runs' zero sentinel
+        np.multiply(g, self._aw, out=gw[:-1])
+        run_sums = np.add.reduceat(gw, self._starts)
+        table = np.bincount(self._bins, weights=run_sums,
+                            minlength=self._shape[0] * self._shape[1])
+        return np.cumsum(table.reshape(self._shape)[:, :-1], axis=1)
 
 
 def _square(n):
@@ -114,10 +130,13 @@ def test_bucket_table_matches_sorted_cumsum(case):
     with mock.patch.object(engine_module, "_CHUNK_ENTRIES", chunk_entries):
         engine = cl.MaximalEvaluator(curve, idx, max_radii)
     oracle = SortedCumsumEvaluator(curve, idx, max_radii)
+    reduceat = ReduceatEvaluator(curve, idx, max_radii)
     ones, _ = engine.sup_average(np.ones(curve.n_samples))
     assert np.all(ones == 1.0)
     for g in _integrands(curve, seed):
         values, eps = engine.sup_average(g)
+        np.testing.assert_allclose(values, reduceat.sup_average(g)[0],
+                                   rtol=1e-12, atol=0.0)
         ref_values, ref_eps = oracle.sup_average(g)
         np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
         for row in np.flatnonzero(eps != ref_eps):
@@ -126,3 +145,50 @@ def test_bucket_table_matches_sorted_cumsum(case):
             at = np.flatnonzero(grid == eps[row])
             assert at.size > 0
             assert avg[at[0]] == pytest.approx(ref_values[row], rel=1e-12)
+
+
+def _assert_same_sup(engine, reference, g):
+    """Values to 1e-12; a different radius only where averages tie."""
+    values, eps = engine.sup_average(g)
+    ref_values, ref_eps = reference.sup_average(g)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
+    avg = reference._portion_sums(g) / reference._den
+    for row in np.flatnonzero(eps != ref_eps):
+        at = np.flatnonzero(reference._eps[row] == eps[row])
+        assert avg[row, at[0]] == pytest.approx(ref_values[row], rel=1e-12)
+
+
+def test_prefix_kernel_matches_reduceat_deep():
+    """Tiny runs far down the array, where each prefix sum is about the
+    whole length: a plain prefix difference is off by up to a few percent
+    here, the compensated one is not."""
+    curve = cl.generate_graded_circle(1.0, 32768)
+    idx = _eval_subgrid(curve, 256)
+    engine = cl.MaximalEvaluator(curve, idx)
+    reference = ReduceatEvaluator(curve, idx)
+    d = np.abs(curve.samples - 1.0)
+    rng = np.random.default_rng(5)
+    for g in (d ** -0.8, d ** 0.7, rng.uniform(0.0, 1.0, curve.n_samples)):
+        _assert_same_sup(engine, reference, g)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_single_radius_is_exact(name):
+    """With one radius the largest portion does not cover the curve, so
+    the prefix error bound does not apply: every read run is one sample,
+    taken as it is."""
+    curve = CURVES[name](200)
+    idx = np.arange(curve.n_samples)
+    g = _integrands(curve, 11)[3]
+    values, _ = cl.MaximalEvaluator(curve, idx, 1).sup_average(g)
+    ref_values, _ = ReduceatEvaluator(curve, idx, 1).sup_average(g)
+    assert np.array_equal(values, ref_values)
+
+
+def test_cumsum_is_sequential():
+    """The TwoSum correction assumes c[k] = fl(c[k-1] + x[k]) exactly."""
+    rng = np.random.default_rng(6)
+    for x in (rng.uniform(0.0, 1.0, 100_003),
+              np.exp(rng.normal(0.0, 20.0, 100_003))):
+        c = np.cumsum(x)
+        assert np.array_equal(c[1:], c[:-1] + x[1:])
