@@ -222,16 +222,16 @@ def _level_functions(curve: Curve, t0: complex, config: ExperimentConfig,
 
 
 def build_family(curve: Curve, t0: complex, p: ExponentField,
-                 log_phi: np.ndarray, config: ExperimentConfig, level_n: int,
-                 join_ends: bool):
+                 log_phi: np.ndarray, config: ExperimentConfig, arcs,
+                 randoms):
     """The probe's test functions.
 
-    Nested arc indicators and their weight-inverted companions phi^-1 * chi
-    (the classical two-sided witnesses, which blow up at the full rate when
-    the conditions fail), one near-critical profile, and seeded nonnegative
-    random functions.
+    The level's nested arc indicators and their weight-inverted companions
+    phi^-1 * chi (the classical two-sided witnesses, which blow up at the
+    full rate when the conditions fail), one near-critical profile, and the
+    level's seeded nonnegative random functions; arcs and randoms come from
+    _level_functions.
     """
-    arcs, randoms = _level_functions(curve, t0, config, level_n, join_ends)
     inv_phi = np.exp(np.clip(-log_phi, -700.0, 700.0))
     family = list(arcs)
     family += [(tag.replace("arc", "warc"), f * inv_phi) for tag, f in arcs]
@@ -285,8 +285,8 @@ def _probe_levels(config: ExperimentConfig, gammas):
             gamma = complex(gamma)
             log_phi = (gamma.real * branch.log_abs
                        - gamma.imag * branch.values)
-            family = build_family(curve, t0, p, log_phi, config, n,
-                                  join_ends)
+            family = build_family(curve, t0, p, log_phi, config, arcs,
+                                  randoms)
             rows, skipped = [], []
             for tag, f in family:
                 den, reason = dens[tag] if tag in dens \

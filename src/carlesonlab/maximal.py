@@ -18,6 +18,14 @@ is the sum of its run sums, bucketed and accumulated over the radii.  Each
 run sum is a difference of two compensated prefix sums of the integrand, so
 one evaluation costs O(n + runs), not O(E * n).
 
+The build need not compute every distance either.  On large curves it
+places nodes every B ~ sqrt(n / R) samples; a polyline bound from the node
+distances and the gap's length confines each gap's distances, and a gap
+confined to one bucket takes it whole, so a point costs about n / B + B *
+runs distances instead of n.  Bucket ids of log-spaced grids come in closed
+form from the log of the distance, with an exact search only next to a
+grid point.  The table is bit for bit the one of the full scan.
+
 Portion integrals use per-sample arc weights (trapezoid in disguise), and
 averages over empty portions never arise because evaluation points are curve
 samples, each inside its own portion.
@@ -39,6 +47,8 @@ from .norms import as_sampled
 
 MAX_RADII = 256
 _CHUNK_ENTRIES = 1 << 18  # distances per build chunk: bounds its memory
+_MIN_BLOCK = 8  # smallest node spacing at which the block build pays
+_SLACK = 1e-12  # relative widening of a gap's polyline distance bound
 _GATHER_BLOCK = 1 << 14  # run starts per prefix-sum gather
 
 
@@ -67,6 +77,202 @@ def _check_eval_indices(eval_indices, n: int) -> np.ndarray:
             f"eval_indices must lie in [0, {n}), got [{idx.min()}, "
             f"{idx.max()}]")
     return idx.astype(np.intp)
+
+
+def _log_grid(d_lo, d_hi, n_radii: int) -> np.ndarray:
+    """Per row: n_radii log-spaced radii from just below its smallest
+    positive distance d_lo to just above its largest distance d_hi."""
+    return np.exp(np.linspace(np.log(d_lo * (1.0 - 1e-12)),
+                              np.log(d_hi * (1.0 + 1e-9)), n_radii, axis=1))
+
+
+def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
+    """Overwrite the distances buf with their closed-form bucket ids.
+
+    A distance d of row r sits at u = (log d - log eps_0) * (R - 1) /
+    (log eps_{R-1} - log eps_0) on the row's log grid, and its bucket id
+    #{k : eps_k <= d} is floor(u) + 1 unless u lies so close to an integer
+    that the float grid point may fall on either side.  Returns the mask of
+    those entries and of the entries whose u is not finite (d = 0, or a
+    single radius); their ids in buf are not valid.  row gives each entry's
+    row of eps and broadcasts against buf.
+    """
+    n_radii = eps.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log0 = np.log(eps[:, 0])
+        log_top = np.log(eps[:, -1])
+        scale = (n_radii - 1) / (log_top - log0)
+        # the logs, the grid's own linspace and exp, and the arithmetic on
+        # u put u within about 2^-48 * scale * (|log0| + |log_top| + 1) of
+        # the grid's fractional index of d; the margin is 2^18 times that
+        tol = 2.0 ** -30 * scale * (np.abs(log0) + np.abs(log_top) + 1.0)
+        np.log(buf, out=buf)
+        np.subtract(buf, log0[row], out=buf)
+        np.multiply(buf, scale[row], out=buf)
+        off = np.rint(buf)
+        np.subtract(buf, off, out=off)
+        np.abs(off, out=off)
+        fix = np.greater_equal(off, tol[row])
+    del off
+    np.logical_not(fix, out=fix)  # NaN compares false: fixed up too
+    np.floor(buf, out=buf)
+    np.add(buf, 1.0, out=buf)
+    return fix
+
+
+def _count_le(eps: np.ndarray, row: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """searchsorted(eps[row[k]], d[k], side="right") for every k at once."""
+    n_radii = eps.shape[1]
+    flat = eps.ravel()
+    base = row * n_radii
+    lo = np.zeros(d.size, dtype=np.intp)
+    hi = np.full(d.size, n_radii, dtype=np.intp)
+    for _ in range(n_radii.bit_length()):
+        mid = (lo + hi) >> 1
+        le = flat[base + np.minimum(mid, n_radii - 1)] <= d
+        le &= mid < hi
+        lo = np.where(le, mid + 1, lo)
+        hi = np.where(le, hi, mid)
+    return lo
+
+
+def _bucket_ids(buf, eps, row, col, samples, centres):
+    """Overwrite the distances buf = |samples[col] - centres[row]| with
+    their bucket ids on the grids eps; row and col broadcast against buf.
+
+    The closed form of _grid_position, with an exact search for the few
+    entries next to a grid point, whose distances are recomputed from the
+    samples because buf no longer holds them.
+    """
+    at = np.nonzero(_grid_position(buf, eps, row))
+    r = np.broadcast_to(row, buf.shape)[at]
+    c = np.broadcast_to(col, buf.shape)[at]
+    buf[at] = _count_le(eps, r, np.abs(samples[c] - centres[r]))
+
+
+def _dense_runs(samples, eval_indices, eps_out, exact: bool):
+    """Run heads of every row from all of its distances, chunk by chunk.
+
+    Yields (first row, rows, row, start, bucket id) per chunk of at most
+    _CHUNK_ENTRIES distances.  With exact set, the grid is every realized
+    distance and each row is searched; otherwise the grid is log-spaced
+    and the ids come in closed form.
+    """
+    n = samples.size
+    chunk = max(1, _CHUNK_ENTRIES // n)
+    for lo in range(0, eval_indices.size, chunk):
+        idx = eval_indices[lo:lo + chunk]
+        m = idx.size
+        eps = eps_out[lo:lo + m]
+        centres = samples[idx]
+        dists = np.abs(samples[None, :] - centres[:, None])
+        d_lo = np.min(dists, axis=1, where=dists > 0.0, initial=np.inf)
+        if exact:
+            # every realized distance: the scan is exact at this size
+            ds = np.sort(dists, axis=1)
+            eps[:] = np.where(ds > 0.0, ds * (1.0 + 1e-12),
+                              d_lo[:, None] * (1.0 - 1e-12))
+            del ds
+            for r in range(m):
+                dists[r] = np.searchsorted(eps[r], dists[r], side="right")
+        else:
+            eps[:] = _log_grid(d_lo, np.max(dists, axis=1), eps.shape[1])
+            _bucket_ids(dists, eps, np.arange(m)[:, None],
+                        np.arange(n)[None, :], samples, centres)
+        new_run = np.ones(dists.shape, dtype=bool)
+        np.not_equal(dists[:, 1:], dists[:, :-1], out=new_run[:, 1:])
+        row, col = np.nonzero(new_run)
+        ids = dists[row, col]
+        del dists, new_run  # before the next chunk's distances
+        yield lo, m, row, col, ids
+
+
+def _gap_samples(first: np.ndarray, size: np.ndarray):
+    """The samples of gaps given by their first sample and sample count,
+    in order, and for each sample the position of its gap in the input."""
+    k = np.repeat(np.arange(size.size), size)
+    return np.arange(k.size) + (first - (np.cumsum(size) - size))[k], k
+
+
+def _block_runs(samples, eval_indices, eps_out, block: int):
+    """Run heads of every row from the node distances and the distances
+    of the gaps that the polyline bound does not put in one bucket; see
+    MaximalEvaluator.  Nodes sit every `block` samples and at the last.
+    Yields chunks as _dense_runs does.
+    """
+    n = samples.size
+    n_radii = eps_out.shape[1]
+    nodes = np.arange(0, n, block)
+    if nodes[-1] != n - 1:
+        nodes = np.append(nodes, n - 1)
+    first = nodes[:-1]
+    size = np.diff(nodes)
+    size[-1] += 1  # the last gap also holds the last node
+    # from the samples: differences of cumlen can round below the chord
+    ell = np.add.reduceat(np.abs(np.diff(samples)), first)
+    n_gaps = first.size
+    # a row holds n_gaps gaps and about as many computed samples, each in
+    # several arrays: this keeps a chunk's temporaries below the dense scan's
+    chunk = max(1, _CHUNK_ENTRIES // (8 * n_gaps))
+    for lo in range(0, eval_indices.size, chunk):
+        idx = eval_indices[lo:lo + chunk]
+        m = idx.size
+        eps = eps_out[lo:lo + m]
+        centres = samples[idx]
+        d_node = np.abs(samples[nodes][None, :] - centres[:, None])
+        near = np.min(d_node, axis=1, where=d_node > 0.0, initial=np.inf)
+        far = np.max(d_node, axis=1)
+        mid = d_node[:, :-1] + d_node[:, 1:]
+        del d_node
+        slack = (mid + ell) * _SLACK
+        mid *= 0.5
+        half = 0.5 * ell
+        d_min = mid - half - slack
+        d_max = mid + half + slack
+        del mid, slack
+        # the gaps that can hold the row's smallest positive or largest
+        # distance, which set its grid: computed first
+        forced = (d_min <= near[:, None]) | (d_max >= far[:, None])
+        row, gap = np.nonzero(forced)
+        j, k = _gap_samples(first[gap], size[gap])
+        d = np.abs(samples[j] - centres[row[k]])
+        np.minimum.at(near, row[k], np.where(d > 0.0, d, np.inf))
+        np.maximum.at(far, row[k], d)
+        eps[:] = _log_grid(near, far, n_radii)
+        rows = np.arange(m)[:, None]
+        uniform = _grid_position(d_min, eps, rows)
+        uniform |= _grid_position(d_max, eps, rows)
+        uniform |= forced
+        np.logical_not(uniform, out=uniform)
+        uniform &= d_min == d_max
+        del d_max, forced
+        # one piece per uniform gap and one per sample of the other gaps,
+        # in sample order
+        count = np.where(uniform, 1, size[None, :])
+        offset = np.cumsum(count, axis=None).reshape(m, n_gaps) - count
+        piece_start = np.empty(int(count.sum()), dtype=np.intp)
+        piece_id = np.empty(piece_start.size)
+        del count
+        at = offset[uniform]
+        piece_start[at] = np.broadcast_to(first, uniform.shape)[uniform]
+        piece_id[at] = d_min[uniform]
+        row, gap = np.nonzero(~uniform)
+        del d_min, uniform
+        j, k = _gap_samples(first[gap], size[gap])
+        r = row[k]
+        at = j + (offset[row, gap] - first[gap])[k]
+        del row, gap, k
+        d = np.abs(samples[j] - centres[r])
+        _bucket_ids(d, eps, r, j, samples, centres)
+        piece_start[at] = j
+        piece_id[at] = d
+        row_first = offset[:, 0]
+        new_run = np.ones(piece_id.size, dtype=bool)
+        np.not_equal(piece_id[1:], piece_id[:-1], out=new_run[1:])
+        new_run[row_first] = True
+        heads = np.flatnonzero(new_run)
+        row = np.searchsorted(row_first, heads, side="right") - 1
+        yield lo, m, row, piece_start[heads], piece_id[heads]
 
 
 class MaximalEvaluator:
@@ -106,9 +312,41 @@ class MaximalEvaluator:
     total overflows still gives a finite sup.
 
     Storage is O(E * runs) rather than the O(E * n) that a per-point sort
-    order with cumulative weights needs; the build works through the
-    distance matrix in chunks of at most _CHUNK_ENTRIES entries (one row
-    when n exceeds it).
+    order with cumulative weights needs.
+
+    Build.  With n <= max_radii the grid is every realized distance and
+    each row is bucketed by ``np.searchsorted``.  Otherwise the grid is
+    log-spaced from just below the row's smallest positive distance d_lo
+    to just above its largest d_hi, and a bucket id comes in closed form:
+    u = (log d - log eps_0) * (R - 1) / (log eps_{R-1} - log eps_0) puts d
+    on the grid and b = floor(u) + 1.  An entry whose u is not finite, or
+    lies within 2^-30 * (R - 1) * (|log eps_0| + |log eps_{R-1}| + 1) /
+    (log eps_{R-1} - log eps_0) of an integer (2^18 times u's rounding
+    error; 2.4e-7 to 3.1e-7 on the probe curves), is searched exactly
+    instead.  That is about three entries per row: the point itself
+    (d = 0) and the d_lo and d_hi samples.  u is computed in place over
+    the distance buffer, and the searched entries' distances are
+    recomputed from the samples.
+
+    Which distances are computed follows from n and max_radii alone: with
+    B = isqrt(n // max_radii) below _MIN_BLOCK, all of them, in chunks of
+    at most _CHUNK_ENTRIES; from there on, the block build.  It puts nodes
+    every B samples and at the last.  By the triangle inequality every
+    distance in the gap between nodes a and b lies in
+    [(d_a + d_b - l) / 2, (d_a + d_b + l) / 2], with l the gap's polyline
+    length sum |tau_{k+1} - tau_k|, taken from the samples because
+    differences of cumlen can round below the chord.  Widened by a relative
+    _SLACK (1e-12, far above the rounding of d_a, d_b, l and of the
+    distances themselves), an interval whose ends fall in one bucket gives
+    the whole gap that bucket.  The distances of every other gap are
+    computed, as are those of the gaps whose interval reaches the nodes'
+    smallest positive distance or their largest, so that d_lo and d_hi
+    are exact: this covers spiral turns that nearly touch and zero
+    distances away from the point, such as a closed curve's duplicate
+    closure sample.  A row then computes about n / B node distances and B
+    per run, not n, and the table is the one the dense scan gives, bit for
+    bit.  Rows go in chunks of about _CHUNK_ENTRIES / (8 * n / B), which
+    keeps a chunk's temporaries below the dense scan's.
     """
 
     def __init__(self, curve: Curve, eval_indices=None,
@@ -127,40 +365,25 @@ class MaximalEvaluator:
         n_radii = n if exact else int(max_radii)
         slots = n_radii + 1
         self._eps = np.empty((rows, n_radii))
+        block = 0 if exact else math.isqrt(n // n_radii)
+        if block >= _MIN_BLOCK:
+            chunks = _block_runs(curve.samples, self.eval_indices, self._eps,
+                                 block)
+        else:
+            chunks = _dense_runs(curve.samples, self.eval_indices, self._eps,
+                                 exact)
         starts = [np.empty(0, dtype=np.intp)]  # no rows: an empty table
         bins = [np.empty(0, dtype=np.intp)]
-        chunk = max(1, _CHUNK_ENTRIES // n)
-        for lo in range(0, rows, chunk):
-            idx = self.eval_indices[lo:lo + chunk]
-            dists = np.abs(curve.samples[None, :] - curve.samples[idx, None])
-            d_lo = np.min(dists, axis=1, where=dists > 0.0, initial=np.inf)
-            eps = self._eps[lo:lo + idx.size]
-            if exact:
-                # every realized distance: the scan is exact at this size
-                ds = np.sort(dists, axis=1)
-                eps[:] = np.where(ds > 0.0, ds * (1.0 + 1e-12),
-                                  d_lo[:, None] * (1.0 - 1e-12))
-            else:
-                d_hi = np.max(dists, axis=1) * (1.0 + 1e-9)
-                eps[:] = np.exp(np.linspace(np.log(d_lo * (1.0 - 1e-12)),
-                                            np.log(d_hi), max_radii, axis=1))
-            bucket = np.empty(dists.shape, dtype=np.intp)
-            for r in range(idx.size):
-                bucket[r] = np.searchsorted(eps[r], dists[r], side="right")
-            del dists
-            new_run = np.ones(bucket.shape, dtype=bool)
-            np.not_equal(bucket[:, 1:], bucket[:, :-1], out=new_run[:, 1:])
-            row, col = np.nonzero(new_run)
+        for lo, m, row, col, bucket in chunks:
             # each row's runs, then its boundary: shift by earlier boundaries
             pos = np.arange(row.size) + row
-            ends = np.cumsum(np.bincount(row, minlength=idx.size)) \
-                + np.arange(idx.size)
-            chunk_starts = np.empty(row.size + idx.size, dtype=np.intp)
+            ends = np.cumsum(np.bincount(row, minlength=m)) + np.arange(m)
+            chunk_starts = np.empty(row.size + m, dtype=np.intp)
             chunk_bins = np.empty_like(chunk_starts)
             chunk_starts[pos] = col
-            chunk_bins[pos] = (lo + row) * slots + bucket[row, col]
+            chunk_bins[pos] = (lo + row) * slots + bucket.astype(np.intp)
             chunk_starts[ends] = n
-            chunk_bins[ends] = (lo + np.arange(idx.size)) * slots + n_radii
+            chunk_bins[ends] = (lo + np.arange(m)) * slots + n_radii
             starts.append(chunk_starts)
             bins.append(chunk_bins)
         self._starts = np.concatenate(starts)

@@ -17,7 +17,8 @@ returned in place of the norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,14 +36,13 @@ LOG_SAFE = 700.0
 class ExponentField:
     """Variable exponent p(.) with verified bounds 1 < p_min <= p_max < inf.
 
-    dini_constant is the measured log-Holder constant: the max over sampled
-    pairs with |tau - t| <= 1/2 of |p(tau) - p(t)| * (-log|tau - t|).
+    curve is the curve the values are sampled on; dini_constant reads it.
     """
 
     values: np.ndarray
     p_min: float
     p_max: float
-    dini_constant: float
+    curve: Curve = field(repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -50,6 +50,17 @@ class ExponentField:
             raise PreconditionError("exponents must lie in (1, inf)")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def dini_constant(self) -> float:
+        """The measured log-Holder constant: the max over sampled pairs with
+        |tau - t| <= 1/2 of |p(tau) - p(t)| * (-log|tau - t|).
+
+        Measured on first access; exactly 0.0 for a constant exponent.
+        """
+        if self.p_min == self.p_max:
+            return 0.0
+        return _measure_dini(self.curve, self.values)
 
 
 def _measure_dini(curve: Curve, values: np.ndarray,
@@ -74,7 +85,7 @@ def _build(curve: Curve, values: np.ndarray) -> ExponentField:
     if np.any(values <= 1.0) or not np.all(np.isfinite(values)):
         raise PreconditionError("exponents must lie in (1, inf)")
     return ExponentField(values, float(values.min()), float(values.max()),
-                         _measure_dini(curve, values))
+                         curve)
 
 
 def constant_exponent(curve: Curve, p: float) -> ExponentField:
@@ -82,7 +93,7 @@ def constant_exponent(curve: Curve, p: float) -> ExponentField:
     if not (1.0 < p < np.inf):
         raise PreconditionError("p must lie in (1, inf)")
     return ExponentField(np.full(curve.n_samples, float(p)), float(p),
-                         float(p), 0.0)
+                         float(p), curve)
 
 
 def profile_exponent(curve: Curve, t0: complex, p_at: float,

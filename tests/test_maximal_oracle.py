@@ -6,6 +6,9 @@ cumulative arc weights, and answers each integrand with a gather and a
 cumulative sum.  ``ReduceatEvaluator`` is the bucket table with the run
 sums taken by ``np.add.reduceat`` over every sample, as before the
 compensated prefix sums.  Both are kept here only as test references.
+``dense_reference_table`` is the bucket-table build before the block
+build and the closed-form bucket ids: every distance of every row, each row
+searched with ``np.searchsorted``.
 """
 
 import importlib
@@ -72,6 +75,62 @@ class ReduceatEvaluator(cl.MaximalEvaluator):
         table = np.bincount(self._bins, weights=run_sums,
                             minlength=self._shape[0] * self._shape[1])
         return np.cumsum(table.reshape(self._shape)[:, :-1], axis=1)
+
+
+def dense_reference_table(curve, eval_indices, max_radii):
+    """Reference build: (eps, starts, bins) from every distance, each row
+    bucketed by searchsorted on its grid."""
+    n = curve.n_samples
+    eval_indices = np.asarray(eval_indices, dtype=np.intp)
+    rows = eval_indices.size
+    exact = n <= max_radii
+    n_radii = n if exact else int(max_radii)
+    slots = n_radii + 1
+    eps_table = np.empty((rows, n_radii))
+    starts = [np.empty(0, dtype=np.intp)]  # no rows: an empty table
+    bins = [np.empty(0, dtype=np.intp)]
+    chunk = max(1, (1 << 18) // n)
+    for lo in range(0, rows, chunk):
+        idx = eval_indices[lo:lo + chunk]
+        dists = np.abs(curve.samples[None, :] - curve.samples[idx, None])
+        d_lo = np.min(dists, axis=1, where=dists > 0.0, initial=np.inf)
+        eps = eps_table[lo:lo + idx.size]
+        if exact:
+            # every realized distance: the scan is exact at this size
+            ds = np.sort(dists, axis=1)
+            eps[:] = np.where(ds > 0.0, ds * (1.0 + 1e-12),
+                              d_lo[:, None] * (1.0 - 1e-12))
+        else:
+            d_hi = np.max(dists, axis=1) * (1.0 + 1e-9)
+            eps[:] = np.exp(np.linspace(np.log(d_lo * (1.0 - 1e-12)),
+                                        np.log(d_hi), max_radii, axis=1))
+        bucket = np.empty(dists.shape, dtype=np.intp)
+        for r in range(idx.size):
+            bucket[r] = np.searchsorted(eps[r], dists[r], side="right")
+        del dists
+        new_run = np.ones(bucket.shape, dtype=bool)
+        np.not_equal(bucket[:, 1:], bucket[:, :-1], out=new_run[:, 1:])
+        row, col = np.nonzero(new_run)
+        # each row's runs, then its boundary: shift by earlier boundaries
+        pos = np.arange(row.size) + row
+        ends = np.cumsum(np.bincount(row, minlength=idx.size)) \
+            + np.arange(idx.size)
+        chunk_starts = np.empty(row.size + idx.size, dtype=np.intp)
+        chunk_bins = np.empty_like(chunk_starts)
+        chunk_starts[pos] = col
+        chunk_bins[pos] = (lo + row) * slots + bucket[row, col]
+        chunk_starts[ends] = n
+        chunk_bins[ends] = (lo + np.arange(idx.size)) * slots + n_radii
+        starts.append(chunk_starts)
+        bins.append(chunk_bins)
+    return eps_table, np.concatenate(starts), np.concatenate(bins)
+
+
+def _assert_same_table(engine, curve, idx, max_radii):
+    eps, starts, bins = dense_reference_table(curve, idx, max_radii)
+    assert np.array_equal(engine._eps, eps)
+    assert np.array_equal(engine._starts, starts)
+    assert np.array_equal(engine._bins, bins)
 
 
 def _square(n):
@@ -145,6 +204,76 @@ def test_bucket_table_matches_sorted_cumsum(case):
             at = np.flatnonzero(grid == eps[row])
             assert at.size > 0
             assert avg[at[0]] == pytest.approx(ref_values[row], rel=1e-12)
+
+
+def _tight_spiral(n):
+    """Twenty turns 6.3e-4 apart, sampled more coarsely than that, so a
+    point's nearest samples lie on the neighbouring turns."""
+    theta = np.linspace(0.0, 40.0 * np.pi, n)
+    return cl.from_points((1.0 - 1e-4 * theta) * np.exp(1j * theta),
+                          provenance="tight spiral")
+
+
+BUILD_CURVES = {
+    **CURVES,
+    "tight_spiral": _tight_spiral,
+    "mixed_spirality": lambda n: cl.generate_mixed_spirality(
+        -1.0, 1.0, 1e-3, 1.0, n),
+}
+
+# (max_radii, sample counts) on every side of the size rule: every
+# realized distance for n <= max_radii; the block build once
+# isqrt(n // max_radii) >= 8, else the dense scan
+BUILD_SIZES = [
+    (256, (32, 256)), (256, (257, 4096)), (256, (16384, 20000)),
+    (1, (32, 63)), (1, (64, 400)),
+    (2, (32, 127)), (2, (128, 400)),
+]
+
+
+@st.composite
+def build_cases(draw):
+    max_radii, (n_lo, n_hi) = draw(st.sampled_from(BUILD_SIZES))
+    curve = BUILD_CURVES[draw(st.sampled_from(sorted(BUILD_CURVES)))](
+        draw(st.integers(n_lo, n_hi)))
+    n = curve.n_samples
+    inner = draw(st.sets(st.integers(0, n - 1), max_size=22))
+    idx = np.array(sorted(inner | {0, n - 1}))
+    chunk_entries = draw(st.integers(1, 8)) * n
+    return curve, idx, max_radii, chunk_entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=build_cases())
+def test_build_matches_dense_reference(case):
+    """The block build and the closed-form ids give the reference table
+    bit for bit, on every path and across chunks."""
+    curve, idx, max_radii, chunk_entries = case
+    with mock.patch.object(engine_module, "_CHUNK_ENTRIES", chunk_entries):
+        engine = cl.MaximalEvaluator(curve, idx, max_radii)
+    _assert_same_table(engine, curve, idx, max_radii)
+
+
+def test_build_matches_dense_reference_deep():
+    curve = cl.generate_graded_circle(1.0, 131072)
+    idx = _eval_subgrid(curve, 256)
+    _assert_same_table(cl.MaximalEvaluator(curve, idx), curve, idx, 256)
+
+
+def test_closed_form_ids_next_to_grid_points():
+    """Distances exactly on grid radii and one ulp to either side, where
+    the closed form alone cannot tell the bucket, get the searched one."""
+    eps = engine_module._log_grid(np.array([1e-9, 0.25]),
+                                  np.array([2.0, 3.0]), 256)
+    for row in range(2):
+        grid = eps[row]
+        d = np.concatenate([[0.0], grid, np.nextafter(grid, 0.0),
+                            np.nextafter(grid, np.inf)])
+        buf = d.copy()
+        engine_module._bucket_ids(buf, eps, np.full(d.size, row),
+                                  np.arange(d.size), d.astype(complex),
+                                  np.zeros(2, dtype=complex))
+        assert np.array_equal(buf, np.searchsorted(grid, d, side="right"))
 
 
 def _assert_same_sup(engine, reference, g):

@@ -1,3 +1,6 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +61,19 @@ def test_profile_exponent_dini(spiral1):
         worst = max(worst, float(np.max(np.abs(p.values[m] - p.values[i])
                                         * (-np.log(d[m])))))
     assert p.dini_constant == pytest.approx(worst, rel=1e-12)
+
+
+def test_dini_constant_is_measured_on_first_access(spiral1):
+    norms_module = importlib.import_module("carlesonlab.norms")
+    with mock.patch.object(norms_module, "_measure_dini",
+                           wraps=norms_module._measure_dini) as measure:
+        p = cl.profile_exponent(spiral1, 0j, 1.5, 3.0)
+        assert measure.call_count == 0
+        first = p.dini_constant
+        assert p.dini_constant == first
+        assert measure.call_count == 1
+        assert cl.constant_exponent(spiral1, 2.0).dini_constant == 0.0
+        assert measure.call_count == 1
 
 
 def test_tabulated_exponent_validation(unit_circle):
