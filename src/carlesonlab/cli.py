@@ -16,9 +16,9 @@ from . import curves as _curves
 from .argbranch import eta, phi, power_weight, unit_weight, unwrap_arg
 from .criteria import check_kps, check_main, verdict_to_json
 from .errors import NumericalError, PreconditionError
-from .harness import (ExperimentConfig, build_curve, gamma_rectangle,
-                      probe_report_csv, probe_report_json, run_probe,
-                      run_sweep, sweep_csv)
+from .harness import (CURVE_KEYS, ExperimentConfig, build_curve,
+                      gamma_rectangle, probe_report_csv, probe_report_json,
+                      run_probe, run_sweep, sweep_csv)
 from .maximal import export_maximal_csv, maximal, weighted_maximal
 from .norms import constant_exponent, luxemburg_norm, muckenhoupt_ap
 from .submult import (IndexPair, compute_W, estimate_indices,
@@ -249,7 +249,7 @@ def _probe_config(ctx, kind, n, gamma, p, p_at, p_far, levels, **params):
     if kind is None:
         raise PreconditionError("--kind is required for probes")
     spec, _ = _curve_spec(kind, n, **params)
-    if "r_min" not in spec:
+    if "r_min" in CURVE_KEYS[spec["kind"]] and "r_min" not in spec:
         spec["r_min_scale"] = 16.0  # deepen the resolved scale per level
     if p_at is not None and p_far is not None:
         exponent = {"kind": "profile", "p_at": p_at, "p_far": p_far}

@@ -96,6 +96,13 @@ class Curve:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def log_arc_weights(self) -> np.ndarray:
+        """log(arc_weights); computed once, read-only."""
+        log_w = np.log(self.arc_weights)
+        log_w.setflags(write=False)
+        return log_w
+
     def distances_from(self, t: complex) -> np.ndarray:
         return np.abs(self.samples - t)
 

@@ -46,10 +46,10 @@ STABLE_FACTOR = 1.35
 class ExperimentConfig:
     """One probe configuration: curve family, exponent, weight, levels.
 
-    curve: {"kind": ..., kind-specific parameters}.  Kinds: circle,
-        graded_circle, log_spiral, mixed_spirality, segment, corner.
-        Spiral kinds accept r_min_scale, making r_min = r_min_scale / n so
-        that refinement levels deepen the resolved scale.
+    curve: {"kind": ..., kind-specific parameters}; CURVE_KEYS lists the
+        kinds and the keys each reads.  The kinds with an r_min (spirals,
+        segment, corner) accept r_min_scale, making r_min = r_min_scale / n
+        so that refinement levels deepen the resolved scale.
     exponent: {"kind": "constant", "value": p} or
         {"kind": "profile", "p_at": ..., "p_far": ...}.
     spirality: optional (alpha, beta) override; measured on the top-level
@@ -109,13 +109,35 @@ def classify_trend(ratios) -> str:
     return TREND_INDETERMINATE
 
 
+_RADIAL_KEYS = ("r_min", "r_min_scale", "r_max")
+# the keys each curve kind reads besides "kind"; any other key is rejected
+CURVE_KEYS = {
+    "circle": ("radius", "phase", "t0_angle"),
+    "graded_circle": ("radius", "t0_angle", "grade", "theta_min"),
+    "log_spiral": ("delta",) + _RADIAL_KEYS,
+    "mixed_spirality": ("alpha", "beta") + _RADIAL_KEYS,
+    "segment": ("angle",) + _RADIAL_KEYS,
+    "corner": ("turn",) + _RADIAL_KEYS,
+}
+
+
 def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
     """Materialize a curve spec at refinement level n.
 
     Returns (curve, t0, join_ends): join_ends marks curves generated as a
     slit at t0, whose two array ends are adjacent through the singularity.
+    Raises PreconditionError for an unknown kind or a key the kind does
+    not read (see CURVE_KEYS), rather than ignore a misspelled parameter.
     """
     kind = spec.get("kind")
+    if kind not in CURVE_KEYS:
+        raise PreconditionError(f"unknown curve kind: {kind!r}")
+    unknown = sorted(set(spec) - {"kind", *CURVE_KEYS[kind]})
+    if unknown:
+        raise PreconditionError(
+            f"curve kind {kind!r} does not read "
+            f"{', '.join(map(repr, unknown))}; it accepts "
+            f"{', '.join(CURVE_KEYS[kind])}")
     if kind == "circle":
         radius = spec.get("radius", 1.0)
         curve = _curves.generate_circle(radius, n, spec.get("phase", 0.0))
@@ -144,11 +166,9 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
         curve = _curves.generate_segment(r_min, r_max, n,
                                          spec.get("angle", 0.0))
         return curve, 0j, False
-    if kind == "corner":
-        curve = _curves.generate_corner(spec.get("turn", np.pi / 2), r_min,
-                                        r_max, n)
-        return curve, 0j, False
-    raise PreconditionError(f"unknown curve kind: {kind!r}")
+    curve = _curves.generate_corner(spec.get("turn", np.pi / 2), r_min,
+                                    r_max, n)  # the last kind: corner
+    return curve, 0j, False
 
 
 def build_exponent(curve: Curve, spec: dict, t0: complex) -> ExponentField:

@@ -104,19 +104,22 @@ def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
         scale = (n_radii - 1) / (log_top - log0)
         # the logs, the grid's own linspace and exp, and the arithmetic on
         # u put u within about 2^-48 * scale * (|log0| + |log_top| + 1) of
-        # the grid's fractional index of d; the margin is 2^18 times that
-        tol = 2.0 ** -30 * scale * (np.abs(log0) + np.abs(log_top) + 1.0)
+        # the grid's fractional index of d; the margin is 2^18 times that,
+        # taken at the largest over the rows so that one scalar serves all
+        tol = np.max(2.0 ** -30 * scale * (np.abs(log0) + np.abs(log_top)
+                                           + 1.0))
+        # u + 1 = log d * scale - (log0 * scale - 1): floor gives the id
+        shift = log0 * scale - 1.0
         np.log(buf, out=buf)
-        np.subtract(buf, log0[row], out=buf)
         np.multiply(buf, scale[row], out=buf)
+        np.subtract(buf, shift[row], out=buf)
         off = np.rint(buf)
         np.subtract(buf, off, out=off)
         np.abs(off, out=off)
-        fix = np.greater_equal(off, tol[row])
+        fix = np.greater_equal(off, tol)
     del off
     np.logical_not(fix, out=fix)  # NaN compares false: fixed up too
     np.floor(buf, out=buf)
-    np.add(buf, 1.0, out=buf)
     return fix
 
 
@@ -144,7 +147,8 @@ def _bucket_ids(buf, eps, row, col, samples, centres):
     entries next to a grid point, whose distances are recomputed from the
     samples because buf no longer holds them.
     """
-    at = np.nonzero(_grid_position(buf, eps, row))
+    at = np.unravel_index(np.flatnonzero(_grid_position(buf, eps, row)),
+                          buf.shape)
     r = np.broadcast_to(row, buf.shape)[at]
     c = np.broadcast_to(col, buf.shape)[at]
     buf[at] = _count_le(eps, r, np.abs(samples[c] - centres[r]))
@@ -166,7 +170,17 @@ def _dense_runs(samples, eval_indices, eps_out, exact: bool):
         eps = eps_out[lo:lo + m]
         centres = samples[idx]
         dists = np.abs(samples[None, :] - centres[:, None])
-        d_lo = np.min(dists, axis=1, where=dists > 0.0, initial=np.inf)
+        # the smallest positive distance: a plain minimum with each row's
+        # own zero masked, and the masked reduction only for rows with a
+        # second zero, such as a closed curve's duplicate closure sample
+        own = (np.arange(m), idx)
+        dists[own] = np.inf
+        d_lo = np.min(dists, axis=1)
+        dists[own] = 0.0
+        dup = np.flatnonzero(d_lo == 0.0)
+        if dup.size:
+            d = dists[dup]
+            d_lo[dup] = np.min(d, axis=1, where=d > 0.0, initial=np.inf)
         if exact:
             # every realized distance: the scan is exact at this size
             ds = np.sort(dists, axis=1)
@@ -179,11 +193,17 @@ def _dense_runs(samples, eval_indices, eps_out, exact: bool):
             eps[:] = _log_grid(d_lo, np.max(dists, axis=1), eps.shape[1])
             _bucket_ids(dists, eps, np.arange(m)[:, None],
                         np.arange(n)[None, :], samples, centres)
-        new_run = np.ones(dists.shape, dtype=bool)
-        np.not_equal(dists[:, 1:], dists[:, :-1], out=new_run[:, 1:])
-        row, col = np.nonzero(new_run)
-        ids = dists[row, col]
-        del dists, new_run  # before the next chunk's distances
+        # run heads on the flat row-major buffer; every row starts a run,
+        # so none joins a row's last sample to the next row's first
+        flat = dists.ravel()
+        new_run = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+        new_run[::n] = True
+        heads = np.flatnonzero(new_run)
+        ids = flat[heads]
+        del dists, flat, new_run  # before the next chunk's distances
+        row, col = np.divmod(heads, n)
+        del heads  # not held while the caller assembles the chunk
         yield lo, m, row, col, ids
 
 
@@ -322,11 +342,22 @@ class MaximalEvaluator:
     on the grid and b = floor(u) + 1.  An entry whose u is not finite, or
     lies within 2^-30 * (R - 1) * (|log eps_0| + |log eps_{R-1}| + 1) /
     (log eps_{R-1} - log eps_0) of an integer (2^18 times u's rounding
-    error; 2.4e-7 to 3.1e-7 on the probe curves), is searched exactly
+    error; 2.4e-7 to 3.1e-7 on the probe curves; one margin, the largest
+    of the chunk's rows, serves the whole chunk), is searched exactly
     instead.  That is about three entries per row: the point itself
     (d = 0) and the d_lo and d_hi samples.  u is computed in place over
-    the distance buffer, and the searched entries' distances are
-    recomputed from the samples.
+    the distance buffer, the searched entries are found by
+    ``np.flatnonzero`` on it, and their distances are recomputed from the
+    samples.
+
+    The dense scan works on each chunk's row-major distance buffer as one
+    flat array.  d_lo is a plain row minimum with each row's own zero set
+    to +inf for the moment; only a row with a second zero distance, such as
+    a closed curve's end rows, takes the masked reduction.  Run heads come
+    from one comparison of neighbouring ids over the flat buffer, with every
+    row's first entry set as a head, so that no run joins one row's last
+    sample to the next row's first; ``np.divmod`` by n gives their rows and
+    columns.
 
     Which distances are computed follows from n and max_radii alone: with
     B = isqrt(n // max_radii) below _MIN_BLOCK, all of them, in chunks of
@@ -436,7 +467,9 @@ class MaximalEvaluator:
         finite sup.
         """
         shift = math.frexp(float(np.max(g)))[1] - 1
-        avg = self._portion_sums(np.ldexp(g, -shift)) / self._den
+        if shift:  # the weighted path's maximum is exactly 1: no copy
+            g = np.ldexp(g, -shift)
+        avg = self._portion_sums(g) / self._den
         hit = np.argmax(avg, axis=1)
         rows = np.arange(avg.shape[0])
         return np.ldexp(avg[rows, hit], shift), self._eps[rows, hit]
@@ -488,10 +521,11 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
 
     Computes phi(t) * sup of portion averages of |f| / phi in log-space.
     gamma = 0 coincides exactly with maximal(); real gamma coincides with
-    power_weighted_maximal at that exponent.
+    power_weighted_maximal at that exponent.  A given branch supplies
+    log|tau - t0| for every gamma; without one, real gamma needs no unwrap.
     """
     gamma = complex(gamma)
-    if gamma.imag == 0.0:
+    if branch is None and gamma.imag == 0.0:
         return power_weighted_maximal(curve, f, t0, gamma.real,
                                       eval_indices=eval_indices,
                                       max_radii=max_radii,

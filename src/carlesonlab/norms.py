@@ -124,13 +124,19 @@ def exponent_at(curve: Curve, p: ExponentField, t0: complex) -> float:
 
 
 def as_sampled(curve: Curve, f) -> np.ndarray:
-    """Coerce f to a finite per-sample complex array; scalars broadcast."""
-    arr = np.asarray(f, dtype=np.complex128)
+    """Coerce f to a finite per-sample array; scalars broadcast.
+
+    Real input stays float64 and complex input becomes complex128; every
+    consumer reads |f|, which is the same either way.
+    """
+    arr = np.asarray(f)
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
+                     copy=False)
     if arr.ndim == 0:
-        arr = np.full(curve.n_samples, complex(arr))
+        arr = np.full(curve.n_samples, arr)
     if arr.shape != curve.samples.shape:
         raise PreconditionError("sampled function must align with the curve")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.all(np.isfinite(arr)):
         raise PreconditionError("sampled function must be finite")
     return arr
 
@@ -187,11 +193,12 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
                    rtol: float = LUXEMBURG_RTOL) -> float:
     """inf{lam > 0 : modular(f, w, p, lam) <= 1}, solved in s = log lam.
 
-    With x_i = p_i*log|f_i*w_i| + log aw_i (aw the arc weights), the
-    trapezoid modular is exactly sum_i exp(x_i - p_i*s).  For constant p
-    the norm is exp(logsumexp(x)/p) in closed form; otherwise Newton on the
-    convex log-modular converges monotonically (see _newton_log_lambda) and
-    stops once a step is at most rtol/10 in log lam.  Returns 0 for f*w
+    With x_i = p_i*log|f_i*w_i| + log aw_i (aw the arc weights, whose logs
+    the curve caches), the trapezoid modular is exactly
+    sum_i exp(x_i - p_i*s).  For constant p the norm is
+    exp(logsumexp(x)/p) in closed form; otherwise Newton on the convex
+    log-modular converges monotonically (see _newton_log_lambda) and stops
+    once a step is at most rtol/10 in log lam.  Returns 0 for f*w
     identically zero.  Raises NotLocallyIntegrable when f*w overflows, when
     a term of the modular is infinite, or when the norm exceeds
     max|f*w| * (total length + 1); NumericalError when the norm itself
@@ -212,7 +219,7 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
         x = np.log(abs_f)
         x += w.log_values
         x *= p.values
-        x += np.log(curve.arc_weights)
+        x += curve.log_arc_weights
     x[np.isnan(x)] = -np.inf  # |f| == 0 contributes nothing
     if np.any(x == np.inf):
         raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")

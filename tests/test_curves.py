@@ -323,13 +323,15 @@ def test_cached_lengths_are_readonly(spiral1):
     aw[:-1] += 0.5 * seg
     aw[1:] += 0.5 * seg
     for got, want in ((spiral1.seg_lengths, seg),
-                      (spiral1.arc_weights, aw)):
+                      (spiral1.arc_weights, aw),
+                      (spiral1.log_arc_weights, np.log(aw))):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 0.0
     assert spiral1.seg_lengths is spiral1.seg_lengths
     assert spiral1.arc_weights is spiral1.arc_weights
+    assert spiral1.log_arc_weights is spiral1.log_arc_weights
 
 
 # --- file format ----------------------------------------------------------

@@ -77,14 +77,27 @@ def test_gamma_rectangle_count():
 
 
 def test_build_curve_kinds():
+    required = {"log_spiral": {"delta": 1.0},
+                "mixed_spirality": {"alpha": -1.0, "beta": 1.0}}
     for kind in ("circle", "graded_circle", "log_spiral", "mixed_spirality",
                  "segment", "corner"):
-        spec = {"kind": kind, "delta": 1.0, "alpha": -1.0, "beta": 1.0}
+        spec = {"kind": kind, **required.get(kind, {})}
         curve, t0, join = build_curve(spec, 512)
         assert curve.n_samples >= 256
         assert join == (kind == "graded_circle")
     with pytest.raises(PreconditionError):
         build_curve({"kind": "nonagon"}, 512)
+
+
+def test_build_curve_rejects_unknown_key():
+    """A misspelled key raises instead of falling back to the default."""
+    with pytest.raises(PreconditionError,
+                       match="'r_minscale'.*r_min, r_min_scale, r_max"):
+        build_curve({"kind": "log_spiral", "delta": 1.0,
+                     "r_minscale": 8.0}, 512)
+    # a key that another kind reads is unknown to this one
+    with pytest.raises(PreconditionError, match="'r_min_scale'"):
+        build_curve({"kind": "graded_circle", "r_min_scale": 16.0}, 512)
 
 
 def test_r_min_scale_deepens_with_level():
@@ -236,6 +249,18 @@ def test_cli_maximal_and_verdict(tmp_path):
     assert res.exit_code == 0, res.output
     doc = json.loads((tmp_path / "verdict.json").read_text())
     assert doc["classification"] == "MAIN_THM_BOUNDED"
+
+
+def test_cli_probe_graded_circle(tmp_path):
+    """The probe adds r_min_scale only to kinds that read an r_min."""
+    runner = CliRunner()
+    res = runner.invoke(main, ["--out", str(tmp_path),
+                               "--levels", "256,512,1024",
+                               "probe", "--kind", "graded-circle",
+                               "--gamma", "0.2", "--name", "gc"])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "gc.json").read_text())["levels"] == [
+        256, 512, 1024]
 
 
 def test_cli_probe_and_sweep(tmp_path):

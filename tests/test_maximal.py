@@ -1,9 +1,15 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
 from carlesonlab.errors import EmptyArc, PreconditionError
+
+# the package re-exports the function maximal() under the module's name
+engine_module = importlib.import_module("carlesonlab.maximal")
 
 
 def brute_force_maximal_at(curve, f, i):
@@ -149,13 +155,19 @@ def test_gamma_zero_coincides_exactly(spiral1):
 
 
 def test_real_gamma_equals_power_variant(spiral1, spiral1_branch):
+    """A given branch supplies log|tau - t0|: no power weight is built,
+    and the values are the power variant's bit for bit."""
     rng = np.random.default_rng(6)
     f = rng.uniform(0, 1, spiral1.n_samples)
     idx = np.arange(0, spiral1.n_samples, 128)
-    a = cl.weighted_maximal(spiral1, f, 0j, 0.4, branch=spiral1_branch,
-                            eval_indices=idx)
-    b = cl.power_weighted_maximal(spiral1, f, 0j, 0.4, eval_indices=idx)
-    assert np.array_equal(a.values, b.values)
+    for lam in (0.4, 0.0, -0.3):
+        b = cl.power_weighted_maximal(spiral1, f, 0j, lam, eval_indices=idx)
+        with mock.patch.object(engine_module, "power_weight",
+                               side_effect=AssertionError):
+            a = cl.weighted_maximal(spiral1, f, 0j, lam,
+                                    branch=spiral1_branch, eval_indices=idx)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.argmax_eps, b.argmax_eps)
 
 
 def brute_force_weighted_at(curve, f, log_phi, i):

@@ -260,6 +260,28 @@ def test_build_matches_dense_reference_deep():
     _assert_same_table(cl.MaximalEvaluator(curve, idx), curve, idx, 256)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: cl.generate_graded_circle(1.0, 4096),
+    lambda: cl.generate_log_spiral(1.0, 1e-3, 1.0, 4096),
+], ids=["graded_circle", "log_spiral"])
+def test_full_grid_build_matches_dense_reference(make):
+    """The default full grid (eval_indices=None) runs the dense scan."""
+    curve = make()
+    engine = cl.MaximalEvaluator(curve)
+    _assert_same_table(engine, curve, np.arange(curve.n_samples), 256)
+
+
+def test_full_grid_build_across_chunks_closed_square():
+    """Five rows per chunk, so that run heads are found on flat buffers of
+    several rows; the square's last sample repeats its first, so rows 0
+    and n - 1 have a second zero distance."""
+    curve = _square(1024)
+    n = curve.n_samples
+    with mock.patch.object(engine_module, "_CHUNK_ENTRIES", 5 * n):
+        engine = cl.MaximalEvaluator(curve)
+    _assert_same_table(engine, curve, np.arange(n), 256)
+
+
 def test_closed_form_ids_next_to_grid_points():
     """Distances exactly on grid radii and one ulp to either side, where
     the closed form alone cannot tell the bucket, get the searched one."""

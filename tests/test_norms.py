@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
 from carlesonlab.errors import NumericalError, PreconditionError
+from carlesonlab.norms import as_sampled
+from conftest import ZOO_SPECS, moved
 
 
 def golden_section_norm(curve, f, w, p, tol=1e-8):
@@ -290,6 +292,35 @@ def test_ap_unit_weight(unit_circle):
 def test_ap_requires_constant_p(unit_circle):
     with pytest.raises(PreconditionError):
         cl.muckenhoupt_ap(unit_circle, cl.unit_weight(unit_circle), 1.0)
+
+
+def test_as_sampled_keeps_real_input_real(segment):
+    n = segment.n_samples
+    real = np.linspace(0.0, 1.0, n)
+    got = as_sampled(segment, real)
+    assert got.dtype == np.float64 and np.array_equal(got, real)
+    assert as_sampled(segment, 2).dtype == np.float64
+    assert as_sampled(segment, 1j).dtype == np.complex128
+    assert as_sampled(segment, real + 0j).dtype == np.complex128
+    for bad in (np.full(n, np.inf), np.full(n, complex(0.0, np.nan)),
+                np.ones(n - 1)):
+        with pytest.raises(PreconditionError):
+            as_sampled(segment, bad)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_SPECS))
+def test_ap_invariant_under_dilation(zoo, name):
+    """Dilation about t0 scales the weight by c^Re(gamma) and every
+    portion's measure by c, which the normalized A_p product cancels."""
+    curve, t0 = zoo[name]
+    gamma = 0.2 + 0.1j
+    base = cl.muckenhoupt_ap(curve, cl.phi(cl.unwrap_arg(curve, t0), gamma),
+                             2.0)
+    for c in (0.25, 3.0):
+        dilated = moved(curve, t0, c)
+        scaled = cl.muckenhoupt_ap(
+            dilated, cl.phi(cl.unwrap_arg(dilated, t0), gamma), 2.0)
+        assert scaled == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def test_ap_power_weight_inside_range_stable():

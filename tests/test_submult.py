@@ -4,6 +4,7 @@ import pytest
 import carlesonlab as cl
 from carlesonlab.errors import (AllAnnuliEmpty, GridTooNarrow,
                                 PreconditionError)
+from conftest import ZOO_SPECS, moved
 
 
 def brute_force_W(curve, t0, log_psi, x_grid, R_grid, widen=1.01):
@@ -143,6 +144,19 @@ def test_spirality_spiral(spiral1):
     pair = cl.spirality_indices(spiral1, 0j)
     assert pair.alpha == pytest.approx(1.0, abs=0.1)
     assert pair.beta == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_SPECS))
+def test_spirality_invariant_under_rotation_and_dilation(zoo, name):
+    """The indices depend on tau - t0 only through |tau - t0| and the
+    increments of its argument, which rotation and dilation about t0
+    keep."""
+    curve, t0 = zoo[name]
+    base = cl.spirality_indices(curve, t0)
+    for z in (np.exp(0.7j), np.exp(-2.5j), 3.0, 0.25):
+        pair = cl.spirality_indices(moved(curve, t0, z), t0)
+        assert pair.alpha == pytest.approx(base.alpha, rel=0.0, abs=1e-6)
+        assert pair.beta == pytest.approx(base.beta, rel=0.0, abs=1e-6)
 
 
 def test_spirality_mixed_monotone_widening():
