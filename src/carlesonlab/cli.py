@@ -56,10 +56,6 @@ def _curve_spec(kind, n, radius, delta, alpha, beta, r_min, r_max, turn,
             "turn": turn, "grade": grade, "t0_angle": t0_angle}
     if spec["kind"] == "mixed":
         spec["kind"] = "mixed_spirality"
-    if spec["kind"] == "log_spiral" and delta is None:
-        raise PreconditionError("--delta is required for log spirals")
-    if spec["kind"] == "mixed_spirality" and (alpha is None or beta is None):
-        raise PreconditionError("--alpha/--beta are required for mixed curves")
     return {k: v for k, v in spec.items() if v is not None}, n
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -119,6 +120,11 @@ CURVE_KEYS = {
     "segment": ("angle",) + _RADIAL_KEYS,
     "corner": ("turn",) + _RADIAL_KEYS,
 }
+# the keys a kind reads that have no default
+REQUIRED_CURVE_KEYS = {
+    "log_spiral": ("delta",),
+    "mixed_spirality": ("alpha", "beta"),
+}
 
 
 def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
@@ -126,8 +132,9 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
 
     Returns (curve, t0, join_ends): join_ends marks curves generated as a
     slit at t0, whose two array ends are adjacent through the singularity.
-    Raises PreconditionError for an unknown kind or a key the kind does
-    not read (see CURVE_KEYS), rather than ignore a misspelled parameter.
+    Raises PreconditionError for an unknown kind, a key the kind does not
+    read (see CURVE_KEYS), rather than ignore a misspelled parameter, or a
+    missing key the kind requires (see REQUIRED_CURVE_KEYS).
     """
     kind = spec.get("kind")
     if kind not in CURVE_KEYS:
@@ -138,6 +145,10 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
             f"curve kind {kind!r} does not read "
             f"{', '.join(map(repr, unknown))}; it accepts "
             f"{', '.join(CURVE_KEYS[kind])}")
+    missing = [k for k in REQUIRED_CURVE_KEYS.get(kind, ()) if k not in spec]
+    if missing:
+        raise PreconditionError(
+            f"curve kind {kind!r} requires {', '.join(map(repr, missing))}")
     if kind == "circle":
         radius = spec.get("radius", 1.0)
         curve = _curves.generate_circle(radius, n, spec.get("phase", 0.0))
@@ -195,7 +206,11 @@ def _eval_subgrid(curve: Curve, count: int) -> np.ndarray:
 
 
 def _nested_arc_indicators(curve: Curve, t0: complex, join_ends: bool):
-    """Indicators of nested arcs omega(t0, delta0 * 2^-j) down to resolution."""
+    """Indicators of nested arcs omega(t0, delta0 * 2^-j) down to resolution.
+
+    Kept as boolean masks, one byte per sample; every consumer reads them
+    as 0.0/1.0.
+    """
     delta0 = d_t(curve, t0) / 4.0
     d_min = float(np.min(curve.distances_from(t0)))
     out = []
@@ -206,7 +221,7 @@ def _nested_arc_indicators(curve: Curve, t0: complex, join_ends: bool):
             mask = omega_arc(curve, t0, delta, join_ends=join_ends)
         except EmptyArc:
             break
-        out.append((f"arc_j{j}", mask.astype(np.float64)))
+        out.append((f"arc_j{j}", mask))
         delta *= 0.5
         j += 1
     return out
@@ -231,35 +246,43 @@ def _level_functions(curve: Curve, t0: complex, config: ExperimentConfig,
                      level_n: int, join_ends: bool):
     """The gamma-independent test functions of one level.
 
-    Returns (arcs, randoms): the nested arc indicators and the seeded
-    nonnegative random functions, as (tag, values) lists.
+    Returns (arcs, randoms): the nested arc indicators as a (tag, mask)
+    list, and a generator function of the seeded nonnegative random
+    functions.  Each call of randoms() reseeds and draws the same (tag,
+    values) pairs in the same order, one at a time, so no random function
+    outlives its use.
     """
     arcs = _nested_arc_indicators(curve, t0, join_ends)
-    rng = np.random.default_rng([config.seed, level_n])
-    randoms = [(f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples))
-               for k in range(config.n_random)]
+
+    def randoms():
+        rng = np.random.default_rng([config.seed, level_n])
+        for k in range(config.n_random):
+            yield f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples)
+
     return arcs, randoms
 
 
 def build_family(curve: Curve, t0: complex, p: ExponentField,
                  log_phi: np.ndarray, config: ExperimentConfig, arcs,
                  randoms):
-    """The probe's test functions.
+    """The probe's test functions, yielded one (tag, values) at a time.
 
     The level's nested arc indicators and their weight-inverted companions
     phi^-1 * chi (the classical two-sided witnesses, which blow up at the
     full rate when the conditions fail), one near-critical profile, and the
     level's seeded nonnegative random functions; arcs and randoms come from
-    _level_functions.
+    _level_functions.  Each companion and the profile are built only when
+    the consumer asks for them, so a level holds one full-length member at
+    a time whatever its number of arcs.
     """
+    yield from arcs
     inv_phi = np.exp(np.clip(-log_phi, -700.0, 700.0))
-    family = list(arcs)
-    family += [(tag.replace("arc", "warc"), f * inv_phi) for tag, f in arcs]
-    family.append(("extremal",
-                   _extremal_profile(curve, t0, p, log_phi,
-                                     config.extremal_margin)))
-    family += randoms
-    return family
+    for tag, mask in arcs:
+        yield tag.replace("arc", "warc"), mask * inv_phi
+    del inv_phi
+    yield "extremal", _extremal_profile(curve, t0, p, log_phi,
+                                        config.extremal_margin)
+    yield from randoms()
 
 
 def _denominator(curve: Curve, f: np.ndarray, one, p: ExponentField):
@@ -286,53 +309,59 @@ def _probe_levels(config: ExperimentConfig, gammas):
     top-level curve context for verdicts.
     """
     per_gamma = {g: [] for g in gammas}
-    top_ctx = None
     for n in config.levels:
-        curve, t0, join_ends = build_curve(config.curve, n)
-        p = build_exponent(curve, config.exponent, t0)
-        branch = unwrap_arg(curve, t0)
-        eval_idx = _eval_subgrid(curve, config.eval_points)
-        evaluator = MaximalEvaluator(curve, eval_idx, config.max_radii)
-        sub = _subcurve(curve, eval_idx)
-        sub_p = tabulated_exponent(sub, p.values[eval_idx])
-        sub_one = unit_weight(sub)
-        one = unit_weight(curve)
-        # the norms of the arcs and random functions do not depend on gamma
-        arcs, randoms = _level_functions(curve, t0, config, n, join_ends)
-        dens = {tag: _denominator(curve, f, one, p)
-                for tag, f in arcs + randoms}
-        for gamma in gammas:
-            gamma = complex(gamma)
-            log_phi = (gamma.real * branch.log_abs
-                       - gamma.imag * branch.values)
-            family = build_family(curve, t0, p, log_phi, config, arcs,
-                                  randoms)
-            rows, skipped = [], []
-            for tag, f in family:
-                den, reason = dens[tag] if tag in dens \
-                    else _denominator(curve, f, one, p)
-                if reason is None:
-                    try:
-                        res = weighted_maximal(curve, f, t0, gamma,
-                                               branch=branch,
-                                               evaluator=evaluator)
-                        num = luxemburg_norm(sub, res.values, sub_one, sub_p)
-                    except NotLocallyIntegrable as exc:
-                        reason = str(exc)
-                if reason is None and not math.isfinite(num / den):
-                    reason = "non-finite ratio"
-                if reason is not None:
-                    skipped.append((n, tag, reason))
-                    continue
-                rows.append({"level": n, "function": tag,
-                             "ratio": num / den, "num": num, "den": den})
-            if not rows:
-                raise PreconditionError(
-                    f"every test function was skipped at level {n}")
-            best = max(r["ratio"] for r in rows)
-            per_gamma[gamma].append((n, rows, best, skipped))
-        top_ctx = (curve, t0, p)
+        top_ctx = _probe_level(config, n, gammas, per_gamma)
     return per_gamma, top_ctx
+
+
+def _probe_level(config: ExperimentConfig, n: int, gammas, per_gamma):
+    """One refinement level: appends each gamma's entry to per_gamma.
+
+    Returns the level's (curve, t0, p); everything else the level built
+    dies with the call, before the next level builds its own.
+    """
+    curve, t0, join_ends = build_curve(config.curve, n)
+    p = build_exponent(curve, config.exponent, t0)
+    branch = unwrap_arg(curve, t0)
+    eval_idx = _eval_subgrid(curve, config.eval_points)
+    evaluator = MaximalEvaluator(curve, eval_idx, config.max_radii)
+    sub = _subcurve(curve, eval_idx)
+    sub_p = tabulated_exponent(sub, p.values[eval_idx])
+    sub_one = unit_weight(sub)
+    one = unit_weight(curve)
+    # the norms of the arcs and random functions do not depend on gamma
+    arcs, randoms = _level_functions(curve, t0, config, n, join_ends)
+    dens = {tag: _denominator(curve, f, one, p)
+            for tag, f in itertools.chain(arcs, randoms())}
+    for gamma in gammas:
+        gamma = complex(gamma)
+        log_phi = gamma.real * branch.log_abs - gamma.imag * branch.values
+        rows, skipped = [], []
+        for tag, f in build_family(curve, t0, p, log_phi, config, arcs,
+                                   randoms):
+            den, reason = dens[tag] if tag in dens \
+                else _denominator(curve, f, one, p)
+            if reason is None:
+                try:
+                    res = weighted_maximal(curve, f, t0, gamma,
+                                           branch=branch,
+                                           evaluator=evaluator)
+                    num = luxemburg_norm(sub, res.values, sub_one, sub_p)
+                except NotLocallyIntegrable as exc:
+                    reason = str(exc)
+            if reason is None and not math.isfinite(num / den):
+                reason = "non-finite ratio"
+            if reason is not None:
+                skipped.append((n, tag, reason))
+                continue
+            rows.append({"level": n, "function": tag,
+                         "ratio": num / den, "num": num, "den": den})
+        if not rows:
+            raise PreconditionError(
+                f"every test function was skipped at level {n}")
+        best = max(r["ratio"] for r in rows)
+        per_gamma[gamma].append((n, rows, best, skipped))
+    return curve, t0, p
 
 
 def _verdict_for(config: ExperimentConfig, gamma: complex, top_ctx,

@@ -494,14 +494,18 @@ def _weighted(curve: Curve, f, log_phi: np.ndarray,
         # zero exponent: reduce to the plain operator bit for bit
         values, eps = evaluator.sup_average(absf)
         return MaximalResult(values, eps, evaluator.eval_indices)
+    # log g, its shifted form and g itself share absf's buffer
     with np.errstate(divide="ignore"):
-        log_g = np.log(absf) - log_phi
+        log_g = np.log(absf, out=absf)
+    log_g -= log_phi
     finite = np.isfinite(log_g)
-    if not finite.any():
+    shift = float(np.max(log_g, where=finite, initial=-np.inf))
+    if shift == -np.inf:
         values = np.zeros(evaluator.eval_indices.size)
         return MaximalResult(values, values.copy(), evaluator.eval_indices)
-    shift = float(np.max(log_g[finite]))
-    g = np.exp(np.where(finite, log_g - shift, -np.inf))
+    log_g -= shift
+    log_g[~finite] = -np.inf
+    g = np.exp(log_g, out=log_g)
     avg, eps = evaluator.sup_average(g)
     with np.errstate(divide="ignore"):
         log_vals = log_phi[evaluator.eval_indices] + shift + np.log(avg)

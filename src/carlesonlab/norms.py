@@ -127,7 +127,8 @@ def as_sampled(curve: Curve, f) -> np.ndarray:
     """Coerce f to a finite per-sample array; scalars broadcast.
 
     Real input stays float64 and complex input becomes complex128; every
-    consumer reads |f|, which is the same either way.
+    consumer reads |f|, which is the same either way.  Boolean masks read
+    as 0.0/1.0.
     """
     arr = np.asarray(f)
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
@@ -262,8 +263,7 @@ def muckenhoupt_ap(curve: Curve, w: Weight, p: float,
                         .astype(int))
         t_points = curve.samples[idx]
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.complex128))
-    aw = curve.arc_weights
-    log_aw = np.where(aw > 0, np.log(np.maximum(aw, 1e-300)), -np.inf)
+    log_aw = curve.log_arc_weights
     best = 0.0
     for t in t_points:
         d = curve.distances_from(t)

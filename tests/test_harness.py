@@ -100,6 +100,24 @@ def test_build_curve_rejects_unknown_key():
         build_curve({"kind": "graded_circle", "r_min_scale": 16.0}, 512)
 
 
+def test_build_curve_rejects_missing_key():
+    """A missing required key raises PreconditionError, not KeyError."""
+    with pytest.raises(PreconditionError,
+                       match="'log_spiral' requires 'delta'"):
+        build_curve({"kind": "log_spiral"}, 512)
+    with pytest.raises(PreconditionError,
+                       match="'mixed_spirality' requires 'beta'"):
+        build_curve({"kind": "mixed_spirality", "alpha": -1.0}, 512)
+    with pytest.raises(PreconditionError, match="requires 'alpha', 'beta'"):
+        build_curve({"kind": "mixed_spirality"}, 512)
+
+
+def test_probe_rejects_missing_key():
+    config = small_config(curve={"kind": "log_spiral", "r_min_scale": 4.0})
+    with pytest.raises(PreconditionError, match="requires 'delta'"):
+        cl.run_probe(config)
+
+
 def test_r_min_scale_deepens_with_level():
     spec = {"kind": "log_spiral", "delta": 1.0, "r_min_scale": 8.0}
     c1, _, _ = build_curve(spec, 256)
@@ -202,6 +220,16 @@ def test_cli_exit_code_2_on_precondition(tmp_path):
                                "--kind", "circle", "--n", "8"])
     assert res.exit_code == 2
     assert "precondition" in res.output
+
+
+def test_cli_probe_missing_key_exits_2(tmp_path):
+    runner = CliRunner()
+    res = runner.invoke(main, ["--out", str(tmp_path),
+                               "--levels", "256,512,1024",
+                               "probe", "--kind", "log-spiral",
+                               "--gamma", "0.2"])
+    assert res.exit_code == 2
+    assert "requires 'delta'" in res.output
 
 
 def test_cli_exit_code_3_on_numerical(tmp_path):
