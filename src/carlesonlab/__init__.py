@@ -7,9 +7,9 @@ estimation, Luxemburg norms and Muckenhoupt products, the four-way arc
 decomposition, decision predicates, and a reproducible experiment harness.
 """
 
-from .argbranch import (ArgBranch, Weight, equivalent, eta, export_weight_csv,
-                        phi, power_weight, seifullayev_ratio,
-                        tabulated_weight, unit_weight, unwrap_arg)
+from .argbranch import (ArgBranch, Weight, equivalent, export_weight_csv, phi,
+                        power_weight, seifullayev_ratio, tabulated_weight,
+                        unit_weight, unwrap_arg)
 from .criteria import (ERSATZ_BOUNDED, INDETERMINATE, KPS_BOUNDED,
                        MAIN_THM_BOUNDED, NECESSARY_VIOLATED, Verdict,
                        check_ersatz, check_kps, check_main,
@@ -26,8 +26,7 @@ from .errors import (AllAnnuliEmpty, BranchJump, CarlesonLabError, EmptyArc,
 from .harness import (ExperimentConfig, ProbeReport, classify_trend,
                       gamma_rectangle, run_probe, run_sweep)
 from .maximal import (Decomposition, MaximalEvaluator, MaximalResult,
-                      decompose, export_maximal_csv, maximal,
-                      power_weighted_maximal, weighted_maximal)
+                      decompose, export_maximal_csv, weighted_maximal)
 from .norms import (ExponentField, constant_exponent, exponent_at,
                     luxemburg_norm, modular, muckenhoupt_ap, profile_exponent,
                     tabulated_exponent)

@@ -1,9 +1,10 @@
 """Continuous argument branches along a curve and the weights built from them.
 
 Given a curve and a distinguished point t0 off the sample set, unwrap_arg
-produces a continuous branch of arg(tau - t0).  From the branch come the
-oscillating factor eta_t0 = exp(-arg) and the weights
-phi_{t0,gamma} = |tau - t0|^Re(gamma) * eta_t0^Im(gamma).
+produces a continuous branch of arg(tau - t0).  From the branch comes the
+weight phi_{t0,gamma} = |(tau - t0)^gamma|; its special cases are the power
+weights (real gamma), the oscillating factor eta_t0 = exp(-arg) (gamma = i)
+and the unit weight (gamma = 0).
 
 All weight arithmetic lives in log-space: on deep spirals eta spans hundreds
 of orders of magnitude, so linear values are derived quantities, clamped to
@@ -42,11 +43,9 @@ class ArgBranch:
 class Weight:
     """Per-sample positive weight, stored as natural logs.
 
-    descriptor is one of power(...), oscillating(...), or "tabulated".
     clipped marks weights whose linear values hit the exp() clamp somewhere.
     """
 
-    descriptor: str
     log_values: np.ndarray
 
     @property
@@ -80,27 +79,21 @@ def unwrap_arg(curve: Curve, t0: complex) -> ArgBranch:
     return ArgBranch(t0, values, np.log(np.abs(d)))
 
 
-def eta(branch: ArgBranch) -> Weight:
-    """The oscillating factor eta_t0(tau) = exp(-arg(tau - t0))."""
-    return Weight("tabulated", -branch.values)
-
-
 def phi(branch: ArgBranch, gamma: complex) -> Weight:
     """The weight |(tau - t0)^gamma|, computed in log-space.
 
     log phi = Re(gamma)*log|tau - t0| - Im(gamma)*arg(tau - t0).
     """
     gamma = complex(gamma)
-    logs = gamma.real * branch.log_abs - gamma.imag * branch.values
-    return Weight(f"oscillating(t0={branch.t0}, gamma={gamma})", logs)
+    return Weight(gamma.real * branch.log_abs - gamma.imag * branch.values)
 
 
 def power_weight(curve: Curve, t0: complex, lam: float) -> Weight:
-    """The power weight |tau - t0|^lam."""
+    """phi at real gamma = lam, |tau - t0|^lam, without unwrapping a branch."""
     d = curve.distances_from(t0)
     if np.any(d == 0):
         raise PreconditionError("t0 coincides with a curve sample")
-    return Weight(f"power(t0={t0}, lam={lam})", lam * np.log(d))
+    return Weight(lam * np.log(d))
 
 
 def tabulated_weight(values=None, log_values=None) -> Weight:
@@ -112,11 +105,11 @@ def tabulated_weight(values=None, log_values=None) -> Weight:
         if np.any(values <= 0) or not np.all(np.isfinite(values)):
             raise PreconditionError("weight values must be positive finite")
         log_values = np.log(values)
-    return Weight("tabulated", np.asarray(log_values, dtype=np.float64))
+    return Weight(np.asarray(log_values, dtype=np.float64))
 
 
 def unit_weight(curve: Curve) -> Weight:
-    return Weight("tabulated", np.zeros(curve.n_samples))
+    return Weight(np.zeros(curve.n_samples))
 
 
 def equivalent(w1: Weight, w2: Weight) -> float:

@@ -13,19 +13,16 @@ import click
 import numpy as np
 
 from . import curves as _curves
-from .argbranch import eta, phi, power_weight, unit_weight, unwrap_arg
+from .argbranch import phi, power_weight, unit_weight, unwrap_arg
 from .criteria import check_kps, check_main, verdict_to_json
 from .errors import NumericalError, PreconditionError
 from .harness import (CURVE_KEYS, ExperimentConfig, build_curve,
                       gamma_rectangle, probe_report_csv, probe_report_json,
                       run_probe, run_sweep, sweep_csv)
-from .maximal import export_maximal_csv, maximal, weighted_maximal
+from .maximal import export_maximal_csv, weighted_maximal
 from .norms import constant_exponent, luxemburg_norm, muckenhoupt_ap
 from .submult import (IndexPair, compute_W, estimate_indices,
                       export_submult_csv)
-
-CURVE_KINDS = ["circle", "graded-circle", "log-spiral", "mixed", "segment",
-               "corner"]
 
 
 def handles_errors(fn):
@@ -49,14 +46,12 @@ def _parse_complex(text: str) -> complex:
         raise PreconditionError(f"cannot parse complex number {text!r}") from exc
 
 
-def _curve_spec(kind, n, radius, delta, alpha, beta, r_min, r_max, turn,
-                grade, t0_angle):
+def _curve_spec(kind, radius, delta, alpha, beta, r_min, r_max, turn, grade,
+                t0_angle):
     spec = {"kind": kind.replace("-", "_"), "radius": radius, "delta": delta,
             "alpha": alpha, "beta": beta, "r_min": r_min, "r_max": r_max,
             "turn": turn, "grade": grade, "t0_angle": t0_angle}
-    if spec["kind"] == "mixed":
-        spec["kind"] = "mixed_spirality"
-    return {k: v for k, v in spec.items() if v is not None}, n
+    return {k: v for k, v in spec.items() if v is not None}
 
 
 def _resolve_curve(ctx, kind, n, **params):
@@ -67,12 +62,12 @@ def _resolve_curve(ctx, kind, n, **params):
         return curve, 0j, False
     if kind is None:
         raise PreconditionError("pass --curve globally or --kind here")
-    spec, n = _curve_spec(kind, n, **params)
-    return build_curve(spec, n)
+    return build_curve(_curve_spec(kind, **params), n)
 
 
 def _kind_options(fn):
-    fn = click.option("--kind", type=click.Choice(CURVE_KINDS), default=None)(fn)
+    kinds = [k.replace("_", "-") for k in CURVE_KEYS]
+    fn = click.option("--kind", type=click.Choice(kinds), default=None)(fn)
     fn = click.option("--n", type=int, default=4096, show_default=True)(fn)
     fn = click.option("--radius", type=float, default=None)(fn)
     fn = click.option("--delta", type=float, default=None)(fn)
@@ -120,8 +115,7 @@ def gen_curve(ctx, kind, n, t0_text, name, **params):
     """Generate a curve from the zoo and write it as JSON."""
     if kind is None:
         raise PreconditionError("--kind is required")
-    spec, n = _curve_spec(kind, n, **params)
-    curve, t0, _ = build_curve(spec, n)
+    curve, t0, _ = build_curve(_curve_spec(kind, **params), n)
     out = ctx.obj["out"] / name
     out.parent.mkdir(parents=True, exist_ok=True)
     _curves.save_curve(curve, out)
@@ -139,8 +133,7 @@ def indices(ctx, kind, n, t0_text, csv_name, **params):
     """Estimate the spirality indices at t0."""
     curve, t0_default, _ = _resolve_curve(ctx, kind, n, **params)
     t0 = _pick_t0(t0_text, t0_default)
-    branch = unwrap_arg(curve, t0)
-    samples = compute_W(curve, t0, eta(branch))
+    samples = compute_W(curve, t0, phi(unwrap_arg(curve, t0), 1j))
     pair = estimate_indices(samples)
     if csv_name:
         path = ctx.obj["out"] / csv_name
@@ -193,7 +186,8 @@ def norm(ctx, kind, n, t0_text, p, f_const, lam, **params):
 
 @main.command("maximal")
 @_kind_options
-@click.option("--gamma", default=None, help="conjugating weight exponent")
+@click.option("--gamma", default="0", show_default=True,
+              help="conjugating weight exponent; 0 is the plain operator")
 @click.option("--arc-radius", type=float, default=None,
               help="test function: indicator of this arc around t0")
 @click.option("--name", default="maximal.csv", show_default=True)
@@ -208,10 +202,7 @@ def maximal_cmd(ctx, kind, n, t0_text, gamma, arc_radius, name, **params):
     else:
         f = _curves.omega_arc(curve, t0, arc_radius,
                               join_ends=join_ends).astype(float)
-    if gamma is None:
-        result = maximal(curve, f)
-    else:
-        result = weighted_maximal(curve, f, t0, _parse_complex(gamma))
+    result = weighted_maximal(curve, f, t0, _parse_complex(gamma))
     out = ctx.obj["out"] / name
     out.parent.mkdir(parents=True, exist_ok=True)
     export_maximal_csv(curve, result, out)
@@ -241,17 +232,17 @@ def verdict(ctx, p_at, gamma, delta_minus, delta_plus, name):
                f"upper={v.upper:.6f}) -> {out}")
 
 
-def _probe_config(ctx, kind, n, gamma, p, p_at, p_far, levels, **params):
+def _probe_config(ctx, kind, gamma, p, p_at, p_far, **params):
     if kind is None:
         raise PreconditionError("--kind is required for probes")
-    spec, _ = _curve_spec(kind, n, **params)
+    spec = _curve_spec(kind, **params)
     if "r_min" in CURVE_KEYS[spec["kind"]] and "r_min" not in spec:
         spec["r_min_scale"] = 16.0  # deepen the resolved scale per level
     if p_at is not None and p_far is not None:
         exponent = {"kind": "profile", "p_at": p_at, "p_far": p_far}
     else:
         exponent = {"kind": "constant", "value": p}
-    levels = levels or ctx.obj["levels"] or (512, 2048, 8192)
+    levels = ctx.obj["levels"] or (512, 2048, 8192)
     return ExperimentConfig(curve=spec, exponent=exponent, gamma=gamma,
                             levels=levels, seed=ctx.obj["seed"])
 
@@ -267,8 +258,8 @@ def _probe_config(ctx, kind, n, gamma, p, p_at, p_far, levels, **params):
 @handles_errors
 def probe(ctx, kind, n, t0_text, gamma, p, p_at, p_far, name, **params):
     """Empirical boundedness probe across refinement levels."""
-    config = _probe_config(ctx, kind, n, _parse_complex(gamma), p, p_at,
-                           p_far, None, **params)
+    config = _probe_config(ctx, kind, _parse_complex(gamma), p, p_at, p_far,
+                           **params)
     report = run_probe(config)
     out_dir = ctx.obj["out"]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,8 +289,7 @@ def sweep(ctx, kind, n, t0_text, p, p_at, p_far, re_min, re_max, im_min,
           im_max, step, name, **params):
     """Probe a rectangle of gamma values and write the verdict/trend table."""
     gammas = gamma_rectangle(re_min, re_max, im_min, im_max, step)
-    config = _probe_config(ctx, kind, n, gammas[0], p, p_at, p_far, None,
-                           **params)
+    config = _probe_config(ctx, kind, gammas[0], p, p_at, p_far, **params)
     reports = run_sweep(config, gammas)
     out = ctx.obj["out"] / name
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as _curves
-from .argbranch import unit_weight, unwrap_arg
+from .argbranch import LOG_CLAMP, phi, unit_weight, unwrap_arg
 from .criteria import Verdict, check_kps, check_main
 from .curves import Curve, d_t, omega_arc
 from .errors import EmptyArc, NotLocallyIntegrable, PreconditionError
@@ -237,7 +237,7 @@ def _extremal_profile(curve: Curve, t0: complex, p: ExponentField,
     d = curve.distances_from(t0)
     trunc = 4.0 * float(np.min(d))
     log_f = -log_phi + (-1.0 / p.values + margin) * np.log(d)
-    f = np.exp(np.clip(log_f, -700.0, 700.0))
+    f = np.exp(np.clip(log_f, -LOG_CLAMP, LOG_CLAMP))
     f[d < trunc] = 0.0
     return f
 
@@ -276,7 +276,7 @@ def build_family(curve: Curve, t0: complex, p: ExponentField,
     a time whatever its number of arcs.
     """
     yield from arcs
-    inv_phi = np.exp(np.clip(-log_phi, -700.0, 700.0))
+    inv_phi = np.exp(np.clip(-log_phi, -LOG_CLAMP, LOG_CLAMP))
     for tag, mask in arcs:
         yield tag.replace("arc", "warc"), mask * inv_phi
     del inv_phi
@@ -302,23 +302,45 @@ def _subcurve(curve: Curve, idx: np.ndarray) -> Curve:
                  "eval-subgrid")
 
 
+def _verdicts(config: ExperimentConfig, gammas) -> dict:
+    """{gamma: predicted verdict}, from one build of the top-level curve and
+    exponent and at most one spirality fit; the curve dies with the call."""
+    curve, t0, _ = build_curve(config.curve, config.levels[-1])
+    p_t0 = exponent_at(curve, build_exponent(curve, config.exponent, t0), t0)
+    spir = None
+    if config.spirality is not None:
+        spir = IndexPair(config.spirality[0], config.spirality[1],
+                         {"source": "config"})
+    verdicts = {}
+    for gamma in gammas:
+        if gamma.imag == 0.0:
+            verdicts[gamma] = check_kps(p_t0, gamma.real)
+            continue
+        if spir is None:
+            spir = spirality_indices(curve, t0)
+        verdicts[gamma] = check_main(p_t0, gamma, spir)
+    return verdicts
+
+
 def _probe_levels(config: ExperimentConfig, gammas):
     """Shared level loop for probes and sweeps.
 
-    Returns {gamma: [(level, rows, max_ratio, skipped), ...]} plus the
-    top-level curve context for verdicts.
+    Returns the verdicts, taken before the first level runs, so that a
+    top-level curve too shallow for the spirality fit fails at once, and
+    {gamma: [(level, rows, max_ratio, skipped), ...]}.
     """
+    verdicts = _verdicts(config, gammas)
     per_gamma = {g: [] for g in gammas}
     for n in config.levels:
-        top_ctx = _probe_level(config, n, gammas, per_gamma)
-    return per_gamma, top_ctx
+        _probe_level(config, n, gammas, per_gamma)
+    return verdicts, per_gamma
 
 
 def _probe_level(config: ExperimentConfig, n: int, gammas, per_gamma):
     """One refinement level: appends each gamma's entry to per_gamma.
 
-    Returns the level's (curve, t0, p); everything else the level built
-    dies with the call, before the next level builds its own.
+    Everything the level builds dies with the call, before the next level
+    builds its own.
     """
     curve, t0, join_ends = build_curve(config.curve, n)
     p = build_exponent(curve, config.exponent, t0)
@@ -334,8 +356,7 @@ def _probe_level(config: ExperimentConfig, n: int, gammas, per_gamma):
     dens = {tag: _denominator(curve, f, one, p)
             for tag, f in itertools.chain(arcs, randoms())}
     for gamma in gammas:
-        gamma = complex(gamma)
-        log_phi = gamma.real * branch.log_abs - gamma.imag * branch.values
+        log_phi = phi(branch, gamma).log_values
         rows, skipped = [], []
         for tag, f in build_family(curve, t0, p, log_phi, config, arcs,
                                    randoms):
@@ -361,23 +382,6 @@ def _probe_level(config: ExperimentConfig, n: int, gammas, per_gamma):
                 f"every test function was skipped at level {n}")
         best = max(r["ratio"] for r in rows)
         per_gamma[gamma].append((n, rows, best, skipped))
-    return curve, t0, p
-
-
-def _verdict_for(config: ExperimentConfig, gamma: complex, top_ctx,
-                 spir_cache: dict) -> Verdict:
-    curve, t0, p = top_ctx
-    p_t0 = exponent_at(curve, p, t0)
-    if gamma.imag == 0.0:
-        return check_kps(p_t0, gamma.real)
-    if config.spirality is not None:
-        spir = IndexPair(config.spirality[0], config.spirality[1],
-                         {"source": "config"})
-    else:
-        if "measured" not in spir_cache:
-            spir_cache["measured"] = spirality_indices(curve, t0)
-        spir = spir_cache["measured"]
-    return check_main(p_t0, gamma, spir)
 
 
 def run_probe(config: ExperimentConfig) -> ProbeReport:
@@ -389,8 +393,7 @@ def run_probe(config: ExperimentConfig) -> ProbeReport:
 def run_sweep(config: ExperimentConfig, gammas) -> list[ProbeReport]:
     """Run probes for several gammas sharing curves and evaluators per level."""
     gammas = [complex(g) for g in gammas]
-    per_gamma, top_ctx = _probe_levels(config, gammas)
-    spir_cache: dict = {}
+    verdicts, per_gamma = _probe_levels(config, gammas)
     reports = []
     for gamma in gammas:
         entries = per_gamma[gamma]
@@ -398,10 +401,9 @@ def run_sweep(config: ExperimentConfig, gammas) -> list[ProbeReport]:
         ratios = tuple(e[2] for e in entries)
         rows = tuple(r for e in entries for r in e[1])
         skipped = tuple(s for e in entries for s in e[3])
-        verdict = _verdict_for(config, gamma, top_ctx, spir_cache)
         reports.append(ProbeReport(gamma, levels, ratios,
-                                   classify_trend(ratios), verdict, rows,
-                                   skipped))
+                                   classify_trend(ratios), verdicts[gamma],
+                                   rows, skipped))
     return reports
 
 

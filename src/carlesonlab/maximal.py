@@ -1,4 +1,4 @@
-"""Discrete Hardy-Littlewood maximal operator on curves and weighted variants.
+"""Discrete Hardy-Littlewood maximal operator on curves, weighted by phi.
 
 At each evaluation point the supremum over radii is restricted to realized
 inter-sample distances, capped at a fixed number of log-spaced
@@ -475,23 +475,32 @@ class MaximalEvaluator:
         return np.ldexp(avg[rows, hit], shift), self._eps[rows, hit]
 
 
-def maximal(curve: Curve, f, eval_indices=None,
-            max_radii: int = MAX_RADII,
-            evaluator: MaximalEvaluator | None = None) -> MaximalResult:
-    """The maximal operator: sup over radii of portion averages of |f|."""
-    f = as_sampled(curve, f)
+def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
+                     branch: ArgBranch | None = None, eval_indices=None,
+                     max_radii: int = MAX_RADII,
+                     evaluator: MaximalEvaluator | None = None
+                     ) -> MaximalResult:
+    """The weight-conjugated maximal operator for phi_{t0,gamma}.
+
+    Computes phi(t) * sup of portion averages of |f| / phi in log-space.
+    gamma = 0 is the plain maximal operator, the sup of portion averages of
+    |f| bit for bit, and reads neither t0 nor branch.  A given branch
+    supplies log|tau - t0| for every other gamma; without one, real gamma
+    takes power_weight, which needs no unwrap.
+    """
+    gamma = complex(gamma)
+    if gamma == 0:
+        log_phi = None
+    elif branch is None and gamma.imag == 0.0:
+        log_phi = power_weight(curve, t0, gamma.real).log_values
+    else:
+        if branch is None:
+            branch = unwrap_arg(curve, t0)
+        log_phi = phi(branch, gamma).log_values
     if evaluator is None:
         evaluator = MaximalEvaluator(curve, eval_indices, max_radii)
-    values, eps = evaluator.sup_average(np.abs(f))
-    return MaximalResult(values, eps, evaluator.eval_indices)
-
-
-def _weighted(curve: Curve, f, log_phi: np.ndarray,
-              evaluator: MaximalEvaluator) -> MaximalResult:
-    f = as_sampled(curve, f)
-    absf = np.abs(f)
-    if not log_phi.any():
-        # zero exponent: reduce to the plain operator bit for bit
+    absf = np.abs(as_sampled(curve, f))
+    if log_phi is None:
         values, eps = evaluator.sup_average(absf)
         return MaximalResult(values, eps, evaluator.eval_indices)
     # log g, its shifted form and g itself share absf's buffer
@@ -514,46 +523,6 @@ def _weighted(curve: Curve, f, log_phi: np.ndarray,
     values = np.exp(np.clip(log_vals, -LOG_CLAMP, LOG_CLAMP))
     values[~nonzero] = 0.0
     return MaximalResult(values, eps, evaluator.eval_indices, clipped)
-
-
-def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
-                     branch: ArgBranch | None = None, eval_indices=None,
-                     max_radii: int = MAX_RADII,
-                     evaluator: MaximalEvaluator | None = None
-                     ) -> MaximalResult:
-    """The weight-conjugated maximal operator for phi_{t0,gamma}.
-
-    Computes phi(t) * sup of portion averages of |f| / phi in log-space.
-    gamma = 0 coincides exactly with maximal(); real gamma coincides with
-    power_weighted_maximal at that exponent.  A given branch supplies
-    log|tau - t0| for every gamma; without one, real gamma needs no unwrap.
-    """
-    gamma = complex(gamma)
-    if branch is None and gamma.imag == 0.0:
-        return power_weighted_maximal(curve, f, t0, gamma.real,
-                                      eval_indices=eval_indices,
-                                      max_radii=max_radii,
-                                      evaluator=evaluator)
-    if branch is None:
-        branch = unwrap_arg(curve, t0)
-    log_phi = phi(branch, gamma).log_values
-    if evaluator is None:
-        evaluator = MaximalEvaluator(curve, eval_indices, max_radii)
-    return _weighted(curve, f, log_phi, evaluator)
-
-
-def power_weighted_maximal(curve: Curve, f, t0: complex, lam: float,
-                           eval_indices=None, max_radii: int = MAX_RADII,
-                           evaluator: MaximalEvaluator | None = None
-                           ) -> MaximalResult:
-    """Weighted maximal operator with the power weight |tau - t0|^lam."""
-    if lam == 0.0:
-        log_phi = np.zeros(curve.n_samples)
-    else:
-        log_phi = power_weight(curve, t0, lam).log_values
-    if evaluator is None:
-        evaluator = MaximalEvaluator(curve, eval_indices, max_radii)
-    return _weighted(curve, f, log_phi, evaluator)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .argbranch import Weight
+from .argbranch import LOG_CLAMP, Weight
 from .curves import Curve
 from .errors import NotLocallyIntegrable, NumericalError, PreconditionError
 
 LUXEMBURG_RTOL = 1e-10
 NEWTON_MAX_STEPS = 50
 DINI_ANCHORS = 256
-LOG_SAFE = 700.0
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
     f = as_sampled(curve, f)
     abs_f = np.abs(f)
     with np.errstate(over="ignore"):
-        peak = abs_f * np.exp(np.minimum(w.log_values, LOG_SAFE))
+        peak = abs_f * np.exp(np.minimum(w.log_values, LOG_CLAMP))
     fmax = float(np.max(peak))
     if fmax == 0.0:
         return 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .argbranch import Weight, eta, unwrap_arg
+from .argbranch import Weight, phi, unwrap_arg
 from .curves import Curve, d_t, omega_arc
 from .errors import AllAnnuliEmpty, GridTooNarrow, PreconditionError
 
@@ -205,9 +205,10 @@ def estimate_indices(s: SubmultSamples) -> IndexPair:
 def spirality_indices(curve: Curve, t0: complex,
                       x_grid: np.ndarray | None = None,
                       R_grid: np.ndarray | None = None) -> IndexPair:
-    """Lower/upper spirality indices at t0: the indices of W_{t0} eta_{t0}."""
-    branch = unwrap_arg(curve, t0)
-    samples = compute_W(curve, t0, eta(branch), x_grid=x_grid, R_grid=R_grid)
+    """Lower/upper spirality indices at t0: the indices of W_{t0} eta_{t0},
+    eta_{t0} = exp(-arg(tau - t0)) being phi at gamma = i."""
+    samples = compute_W(curve, t0, phi(unwrap_arg(curve, t0), 1j),
+                        x_grid=x_grid, R_grid=R_grid)
     return estimate_indices(samples)
 
 

@@ -243,7 +243,7 @@ def _submult_excess(s):
 def test_criterion_9_property_suites():
     details = []
     for name, curve, t0 in _zoo():
-        s = cl.compute_W(curve, t0, cl.eta(cl.unwrap_arg(curve, t0)))
+        s = cl.compute_W(curve, t0, cl.phi(cl.unwrap_arg(curve, t0), 1j))
         pair = cl.estimate_indices(s)
         excess = _submult_excess(s)
         assert excess <= np.log(1.05), f"{name}: submultiplicativity"

@@ -50,10 +50,10 @@ def test_unwrap_branch_jump():
 
 def test_eta_trivials(segment, spiral1, spiral1_branch):
     b = cl.unwrap_arg(segment, 0j)
-    assert np.max(np.abs(cl.eta(b).values - 1.0)) == 0.0
+    assert np.max(np.abs(cl.phi(b, 1j).values - 1.0)) == 0.0
     # on the unit-rate spiral arg = -log r, so eta = r
     r = np.abs(spiral1.samples)
-    ratio = cl.eta(spiral1_branch).values / r
+    ratio = cl.phi(spiral1_branch, 1j).values / r
     assert ratio == pytest.approx(ratio[0], rel=1e-9)
 
 
@@ -61,7 +61,7 @@ def test_eta_reciprocal_spiral():
     s = cl.generate_log_spiral(-1.0, 1e-3, 1.0, 4096)
     b = cl.unwrap_arg(s, 0j)
     r = np.abs(s.samples)
-    ratio = cl.eta(b).values * r
+    ratio = cl.phi(b, 1j).values * r
     assert ratio == pytest.approx(ratio[0], rel=1e-9)
 
 
@@ -73,7 +73,13 @@ def test_phi_gamma_zero_is_one(spiral1_branch):
 def test_phi_real_gamma_is_power_weight(spiral1, spiral1_branch):
     w = cl.phi(spiral1_branch, 0.7)
     pw = cl.power_weight(spiral1, 0j, 0.7)
-    assert np.max(np.abs(w.log_values - pw.log_values)) < 1e-12
+    assert np.array_equal(w.log_values, pw.log_values)
+
+
+def test_phi_at_i_is_eta(spiral1_branch, graded_circle):
+    """eta_t0 = exp(-arg(tau - t0)) is phi at gamma = i, exactly."""
+    for b in (spiral1_branch, cl.unwrap_arg(graded_circle, 1.0 + 0j)):
+        assert np.array_equal(cl.phi(b, 1j).log_values, -b.values)
 
 
 def test_phi_imaginary_on_spiral(spiral1, spiral1_branch):
@@ -119,7 +125,7 @@ def test_equivalent_trivials(spiral1, spiral1_branch):
 
 
 def test_equivalent_requires_same_length(spiral1_branch, segment):
-    w1 = cl.eta(spiral1_branch)
+    w1 = cl.phi(spiral1_branch, 1j)
     w2 = cl.unit_weight(segment)
     with pytest.raises(PreconditionError):
         cl.equivalent(w1, w2)

@@ -1,13 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import carlesonlab as cl
+from carlesonlab import harness
 from carlesonlab.cli import main
-from carlesonlab.errors import PreconditionError
-from carlesonlab.harness import (_denominator, build_curve, probe_report_csv,
+from carlesonlab.errors import AllAnnuliEmpty, PreconditionError
+from carlesonlab.harness import (CURVE_KEYS, REQUIRED_CURVE_KEYS,
+                                 _denominator, build_curve, probe_report_csv,
                                  probe_report_json, sweep_csv)
 
 
@@ -192,6 +195,38 @@ def test_spirality_override_used():
     assert report.verdict.upper == pytest.approx(0.5 + 0.1)
 
 
+def test_sweep_fits_spirality_once(monkeypatch):
+    calls = []
+
+    def counted(curve, t0):
+        calls.append(curve.n_samples)
+        return cl.spirality_indices(curve, t0)
+
+    monkeypatch.setattr(harness, "spirality_indices", counted)
+    config = small_config(curve={"kind": "log_spiral", "delta": 1.0,
+                                 "r_min": 1e-4})
+    reports = cl.run_sweep(config, [0.1j, 0.0, 0.2 + 0.1j])
+    assert len(calls) == 1
+    assert [r.verdict.classification for r in reports] == [
+        cl.MAIN_THM_BOUNDED, cl.KPS_BOUNDED, cl.MAIN_THM_BOUNDED]
+
+
+def test_verdicts_come_before_the_ladder(monkeypatch):
+    """A top-level curve too shallow for the spirality fit raises before
+    any level builds an evaluator, not after the whole ladder."""
+    def no_evaluator(*args, **kwargs):
+        raise AssertionError("a level ran before the verdicts")
+
+    monkeypatch.setattr(harness, "MaximalEvaluator", no_evaluator)
+    config = cl.ExperimentConfig(
+        curve={"kind": "mixed_spirality", "alpha": -1.0, "beta": 1.0,
+               "r_min_scale": 118.0, "r_max": math.e ** 2},
+        exponent={"kind": "profile", "p_at": 1.8, "p_far": 2.2},
+        gamma=1j, levels=(2048, 4096, 8192))
+    with pytest.raises(AllAnnuliEmpty):
+        cl.run_sweep(config, [0.1j, 0.2 + 0.1j, 1j])
+
+
 # --- CLI ---------------------------------------------------------------------
 
 
@@ -259,6 +294,26 @@ def test_cli_apcheck_and_norm(tmp_path):
     assert res.exit_code == 0, res.output
     value = float(res.output.strip().split()[-1])
     assert value == pytest.approx(np.sqrt(2 * np.pi), rel=1e-6)
+
+
+def test_cli_kinds_are_the_curve_kinds(tmp_path):
+    """--kind offers the kinds of CURVE_KEYS spelled with '-', and each
+    generates from its required keys; the old alias 'mixed' is gone."""
+    kind = next(p for p in main.commands["gen-curve"].params
+                if p.name == "kind")
+    assert list(kind.type.choices) == [k.replace("_", "-")
+                                       for k in CURVE_KEYS]
+    runner = CliRunner()
+    for key in CURVE_KEYS:
+        args = [a for k in REQUIRED_CURVE_KEYS.get(key, ())
+                for a in (f"--{k}", "1.0")]
+        res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve",
+                                   "--kind", key.replace("_", "-"), "--n",
+                                   "512", *args])
+        assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve", "--kind",
+                               "mixed", "--alpha", "-1", "--beta", "1"])
+    assert res.exit_code == 2
 
 
 def test_cli_maximal_and_verdict(tmp_path):

@@ -1,4 +1,3 @@
-import importlib
 from unittest import mock
 
 import numpy as np
@@ -6,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
+from carlesonlab import maximal as engine_module
 from carlesonlab.errors import EmptyArc, PreconditionError
-
-# the package re-exports the function maximal() under the module's name
-engine_module = importlib.import_module("carlesonlab.maximal")
 
 
 def brute_force_maximal_at(curve, f, i):
@@ -28,7 +25,8 @@ def brute_force_maximal_at(curve, f, i):
 
 
 def test_constant_function(unit_circle):
-    res = cl.maximal(unit_circle, 1.0, eval_indices=np.arange(0, 4096, 64))
+    res = cl.weighted_maximal(unit_circle, 1.0, 0j, 0,
+                              eval_indices=np.arange(0, 4096, 64))
     assert np.max(np.abs(res.values - 1.0)) == 0.0
 
 
@@ -36,7 +34,8 @@ def test_bounded_by_sup(unit_circle):
     rng = np.random.default_rng(0)
     f = rng.normal(size=unit_circle.n_samples) \
         + 1j * rng.normal(size=unit_circle.n_samples)
-    res = cl.maximal(unit_circle, f, eval_indices=np.arange(0, 4096, 128))
+    res = cl.weighted_maximal(unit_circle, f, 0j, 0,
+                              eval_indices=np.arange(0, 4096, 128))
     assert np.all(res.values <= np.max(np.abs(f)) + 1e-12)
 
 
@@ -44,7 +43,8 @@ def test_against_brute_force_scan():
     c = cl.generate_circle(1.0, 1024)
     mask = cl.omega_arc(c, 1.0 + 0j, 0.2).astype(float)
     eval_idx = np.array([0, 3, 127, 255, 512, 700])
-    res = cl.maximal(c, mask, eval_indices=eval_idx, max_radii=2048)
+    res = cl.weighted_maximal(c, mask, 0j, 0, eval_indices=eval_idx,
+                              max_radii=2048)
     for k, i in enumerate(eval_idx):
         oracle = brute_force_maximal_at(c, mask, i)
         assert res.values[k] == pytest.approx(oracle, rel=1e-12)
@@ -53,7 +53,7 @@ def test_against_brute_force_scan():
 def test_indicator_is_one_on_support():
     c = cl.generate_circle(1.0, 1024)
     mask = cl.omega_arc(c, 1.0 + 0j, 0.2)
-    res = cl.maximal(c, mask.astype(float))
+    res = cl.weighted_maximal(c, mask.astype(float), 0j, 0)
     on = mask[res.eval_indices]
     assert np.all(res.values[on] >= 1.0 - 1e-12)
     assert np.all(res.values <= 1.0 + 1e-12)
@@ -63,7 +63,8 @@ def test_dominates_every_radius(unit_circle):
     rng = np.random.default_rng(3)
     f = rng.uniform(0, 1, unit_circle.n_samples)
     i = 17
-    res = cl.maximal(unit_circle, f, eval_indices=np.array([i]))
+    res = cl.weighted_maximal(unit_circle, f, 0j, 0,
+                              eval_indices=np.array([i]))
     d = np.abs(unit_circle.samples - unit_circle.samples[i])
     aw = unit_circle.arc_weights
     for eps in (0.01, 0.1, 1.0, 2.0):
@@ -76,10 +77,10 @@ def test_positive_homogeneity(spiral1):
     rng = np.random.default_rng(4)
     f = rng.uniform(0, 1, spiral1.n_samples)
     idx = np.arange(0, spiral1.n_samples, 256)
-    base = cl.maximal(spiral1, f, eval_indices=idx)
-    doubled = cl.maximal(spiral1, 2.0 * f, eval_indices=idx)
+    base = cl.weighted_maximal(spiral1, f, 0j, 0, eval_indices=idx)
+    doubled = cl.weighted_maximal(spiral1, 2.0 * f, 0j, 0, eval_indices=idx)
     assert np.array_equal(doubled.values, 2.0 * base.values)
-    scaled = cl.maximal(spiral1, 3.7 * f, eval_indices=idx)
+    scaled = cl.weighted_maximal(spiral1, 3.7 * f, 0j, 0, eval_indices=idx)
     assert scaled.values == pytest.approx(3.7 * base.values, rel=1e-13)
 
 
@@ -91,9 +92,9 @@ def test_sublinearity(segment, seed):
     g = rng.uniform(0, 1, segment.n_samples)
     idx = np.arange(0, segment.n_samples, 64)
     ev = cl.MaximalEvaluator(segment, idx)
-    both = cl.maximal(segment, f + g, evaluator=ev).values
-    split = cl.maximal(segment, f, evaluator=ev).values \
-        + cl.maximal(segment, g, evaluator=ev).values
+    both = cl.weighted_maximal(segment, f + g, 0j, 0, evaluator=ev).values
+    split = cl.weighted_maximal(segment, f, 0j, 0, evaluator=ev).values \
+        + cl.weighted_maximal(segment, g, 0j, 0, evaluator=ev).values
     assert np.all(both <= split + 1e-12)
 
 
@@ -102,26 +103,27 @@ def test_sublinearity(segment, seed):
 
 def test_rejects_negative_eval_index(segment):
     with pytest.raises(PreconditionError):
-        cl.maximal(segment, 1.0, eval_indices=[-1])
+        cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[-1])
 
 
 def test_rejects_fractional_eval_index(segment):
     with pytest.raises(PreconditionError):
-        cl.maximal(segment, 1.0, eval_indices=[1.5])
+        cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[1.5])
 
 
 def test_rejects_eval_index_past_the_end(segment):
     with pytest.raises(PreconditionError):
-        cl.maximal(segment, 1.0, eval_indices=[10**6])
+        cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[10**6])
 
 
 def test_rejects_two_dimensional_eval_indices(segment):
     with pytest.raises(PreconditionError):
-        cl.maximal(segment, 1.0, eval_indices=np.array([[0, 1], [2, 3]]))
+        cl.weighted_maximal(segment, 1.0, 0j, 0,
+                            eval_indices=np.array([[0, 1], [2, 3]]))
 
 
 def test_empty_eval_indices_give_empty_result(segment):
-    res = cl.maximal(segment, 1.0, eval_indices=[])
+    res = cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[])
     assert res.values.shape == res.argmax_eps.shape == (0,)
     assert res.eval_indices.shape == (0,)
     res = cl.weighted_maximal(segment, 1.0, 0j, 0.2 + 0.1j, eval_indices=[])
@@ -130,14 +132,16 @@ def test_empty_eval_indices_give_empty_result(segment):
 
 def test_rejects_nonpositive_max_radii(segment):
     with pytest.raises(PreconditionError):
-        cl.maximal(segment, 1.0, eval_indices=[0, 5], max_radii=0)
+        cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[0, 5],
+                            max_radii=0)
 
 
 def test_overflowing_total_stays_finite():
     """f = 1.5e308 integrates past the float range over the circle; the
     engine scales it by a power of two, so Mf is still f."""
     c = cl.generate_circle(1.0, 256)
-    res = cl.maximal(c, 1.5e308, eval_indices=np.arange(0, 256, 16))
+    res = cl.weighted_maximal(c, 1.5e308, 0j, 0,
+                              eval_indices=np.arange(0, 256, 16))
     assert np.all(np.isfinite(res.values))
     np.testing.assert_allclose(res.values, 1.5e308, rtol=1e-12, atol=0.0)
 
@@ -146,22 +150,28 @@ def test_overflowing_total_stays_finite():
 
 
 def test_gamma_zero_coincides_exactly(spiral1):
+    """gamma = 0 is the plain operator, sup_average(|f|) bit for bit, and
+    reads no t0: one on a sample, which any weight rejects, is fine."""
     rng = np.random.default_rng(5)
-    f = rng.uniform(0, 1, spiral1.n_samples)
+    f = rng.uniform(-1, 1, spiral1.n_samples)
     idx = np.arange(0, spiral1.n_samples, 128)
-    plain = cl.maximal(spiral1, f, eval_indices=idx)
-    weighted = cl.weighted_maximal(spiral1, f, 0j, 0.0, eval_indices=idx)
-    assert np.array_equal(plain.values, weighted.values)
+    values, eps = cl.MaximalEvaluator(spiral1, idx).sup_average(np.abs(f))
+    with pytest.raises(PreconditionError):
+        cl.power_weight(spiral1, spiral1.samples[7], 0.3)
+    res = cl.weighted_maximal(spiral1, f, spiral1.samples[7], 0.0,
+                              eval_indices=idx)
+    assert np.array_equal(res.values, values)
+    assert np.array_equal(res.argmax_eps, eps)
 
 
 def test_real_gamma_equals_power_variant(spiral1, spiral1_branch):
     """A given branch supplies log|tau - t0|: no power weight is built,
-    and the values are the power variant's bit for bit."""
+    and the values are the branch-free power_weight route's bit for bit."""
     rng = np.random.default_rng(6)
     f = rng.uniform(0, 1, spiral1.n_samples)
     idx = np.arange(0, spiral1.n_samples, 128)
     for lam in (0.4, 0.0, -0.3):
-        b = cl.power_weighted_maximal(spiral1, f, 0j, lam, eval_indices=idx)
+        b = cl.weighted_maximal(spiral1, f, 0j, lam, eval_indices=idx)
         with mock.patch.object(engine_module, "power_weight",
                                side_effect=AssertionError):
             a = cl.weighted_maximal(spiral1, f, 0j, lam,
@@ -210,16 +220,16 @@ def test_power_dominance_outside_arc(spiral1, spiral1_branch):
     f_in = mask.astype(float)
     mw = cl.weighted_maximal(spiral1, f_in, 0j, gamma, branch=spiral1_branch,
                              evaluator=ev)
-    mp = cl.power_weighted_maximal(spiral1, f_in, 0j, idx.beta + eps,
-                                   evaluator=ev)
+    mp = cl.weighted_maximal(spiral1, f_in, 0j, idx.beta + eps,
+                             evaluator=ev)
     outside = ~mask[ev.eval_indices]
     assert np.all(mw.values[outside] <= c1 * mp.values[outside] + 1e-10)
 
     f_out = (~mask).astype(float)
     mw2 = cl.weighted_maximal(spiral1, f_out, 0j, gamma,
                               branch=spiral1_branch, evaluator=ev)
-    mp2 = cl.power_weighted_maximal(spiral1, f_out, 0j, idx.alpha - eps,
-                                    evaluator=ev)
+    mp2 = cl.weighted_maximal(spiral1, f_out, 0j, idx.alpha - eps,
+                              evaluator=ev)
     inside = mask[ev.eval_indices]
     assert np.all(mw2.values[inside] <= c2 * mp2.values[inside] + 1e-10)
 
@@ -267,7 +277,7 @@ def test_decompose_empty_arc(spiral1):
 
 
 def test_csv_export(tmp_path, unit_circle):
-    res = cl.maximal(unit_circle, 1.0,
+    res = cl.weighted_maximal(unit_circle, 1.0, 0j, 0,
                      eval_indices=np.arange(0, 4096, 512))
     path = tmp_path / "m.csv"
     cl.export_maximal_csv(unit_circle, res, path)

@@ -11,7 +11,6 @@ build and the closed-form bucket ids: every distance of every row, each row
 searched with ``np.searchsorted``.
 """
 
-import importlib
 from unittest import mock
 
 import numpy as np
@@ -19,10 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
+from carlesonlab import maximal as engine_module
 from carlesonlab.harness import _eval_subgrid
-
-# the package re-exports the function maximal() under the module's name
-engine_module = importlib.import_module("carlesonlab.maximal")
 
 
 class SortedCumsumEvaluator:

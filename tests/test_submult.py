@@ -60,7 +60,7 @@ def test_segment_power_weight_exact():
 
 
 def test_compute_W_against_brute_force(spiral1, spiral1_branch):
-    e = cl.eta(spiral1_branch)
+    e = cl.phi(spiral1_branch, 1j)
     xs = cl.default_x_grid()[::8]
     R = cl.default_radius_grid(spiral1, 0j)[::4]
     s = cl.compute_W(spiral1, 0j, e, x_grid=xs, R_grid=R)
@@ -69,7 +69,7 @@ def test_compute_W_against_brute_force(spiral1, spiral1_branch):
 
 
 def test_W_of_eta_on_spiral_is_power(spiral1, spiral1_branch):
-    s = cl.compute_W(spiral1, 0j, cl.eta(spiral1_branch))
+    s = cl.compute_W(spiral1, 0j, cl.phi(spiral1_branch, 1j))
     mask = (s.xs >= 1e-2) & (s.xs <= 1e2)
     assert np.max(np.abs(s.vals[mask] / s.xs[mask] - 1.0)) < 0.10
 
@@ -81,7 +81,7 @@ def test_W_of_unit_weight(spiral1):
 
 def test_W_at_one_is_at_least_one(graded_circle):
     b = cl.unwrap_arg(graded_circle, 1.0 + 0j)
-    s = cl.compute_W(graded_circle, 1.0 + 0j, cl.eta(b))
+    s = cl.compute_W(graded_circle, 1.0 + 0j, cl.phi(b, 1j))
     mid = np.argmin(np.abs(s.xs - 1.0))
     assert s.xs[mid] == 1.0
     assert s.vals[mid] >= 1.0
@@ -89,7 +89,7 @@ def test_W_at_one_is_at_least_one(graded_circle):
 
 def test_W_degenerate_grid_raises(spiral1, spiral1_branch):
     with pytest.raises(AllAnnuliEmpty):
-        cl.compute_W(spiral1, 0j, cl.eta(spiral1_branch),
+        cl.compute_W(spiral1, 0j, cl.phi(spiral1_branch, 1j),
                      R_grid=np.array([1e-4]))
 
 
@@ -236,7 +236,7 @@ def brute_force_sandwich(curve, t0, w, eps, delta, indices):
 def test_sandwich_matches_pair_scan():
     curve = cl.generate_log_spiral(1.0, 1e-3, 1.0, 1024)
     b = cl.unwrap_arg(curve, 0j)
-    w = cl.eta(b)
+    w = cl.phi(b, 1j)
     idx = cl.estimate_indices(cl.compute_W(curve, 0j, w))
     delta = cl.d_t(curve, 0j) / 8
     c1, c2 = cl.power_sandwich(curve, 0j, w, 0.1, delta, indices=idx)
@@ -268,7 +268,7 @@ def test_sandwich_power_weight_close_to_one(spiral1):
 
 
 def test_sandwich_rejects_bad_delta(spiral1, spiral1_branch):
-    w = cl.eta(spiral1_branch)
+    w = cl.phi(spiral1_branch, 1j)
     idx = cl.IndexPair(1.0, 1.0, {})
     with pytest.raises(PreconditionError):
         cl.power_sandwich(spiral1, 0j, w, 0.1, 2.0, indices=idx)
@@ -299,12 +299,12 @@ def test_submultiplicative_exact_on_aligned_segment():
 
 
 def test_submultiplicative_on_spiral(spiral1, spiral1_branch):
-    s = cl.compute_W(spiral1, 0j, cl.eta(spiral1_branch))
+    s = cl.compute_W(spiral1, 0j, cl.phi(spiral1_branch, 1j))
     assert grid_submultiplicativity_excess(s) < np.log(1.05)
 
 
 def test_export_csv(tmp_path, spiral1, spiral1_branch):
-    s = cl.compute_W(spiral1, 0j, cl.eta(spiral1_branch))
+    s = cl.compute_W(spiral1, 0j, cl.phi(spiral1_branch, 1j))
     path = tmp_path / "w.csv"
     cl.export_submult_csv(s, path)
     lines = path.read_bytes().decode().split("\r\n")
