@@ -7,9 +7,9 @@ estimation, Luxemburg norms and Muckenhoupt products, the four-way arc
 decomposition, decision predicates, and a reproducible experiment harness.
 """
 
-from .argbranch import (ArgBranch, Weight, equivalent, export_weight_csv, phi,
-                        power_weight, seifullayev_ratio, tabulated_weight,
-                        unit_weight, unwrap_arg)
+from .argbranch import (ArgBranch, Weight, equivalent, export_weight_csv,
+                        gamma_weight, phi, power_weight, seifullayev_ratio,
+                        tabulated_weight, unit_weight, unwrap_arg)
 from .criteria import (ERSATZ_BOUNDED, INDETERMINATE, KPS_BOUNDED,
                        MAIN_THM_BOUNDED, NECESSARY_VIOLATED, Verdict,
                        check_ersatz, check_kps, check_main,

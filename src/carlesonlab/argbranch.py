@@ -13,12 +13,11 @@ the representable range with a diagnostic flag.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import Curve
+from .curves import Curve, write_csv
 from .errors import BranchJump, PreconditionError
 
 # exp() clamp keeping values finite and strictly positive in float64.
@@ -112,6 +111,19 @@ def unit_weight(curve: Curve) -> Weight:
     return Weight(np.zeros(curve.n_samples))
 
 
+def gamma_weight(curve: Curve, t0: complex, gamma: complex,
+                 branch: ArgBranch | None = None) -> Weight:
+    """phi_{t0,gamma}: unit_weight at gamma = 0, reading neither t0 nor
+    branch; power_weight for real gamma without a branch, with no unwrap;
+    otherwise phi on the given branch, or on one unwrapped here."""
+    gamma = complex(gamma)
+    if gamma == 0:
+        return unit_weight(curve)
+    if branch is None and gamma.imag == 0.0:
+        return power_weight(curve, t0, gamma.real)
+    return phi(branch if branch is not None else unwrap_arg(curve, t0), gamma)
+
+
 def equivalent(w1: Weight, w2: Weight) -> float:
     """sup(w1/w2) * sup(w2/w1) over the shared samples (>= 1).
 
@@ -136,9 +148,6 @@ def seifullayev_ratio(branch: ArgBranch) -> float:
 
 def export_weight_csv(curve: Curve, weight: Weight, path):
     """Write arclen, re, im, weight_log rows (log-space survives round-trips)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["arclen", "re", "im", "weight_log"])
-        for s, z, lw in zip(curve.cumlen, curve.samples, weight.log_values):
-            writer.writerow([f"{s:.17g}", f"{z.real:.17g}", f"{z.imag:.17g}",
-                             f"{lw:.17g}"])
+    write_csv(path, ["arclen", "re", "im", "weight_log"],
+              zip(curve.cumlen, curve.samples.real, curve.samples.imag,
+                  weight.log_values))

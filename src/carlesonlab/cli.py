@@ -13,7 +13,7 @@ import click
 import numpy as np
 
 from . import curves as _curves
-from .argbranch import phi, power_weight, unit_weight, unwrap_arg
+from .argbranch import gamma_weight
 from .criteria import check_kps, check_main, verdict_to_json
 from .errors import NumericalError, PreconditionError
 from .harness import (CURVE_KEYS, ExperimentConfig, build_curve,
@@ -46,45 +46,50 @@ def _parse_complex(text: str) -> complex:
         raise PreconditionError(f"cannot parse complex number {text!r}") from exc
 
 
-def _curve_spec(kind, radius, delta, alpha, beta, r_min, r_max, turn, grade,
-                t0_angle):
-    spec = {"kind": kind.replace("-", "_"), "radius": radius, "delta": delta,
-            "alpha": alpha, "beta": beta, "r_min": r_min, "r_max": r_max,
-            "turn": turn, "grade": grade, "t0_angle": t0_angle}
-    return {k: v for k, v in spec.items() if v is not None}
+# the curve-spec keys the CLI takes as float options, --r-min for r_min
+_CURVE_OPTIONS = ("radius", "delta", "alpha", "beta", "r_min", "r_max",
+                  "turn", "grade", "t0_angle")
 
 
-def _resolve_curve(ctx, kind, n, **params):
-    """Global --curve file wins; otherwise a generator spec is required."""
-    path = ctx.obj.get("curve")
+def _curve_spec(kind, params):
+    """The build_curve spec of --kind and the curve options that were set."""
+    return {"kind": kind.replace("-", "_"),
+            **{k: v for k, v in params.items() if v is not None}}
+
+
+def _resolve_curve(ctx, kind, n, t0_text, params):
+    """(curve, t0, join_ends) from the global --curve file, which records no
+    t0 and so needs --t0, or else from --kind, whose t0 --t0 replaces."""
+    path = ctx.obj["curve"]
     if path is not None:
-        curve = _curves.load_curve(path)
-        return curve, 0j, False
+        if t0_text is None:
+            raise PreconditionError("a --curve file records no t0; pass --t0")
+        return _curves.load_curve(path), _parse_complex(t0_text), False
     if kind is None:
         raise PreconditionError("pass --curve globally or --kind here")
-    return build_curve(_curve_spec(kind, **params), n)
+    curve, t0, join_ends = build_curve(_curve_spec(kind, params), n)
+    if t0_text is not None:
+        t0 = _parse_complex(t0_text)
+    return curve, t0, join_ends
+
+
+def _out_path(ctx, name):
+    """name under the --out directory, its parent directory created."""
+    out = ctx.obj["out"] / name
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _kind_options(fn):
     kinds = [k.replace("_", "-") for k in CURVE_KEYS]
     fn = click.option("--kind", type=click.Choice(kinds), default=None)(fn)
     fn = click.option("--n", type=int, default=4096, show_default=True)(fn)
-    fn = click.option("--radius", type=float, default=None)(fn)
-    fn = click.option("--delta", type=float, default=None)(fn)
-    fn = click.option("--alpha", type=float, default=None)(fn)
-    fn = click.option("--beta", type=float, default=None)(fn)
-    fn = click.option("--r-min", "r_min", type=float, default=None)(fn)
-    fn = click.option("--r-max", "r_max", type=float, default=None)(fn)
-    fn = click.option("--turn", type=float, default=None)(fn)
-    fn = click.option("--grade", type=float, default=None)(fn)
-    fn = click.option("--t0-angle", "t0_angle", type=float, default=None)(fn)
+    for key in _CURVE_OPTIONS:
+        fn = click.option("--" + key.replace("_", "-"), key, type=float,
+                          default=None)(fn)
     fn = click.option("--t0", "t0_text", default=None,
                       help="distinguished point, e.g. '0' or '1+0j'")(fn)
     return fn
-
-
-def _pick_t0(t0_text, default_t0):
-    return _parse_complex(t0_text) if t0_text is not None else default_t0
 
 
 @click.group()
@@ -115,9 +120,8 @@ def gen_curve(ctx, kind, n, t0_text, name, **params):
     """Generate a curve from the zoo and write it as JSON."""
     if kind is None:
         raise PreconditionError("--kind is required")
-    curve, t0, _ = build_curve(_curve_spec(kind, **params), n)
-    out = ctx.obj["out"] / name
-    out.parent.mkdir(parents=True, exist_ok=True)
+    curve, t0, _ = build_curve(_curve_spec(kind, params), n)
+    out = _out_path(ctx, name)
     _curves.save_curve(curve, out)
     click.echo(f"wrote {out} ({curve.n_samples} samples, "
                f"length {curve.total_length:.6g}, t0={t0})")
@@ -131,14 +135,11 @@ def gen_curve(ctx, kind, n, t0_text, name, **params):
 @handles_errors
 def indices(ctx, kind, n, t0_text, csv_name, **params):
     """Estimate the spirality indices at t0."""
-    curve, t0_default, _ = _resolve_curve(ctx, kind, n, **params)
-    t0 = _pick_t0(t0_text, t0_default)
-    samples = compute_W(curve, t0, phi(unwrap_arg(curve, t0), 1j))
+    curve, t0, _ = _resolve_curve(ctx, kind, n, t0_text, params)
+    samples = compute_W(curve, t0, gamma_weight(curve, t0, 1j))
     pair = estimate_indices(samples)
     if csv_name:
-        path = ctx.obj["out"] / csv_name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        export_submult_csv(samples, path)
+        export_submult_csv(samples, _out_path(ctx, csv_name))
     click.echo(f"spirality indices at t0={t0}: "
                f"({pair.alpha:.6f}, {pair.beta:.6f}) "
                f"residuals ({pair.diagnostics['alpha_residual']:.2e}, "
@@ -148,20 +149,14 @@ def indices(ctx, kind, n, t0_text, csv_name, **params):
 @main.command()
 @_kind_options
 @click.option("--p", type=float, default=2.0, show_default=True)
-@click.option("--lam", type=float, default=None, help="power weight exponent")
-@click.option("--gamma", default=None, help="oscillating weight exponent")
+@click.option("--gamma", required=True,
+              help="weight exponent; real gamma is a power weight")
 @click.pass_context
 @handles_errors
-def apcheck(ctx, kind, n, t0_text, p, lam, gamma, **params):
+def apcheck(ctx, kind, n, t0_text, p, gamma, **params):
     """Estimate the Muckenhoupt A_p product for a power/oscillating weight."""
-    curve, t0_default, _ = _resolve_curve(ctx, kind, n, **params)
-    t0 = _pick_t0(t0_text, t0_default)
-    if (lam is None) == (gamma is None):
-        raise PreconditionError("pass exactly one of --lam / --gamma")
-    if lam is not None:
-        w = power_weight(curve, t0, lam)
-    else:
-        w = phi(unwrap_arg(curve, t0), _parse_complex(gamma))
+    curve, t0, _ = _resolve_curve(ctx, kind, n, t0_text, params)
+    w = gamma_weight(curve, t0, _parse_complex(gamma))
     value = muckenhoupt_ap(curve, w, p)
     click.echo(f"A_{p:g} estimate: {value:.8g}")
 
@@ -171,15 +166,14 @@ def apcheck(ctx, kind, n, t0_text, p, lam, gamma, **params):
 @click.option("--p", type=float, default=2.0, show_default=True)
 @click.option("--f-const", type=float, default=1.0, show_default=True,
               help="constant test function value")
-@click.option("--lam", type=float, default=0.0, show_default=True,
-              help="power weight exponent")
+@click.option("--gamma", default="0", show_default=True,
+              help="weight exponent; 0 is the unit weight")
 @click.pass_context
 @handles_errors
-def norm(ctx, kind, n, t0_text, p, f_const, lam, **params):
-    """Luxemburg norm of a constant function against a power weight."""
-    curve, t0_default, _ = _resolve_curve(ctx, kind, n, **params)
-    t0 = _pick_t0(t0_text, t0_default)
-    w = power_weight(curve, t0, lam) if lam != 0.0 else unit_weight(curve)
+def norm(ctx, kind, n, t0_text, p, f_const, gamma, **params):
+    """Luxemburg norm of a constant function against the weight phi."""
+    curve, t0, _ = _resolve_curve(ctx, kind, n, t0_text, params)
+    w = gamma_weight(curve, t0, _parse_complex(gamma))
     value = luxemburg_norm(curve, f_const, w, constant_exponent(curve, p))
     click.echo(f"norm: {value:.12g}")
 
@@ -195,16 +189,14 @@ def norm(ctx, kind, n, t0_text, p, f_const, lam, **params):
 @handles_errors
 def maximal_cmd(ctx, kind, n, t0_text, gamma, arc_radius, name, **params):
     """Evaluate the (weighted) maximal operator and write a CSV."""
-    curve, t0_default, join_ends = _resolve_curve(ctx, kind, n, **params)
-    t0 = _pick_t0(t0_text, t0_default)
+    curve, t0, join_ends = _resolve_curve(ctx, kind, n, t0_text, params)
     if arc_radius is None:
         f = np.ones(curve.n_samples)
     else:
         f = _curves.omega_arc(curve, t0, arc_radius,
                               join_ends=join_ends).astype(float)
     result = weighted_maximal(curve, f, t0, _parse_complex(gamma))
-    out = ctx.obj["out"] / name
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(ctx, name)
     export_maximal_csv(curve, result, out)
     click.echo(f"wrote {out} (max Mf = {result.values.max():.8g})")
 
@@ -225,17 +217,16 @@ def verdict(ctx, p_at, gamma, delta_minus, delta_plus, name):
     else:
         v = check_main(p_at, g,
                        IndexPair(delta_minus, delta_plus, {"source": "cli"}))
-    out = ctx.obj["out"] / name
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(ctx, name)
     out.write_text(verdict_to_json(v) + "\n", encoding="utf-8")
     click.echo(f"{v.classification} (lower={v.lower:.6f}, "
                f"upper={v.upper:.6f}) -> {out}")
 
 
-def _probe_config(ctx, kind, gamma, p, p_at, p_far, **params):
+def _probe_config(ctx, kind, gamma, p, p_at, p_far, params):
     if kind is None:
         raise PreconditionError("--kind is required for probes")
-    spec = _curve_spec(kind, **params)
+    spec = _curve_spec(kind, params)
     if "r_min" in CURVE_KEYS[spec["kind"]] and "r_min" not in spec:
         spec["r_min_scale"] = 16.0  # deepen the resolved scale per level
     if p_at is not None and p_far is not None:
@@ -259,14 +250,12 @@ def _probe_config(ctx, kind, gamma, p, p_at, p_far, **params):
 def probe(ctx, kind, n, t0_text, gamma, p, p_at, p_far, name, **params):
     """Empirical boundedness probe across refinement levels."""
     config = _probe_config(ctx, kind, _parse_complex(gamma), p, p_at, p_far,
-                           **params)
+                           params)
     report = run_probe(config)
-    out_dir = ctx.obj["out"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{name}.csv").write_text(probe_report_csv(report),
-                                         encoding="utf-8")
-    (out_dir / f"{name}.json").write_text(probe_report_json(report) + "\n",
-                                          encoding="utf-8")
+    _out_path(ctx, f"{name}.csv").write_text(probe_report_csv(report),
+                                             encoding="utf-8")
+    _out_path(ctx, f"{name}.json").write_text(
+        probe_report_json(report) + "\n", encoding="utf-8")
     click.echo(f"verdict {report.verdict.classification}, trend "
                f"{report.trend}, ratios "
                + ", ".join(f"{r:.4g}" for r in report.max_ratios))
@@ -289,10 +278,9 @@ def sweep(ctx, kind, n, t0_text, p, p_at, p_far, re_min, re_max, im_min,
           im_max, step, name, **params):
     """Probe a rectangle of gamma values and write the verdict/trend table."""
     gammas = gamma_rectangle(re_min, re_max, im_min, im_max, step)
-    config = _probe_config(ctx, kind, gammas[0], p, p_at, p_far, **params)
+    config = _probe_config(ctx, kind, gammas[0], p, p_at, p_far, params)
     reports = run_sweep(config, gammas)
-    out = ctx.obj["out"] / name
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(ctx, name)
     out.write_text(sweep_csv(reports), encoding="utf-8")
     click.echo(f"wrote {out} ({len(reports)} cells)")
 

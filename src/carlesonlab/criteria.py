@@ -15,11 +15,11 @@ unbounded (carried by a flag so the boundary stays distinguishable).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import Curve, d_t, omega_arc
+from .curves import Curve, d_t, omega_arc, strided_indices
 from .errors import NoAdmissibleDelta, PreconditionError
 from .norms import ExponentField, exponent_at
 from .submult import IndexPair, phi_indices_closed_form
@@ -57,8 +57,11 @@ class Verdict:
         return min(self.margins)
 
 
-def _classify(lower: float, upper: float, bounded_label: str) -> str:
-    if 0.0 < lower and upper < 1.0:
+def _classify(lower: float, upper: float, bounded_label: str,
+              limit: float = 1.0) -> str:
+    """bounded_label strictly inside (0, limit), NECESSARY_VIOLATED outside
+    [0, 1], INDETERMINATE otherwise."""
+    if 0.0 < lower and upper < limit:
         return bounded_label
     if lower < 0.0 or upper > 1.0:
         return NECESSARY_VIOLATED
@@ -104,17 +107,10 @@ def check_ersatz(curve: Curve, p: ExponentField, t0: complex, gamma: complex,
         if not scope_mask.any():
             raise PreconditionError("scope mask selects no samples")
         p_star = float(p.values[scope_mask].min())
-    idx = phi_indices_closed_form(gamma, spirality)
-    lower = 1.0 / p_t0 + idx.alpha
-    upper = 1.0 / p_t0 + idx.beta
+    v = check_main(p_t0, gamma, spirality)
     limit = p_star / p_t0
-    if 0.0 < lower and upper < limit:
-        cls = ERSATZ_BOUNDED
-    elif lower < 0.0 or upper > 1.0:
-        cls = NECESSARY_VIOLATED
-    else:
-        cls = INDETERMINATE
-    return Verdict(lower, upper, cls, upper_limit=limit)
+    cls = _classify(v.lower, v.upper, ERSATZ_BOUNDED, limit)
+    return replace(v, classification=cls, upper_limit=limit)
 
 
 def select_delta_and_eps(curve: Curve, p: ExponentField, t0: complex,
@@ -128,22 +124,18 @@ def select_delta_and_eps(curve: Curve, p: ExponentField, t0: complex,
     whose arc-restricted exponent minimum satisfies 1 + beta*p(t0) < p_*
     strictly.  Constant exponents accept the default d_t/4 immediately.
     """
-    verdict = check_main(exponent_at(curve, p, t0), gamma, spirality)
+    p_t0 = exponent_at(curve, p, t0)
+    verdict = check_main(p_t0, gamma, spirality)
     if verdict.classification != MAIN_THM_BOUNDED:
         raise PreconditionError(
             f"main condition does not hold ({verdict.classification})")
     eps = 0.5 * verdict.margin
-    p_t0 = exponent_at(curve, p, t0)
     beta = verdict.upper - 1.0 / p_t0
     dt = d_t(curve, t0)
     dists = curve.distances_from(t0)
     # nudge above the realized radii so each candidate arc holds its sample
     below = np.sort(np.unique(dists[(dists < dt / 4.0) & (dists > 0)]))[::-1]
-    below = below * (1.0 + 1e-12)
-    if below.size > max_candidates:
-        ranks = np.unique(np.linspace(0, below.size - 1, max_candidates)
-                          .round().astype(int))
-        below = below[ranks]
+    below = below[strided_indices(below.size, max_candidates)] * (1.0 + 1e-12)
     for delta in np.concatenate(([dt / 4.0], below)):
         try:
             mask = omega_arc(curve, t0, delta, join_ends=join_ends)

@@ -11,6 +11,8 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -406,12 +408,16 @@ def carleson_constant(curve: Curve, t_points, eps_grid) -> float:
     return best
 
 
+def strided_indices(m: int, count: int) -> np.ndarray:
+    """min(count, m) evenly strided indices into range(m), rounded: 0, and
+    m - 1 when count >= 2; every index when count >= m."""
+    return np.unique(np.linspace(0, m - 1, min(count, m)).round().astype(int))
+
+
 def default_carleson_grids(curve: Curve, t_count: int = 48,
                            eps_count: int = 48):
     """Deterministic sub-grids: strided samples and log-spaced radii."""
-    m = curve.n_samples
-    idx = np.unique(np.linspace(0, m - 1, t_count).round().astype(int))
-    t_points = curve.samples[idx]
+    t_points = curve.samples[strided_indices(curve.n_samples, t_count)]
     dmax = max(d_t(curve, t) for t in t_points)
     seg_min = float(curve.seg_lengths.min())
     eps_grid = np.geomspace(seg_min, dmax * (1 + 1e-9), eps_count)
@@ -461,7 +467,24 @@ def arc_measure(curve: Curve, mask: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# file format
+# file formats
+
+
+def csv_text(header, rows) -> str:
+    """RFC 4180 text: CRLF line ends and a header row; floats (NumPy's
+    included) at 17 significant digits, every other cell as str."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([f"{x:.17g}" if isinstance(x, float) else str(x)
+                      for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def write_csv(path, header, rows):
+    """Write csv_text(header, rows) to path."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(csv_text(header, rows))
 
 
 def save_curve(curve: Curve, path):

@@ -16,8 +16,6 @@ ratios grow like a power of the resolved scale.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -28,7 +26,7 @@ import numpy as np
 from . import curves as _curves
 from .argbranch import LOG_CLAMP, phi, unit_weight, unwrap_arg
 from .criteria import Verdict, check_kps, check_main
-from .curves import Curve, d_t, omega_arc
+from .curves import Curve, csv_text, d_t, omega_arc, strided_indices
 from .errors import EmptyArc, NotLocallyIntegrable, PreconditionError
 from .maximal import MaximalEvaluator, weighted_maximal
 from .norms import (ExponentField, constant_exponent, exponent_at,
@@ -41,6 +39,7 @@ TREND_INDETERMINATE = "indeterminate"
 
 GROWING_FACTOR = 1.5
 STABLE_FACTOR = 1.35
+EXTREMAL_MARGIN = 0.1  # the extremal profile's exponent above -1/p
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class ExperimentConfig:
     levels: tuple
     seed: int = 0
     n_random: int = 8
-    extremal_margin: float = 0.1
     eval_points: int = 256
     max_radii: int = 256
     spirality: tuple | None = None
@@ -149,36 +147,31 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
     if missing:
         raise PreconditionError(
             f"curve kind {kind!r} requires {', '.join(map(repr, missing))}")
-    if kind == "circle":
-        radius = spec.get("radius", 1.0)
-        curve = _curves.generate_circle(radius, n, spec.get("phase", 0.0))
-        t0 = radius * np.exp(1j * spec.get("t0_angle", 0.0))
-        return curve, complex(t0), False
-    if kind == "graded_circle":
+    if kind in ("circle", "graded_circle"):
         radius = spec.get("radius", 1.0)
         angle = spec.get("t0_angle", 0.0)
+        t0 = complex(radius * np.exp(1j * angle))
+        if kind == "circle":
+            curve = _curves.generate_circle(radius, n, spec.get("phase", 0.0))
+            return curve, t0, False
         curve = _curves.generate_graded_circle(
             radius, n, t0_angle=angle, grade=spec.get("grade", 3.0),
             theta_min=spec.get("theta_min"))
-        return curve, complex(radius * np.exp(1j * angle)), True
+        return curve, t0, True
     r_max = spec.get("r_max", 1.0)
-    if "r_min_scale" in spec:
-        r_min = spec["r_min_scale"] / n
-    else:
-        r_min = spec.get("r_min", 1e-4)
+    r_min = (spec["r_min_scale"] / n if "r_min_scale" in spec
+             else spec.get("r_min", 1e-4))
     if kind == "log_spiral":
         curve = _curves.generate_log_spiral(spec["delta"], r_min, r_max, n)
-        return curve, 0j, False
-    if kind == "mixed_spirality":
+    elif kind == "mixed_spirality":
         curve = _curves.generate_mixed_spirality(spec["alpha"], spec["beta"],
                                                  r_min, r_max, n)
-        return curve, 0j, False
-    if kind == "segment":
+    elif kind == "segment":
         curve = _curves.generate_segment(r_min, r_max, n,
                                          spec.get("angle", 0.0))
-        return curve, 0j, False
-    curve = _curves.generate_corner(spec.get("turn", np.pi / 2), r_min,
-                                    r_max, n)  # the last kind: corner
+    else:  # the last kind: corner
+        curve = _curves.generate_corner(spec.get("turn", np.pi / 2), r_min,
+                                        r_max, n)
     return curve, 0j, False
 
 
@@ -202,7 +195,7 @@ def _eval_subgrid(curve: Curve, count: int) -> np.ndarray:
     m = curve.n_samples
     if curve.closed:
         m -= 1  # skip the duplicate closure sample
-    return np.unique(np.linspace(0, m - 1, min(count, m)).round().astype(int))
+    return strided_indices(m, count)
 
 
 def _nested_arc_indicators(curve: Curve, t0: complex, join_ends: bool):
@@ -281,7 +274,7 @@ def build_family(curve: Curve, t0: complex, p: ExponentField,
         yield tag.replace("arc", "warc"), mask * inv_phi
     del inv_phi
     yield "extremal", _extremal_profile(curve, t0, p, log_phi,
-                                        config.extremal_margin)
+                                        EXTREMAL_MARGIN)
     yield from randoms()
 
 
@@ -418,19 +411,10 @@ def gamma_rectangle(re_min: float, re_max: float, im_min: float,
             for i in res for j in ims]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def probe_report_csv(report: ProbeReport) -> str:
     """Per-(level, function) rows; byte-stable for a fixed config and seed."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["level", "function", "ratio", "num", "den"])
-    for row in report.rows:
-        writer.writerow([row["level"], row["function"], _fmt(row["ratio"]),
-                         _fmt(row["num"]), _fmt(row["den"])])
-    return buf.getvalue()
+    keys = ("level", "function", "ratio", "num", "den")
+    return csv_text(keys, ([row[k] for k in keys] for row in report.rows))
 
 
 def probe_report_json(report: ProbeReport) -> str:
@@ -452,18 +436,12 @@ def probe_report_json(report: ProbeReport) -> str:
 
 def sweep_csv(reports) -> str:
     """One row per gamma cell: verdict, trend, and per-level ratio maxima."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
     n_levels = max(len(r.levels) for r in reports)
     header = ["re_gamma", "im_gamma", "lower", "upper", "classification",
               "trend"]
     header += [f"ratio_n{k}" for k in range(n_levels)]
-    writer.writerow(header)
-    for rep in reports:
-        row = [_fmt(rep.gamma.real), _fmt(rep.gamma.imag),
-               _fmt(rep.verdict.lower), _fmt(rep.verdict.upper),
-               rep.verdict.classification, rep.trend]
-        row += [_fmt(x) for x in rep.max_ratios]
-        row += [""] * (n_levels - len(rep.max_ratios))
-        writer.writerow(row)
-    return buf.getvalue()
+    return csv_text(header, (
+        [rep.gamma.real, rep.gamma.imag, rep.verdict.lower,
+         rep.verdict.upper, rep.verdict.classification, rep.trend,
+         *rep.max_ratios, *[""] * (n_levels - len(rep.max_ratios))]
+        for rep in reports))

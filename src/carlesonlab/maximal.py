@@ -33,15 +33,14 @@ samples, each inside its own portion.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .argbranch import ArgBranch, LOG_CLAMP, phi, power_weight, unwrap_arg
-from .curves import Curve, omega_arc
+from .argbranch import ArgBranch, LOG_CLAMP, gamma_weight
+from .curves import Curve, omega_arc, write_csv
 from .errors import PreconditionError
 from .norms import as_sampled
 
@@ -484,19 +483,12 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
 
     Computes phi(t) * sup of portion averages of |f| / phi in log-space.
     gamma = 0 is the plain maximal operator, the sup of portion averages of
-    |f| bit for bit, and reads neither t0 nor branch.  A given branch
-    supplies log|tau - t0| for every other gamma; without one, real gamma
-    takes power_weight, which needs no unwrap.
+    |f| bit for bit, and reads neither t0 nor branch; any other gamma takes
+    its weight from gamma_weight.
     """
     gamma = complex(gamma)
-    if gamma == 0:
-        log_phi = None
-    elif branch is None and gamma.imag == 0.0:
-        log_phi = power_weight(curve, t0, gamma.real).log_values
-    else:
-        if branch is None:
-            branch = unwrap_arg(curve, t0)
-        log_phi = phi(branch, gamma).log_values
+    log_phi = (None if gamma == 0
+               else gamma_weight(curve, t0, gamma, branch).log_values)
     if evaluator is None:
         evaluator = MaximalEvaluator(curve, eval_indices, max_radii)
     absf = np.abs(as_sampled(curve, f))
@@ -566,10 +558,6 @@ def decompose(curve: Curve, f, t0: complex, gamma: complex, delta: float,
 
 def export_maximal_csv(curve: Curve, result: MaximalResult, path):
     """Write arclen, Mf, argmax_eps rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["arclen", "Mf", "argmax_eps"])
-        for i, v, e in zip(result.eval_indices, result.values,
-                           result.argmax_eps):
-            writer.writerow([f"{curve.cumlen[i]:.17g}", f"{v:.17g}",
-                             f"{e:.17g}"])
+    write_csv(path, ["arclen", "Mf", "argmax_eps"],
+              zip(curve.cumlen[result.eval_indices], result.values,
+                  result.argmax_eps))

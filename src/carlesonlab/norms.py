@@ -23,12 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from .argbranch import LOG_CLAMP, Weight
-from .curves import Curve
+from .curves import Curve, strided_indices
 from .errors import NotLocallyIntegrable, NumericalError, PreconditionError
 
 LUXEMBURG_RTOL = 1e-10
 NEWTON_MAX_STEPS = 50
 DINI_ANCHORS = 256
+AP_T_POINTS = 48  # default grid points t of muckenhoupt_ap
+AP_EPS_POINTS = 64  # radii per grid point of muckenhoupt_ap
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,8 @@ class ExponentField:
 
 def _measure_dini(curve: Curve, values: np.ndarray,
                   anchors: int = DINI_ANCHORS) -> float:
-    idx = np.unique(np.linspace(0, curve.n_samples - 1,
-                                min(anchors, curve.n_samples)).round()
-                    .astype(int))
     worst = 0.0
-    for i in idx:
+    for i in strided_indices(curve.n_samples, anchors):
         d = curve.distances_from(curve.samples[i])
         mask = (d > 0) & (d <= 0.5)
         if mask.any():
@@ -81,8 +80,7 @@ def _build(curve: Curve, values: np.ndarray) -> ExponentField:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != curve.samples.shape:
         raise PreconditionError("exponent values must align with the curve")
-    if np.any(values <= 1.0) or not np.all(np.isfinite(values)):
-        raise PreconditionError("exponents must lie in (1, inf)")
+    # ExponentField itself rejects values outside (1, inf)
     return ExponentField(values, float(values.min()), float(values.max()),
                          curve)
 
@@ -244,12 +242,11 @@ def _cum_logsumexp(x_sorted: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def muckenhoupt_ap(curve: Curve, w: Weight, p: float,
-                   t_points=None, max_eps: int = 64,
-                   max_t: int = 48) -> float:
+                   t_points=None) -> float:
     """Grid maximum of the two-factor A_p product, a lower bound for [w]_Ap.
 
     For each grid point t the epsilon grid reuses the realized sample radii
-    |tau_k - t| (log-subsampled to max_eps): every distinct portion is
+    |tau_k - t| (log-subsampled to AP_EPS_POINTS): every distinct portion is
     realized at one of those radii, so no supremum information is lost
     between grid points.  Nondecreasing under grid refinement.
     """
@@ -257,10 +254,8 @@ def muckenhoupt_ap(curve: Curve, w: Weight, p: float,
         raise PreconditionError("p must be a constant in (1, inf)")
     q = p / (p - 1.0)
     if t_points is None:
-        idx = np.unique(np.linspace(0, curve.n_samples - 1,
-                                    min(max_t, curve.n_samples)).round()
-                        .astype(int))
-        t_points = curve.samples[idx]
+        t_points = curve.samples[strided_indices(curve.n_samples,
+                                                 AP_T_POINTS)]
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.complex128))
     log_aw = curve.log_arc_weights
     best = 0.0
@@ -275,9 +270,7 @@ def muckenhoupt_ap(curve: Curve, w: Weight, p: float,
         pos = ds[ds > 0]
         if pos.size == 0:
             continue
-        ranks = np.unique(np.linspace(0, pos.size - 1,
-                                      min(max_eps, pos.size)).round()
-                          .astype(int))
+        ranks = strided_indices(pos.size, AP_EPS_POINTS)
         eps_grid = pos[ranks] * (1.0 + 1e-12)
         ks = np.searchsorted(ds, eps_grid, side="left")
         with np.errstate(divide="ignore"):

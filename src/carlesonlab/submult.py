@@ -16,18 +16,18 @@ moderate x are biased by the bounded prefactors.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .argbranch import Weight, phi, unwrap_arg
-from .curves import Curve, d_t, omega_arc
+from .argbranch import Weight, gamma_weight
+from .curves import Curve, d_t, omega_arc, write_csv
 from .errors import AllAnnuliEmpty, GridTooNarrow, PreconditionError
 
 X_DECADES = 3
 X_POINTS_PER_SIDE = 64
 R_POINTS = 64
+BAND_WIDEN = 1.01  # safety factor on the annulus band half-width
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,18 @@ def default_radius_grid(curve: Curve, t0: complex,
     return np.geomspace(lo, hi, count)
 
 
-def _band_extrema(log_d: np.ndarray, log_psi: np.ndarray, queries: np.ndarray,
-                  widen: float):
+def _band_extrema(log_d: np.ndarray, log_psi: np.ndarray, queries: np.ndarray):
     """Max/min of log psi over adaptive annulus bands at the query radii.
 
     Band half-width is half the log-spacing of the gap containing the query
-    (times a small safety factor), so any query inside the sampled radius
+    (times BAND_WIDEN), so any query inside the sampled radius
     range finds at least one sample.  log_psi carries one padding entry past
     log_d, so that a band may end at the last sample.
     """
     m = log_d.size
     j = np.searchsorted(log_d, queries)
     jc = np.clip(j, 1, m - 1)
-    hw = 0.5 * widen * (log_d[jc] - log_d[jc - 1])
+    hw = 0.5 * BAND_WIDEN * (log_d[jc] - log_d[jc - 1])
     lo = np.searchsorted(log_d, queries - hw, side="left")
     hi = np.searchsorted(log_d, queries + hw, side="right")
     ok = hi > lo
@@ -119,8 +118,7 @@ def _band_extrema(log_d: np.ndarray, log_psi: np.ndarray, queries: np.ndarray,
 
 def compute_W(curve: Curve, t0: complex, psi: Weight,
               x_grid: np.ndarray | None = None,
-              R_grid: np.ndarray | None = None,
-              widen: float = 1.01) -> SubmultSamples:
+              R_grid: np.ndarray | None = None) -> SubmultSamples:
     """Evaluate the submultiplicative majorant of psi at t0 on a grid.
 
     For each grid x the supremum runs over the radius grid; radius pairs with
@@ -153,8 +151,8 @@ def compute_W(curve: Curve, t0: complex, psi: Weight,
             num_q, den_q = log_R + lx, log_R
         else:
             num_q, den_q = log_R, log_R - lx
-        nmax, _, n_ok = _band_extrema(log_d, log_psi, num_q, widen)
-        _, dmin, d_ok = _band_extrema(log_d, log_psi, den_q, widen)
+        nmax, _, n_ok = _band_extrema(log_d, log_psi, num_q)
+        _, dmin, d_ok = _band_extrema(log_d, log_psi, den_q)
         ok = n_ok & d_ok
         if not ok.any():
             raise AllAnnuliEmpty(
@@ -163,8 +161,8 @@ def compute_W(curve: Curve, t0: complex, psi: Weight,
         log_vals[i] = float(np.max(nmax[ok] - dmin[ok]))
 
     # band quantization floor: estimates carry +-(halfwidth * local slope)
-    max_hw = 0.5 * widen * float(np.max(np.diff(log_d)))
-    meta = {"t0": t0, "R_grid": R_grid, "widen": widen,
+    max_hw = 0.5 * BAND_WIDEN * float(np.max(np.diff(log_d)))
+    meta = {"t0": t0, "R_grid": R_grid, "widen": BAND_WIDEN,
             "max_halfwidth": max_hw}
     return SubmultSamples(x_grid, np.exp(log_vals), meta)
 
@@ -207,7 +205,7 @@ def spirality_indices(curve: Curve, t0: complex,
                       R_grid: np.ndarray | None = None) -> IndexPair:
     """Lower/upper spirality indices at t0: the indices of W_{t0} eta_{t0},
     eta_{t0} = exp(-arg(tau - t0)) being phi at gamma = i."""
-    samples = compute_W(curve, t0, phi(unwrap_arg(curve, t0), 1j),
+    samples = compute_W(curve, t0, gamma_weight(curve, t0, 1j),
                         x_grid=x_grid, R_grid=R_grid)
     return estimate_indices(samples)
 
@@ -257,9 +255,5 @@ def power_sandwich(curve: Curve, t0: complex, w: Weight, eps: float,
 
 def export_submult_csv(s: SubmultSamples, path):
     """Write x, rho, log_x, log_rho rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["x", "rho", "log_x", "log_rho"])
-        for x, v, lx, lv in zip(s.xs, s.vals, s.log_xs, s.log_vals):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}", f"{lx:.17g}",
-                             f"{lv:.17g}"])
+    write_csv(path, ["x", "rho", "log_x", "log_rho"],
+              zip(s.xs, s.vals, s.log_xs, s.log_vals))

@@ -163,3 +163,39 @@ def test_weight_csv_roundtrip(tmp_path, spiral1, spiral1_branch):
     back = np.array([float(line.split(",")[3])
                      for line in lines[1:-1]])
     assert np.array_equal(back, w.log_values)
+
+
+# --- gamma_weight: the one gamma -> weight route -----------------------------
+
+
+def test_gamma_weight_zero_is_unit_and_reads_no_t0(spiral1):
+    """gamma = 0 is the unit weight; t0 on a sample, which every other
+    route rejects, is fine."""
+    t0 = spiral1.samples[7]
+    with pytest.raises(PreconditionError):
+        cl.power_weight(spiral1, t0, 0.3)
+    w = cl.gamma_weight(spiral1, t0, 0)
+    assert np.array_equal(w.log_values, np.zeros(spiral1.n_samples))
+
+
+def test_gamma_weight_real_is_power_weight_without_unwrap(spiral1):
+    for lam in (0.7, -0.3):
+        w = cl.gamma_weight(spiral1, 0j, lam)
+        assert np.array_equal(w.log_values,
+                              cl.power_weight(spiral1, 0j, lam).log_values)
+    # under-sampled around t0 = 0: no branch exists, a power weight does
+    sparse = cl.from_points([1.0, -1.0 + 1e-9j, -1.0 + 1.0j])
+    with pytest.raises(BranchJump):
+        cl.unwrap_arg(sparse, 0j)
+    w = cl.gamma_weight(sparse, 0j, 0.3)
+    assert np.array_equal(w.log_values,
+                          cl.power_weight(sparse, 0j, 0.3).log_values)
+
+
+def test_gamma_weight_complex_is_phi_on_the_branch(spiral1, spiral1_branch):
+    for gamma in (0.2 + 0.1j, 1j, -0.4j):
+        expected = cl.phi(cl.unwrap_arg(spiral1, 0j), gamma).log_values
+        assert np.array_equal(cl.gamma_weight(spiral1, 0j, gamma).log_values,
+                              expected)
+        given = cl.gamma_weight(spiral1, 0j, gamma, branch=spiral1_branch)
+        assert np.array_equal(given.log_values, expected)

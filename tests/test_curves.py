@@ -367,3 +367,49 @@ def test_curve_json_rejects_missing_points(tmp_path):
     path.write_text('{"closed":false,"provenance":"x"}')
     with pytest.raises(PreconditionError, match="points"):
         cl.load_curve(path)
+
+
+# --- shared helpers: the index stride and the CSV writer ----------------------
+
+
+def stride_forms(m, count):
+    """The six strided-index expressions that strided_indices replaced."""
+    with_min = np.unique(np.linspace(0, m - 1, min(count, m)).round()
+                         .astype(int))
+    forms = {"eval_subgrid": with_min, "measure_dini": with_min,
+             "ap_t_points": with_min, "ap_eps_ranks": with_min}
+    if m > 0:  # default_carleson_grids' form: curves have samples
+        forms["carleson_t_points"] = np.unique(
+            np.linspace(0, m - 1, count).round().astype(int))
+    # select_delta_and_eps subsampled only above max_candidates
+    forms["delta_ranks"] = (np.arange(m) if m <= count else np.unique(
+        np.linspace(0, m - 1, count).round().astype(int)))
+    return forms
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(0, 5000), count=st.integers(1, 400),
+       offset=st.sampled_from([None, -1, 0, 1]))
+def test_strided_indices_equals_replaced_forms(m, count, offset):
+    if offset is not None:  # count just below, at and just above m
+        count = max(1, m + offset)
+    got = cl.curves.strided_indices(m, count)
+    for name, expected in stride_forms(m, count).items():
+        assert np.array_equal(got, expected), name
+
+
+def test_csv_text_exact_bytes(tmp_path):
+    header = ["a", "b", "c", "d", "e"]
+    rows = [[0.1, np.float64(1.0) / 3.0, 7, "arc_j0", ""],
+            [2.0, np.float64(1e-300), np.int64(-3), "random_1", ""],
+            (-0.0, np.float64("inf"), 0, "", "x")]
+    expected = ("a,b,c,d,e\r\n"
+                "0.10000000000000001,0.33333333333333331,7,arc_j0,\r\n"
+                "2,1e-300,-3,random_1,\r\n"
+                "-0,inf,0,,x\r\n")
+    assert cl.curves.csv_text(header, rows) == expected
+    # repr would print 0.1 and 2.0: no float takes that route
+    assert "0.1," not in expected and "2.0" not in expected
+    path = tmp_path / "t.csv"
+    cl.curves.write_csv(path, header, rows)
+    assert path.read_bytes() == expected.encode("ascii")

@@ -19,8 +19,9 @@ from carlesonlab import harness
 from carlesonlab.argbranch import unwrap_arg
 from carlesonlab.curves import d_t, omega_arc
 from carlesonlab.errors import EmptyArc
-from carlesonlab.harness import (_extremal_profile, _level_functions,
-                                 build_curve, build_exponent, build_family,
+from carlesonlab.harness import (EXTREMAL_MARGIN, _extremal_profile,
+                                 _level_functions, build_curve,
+                                 build_exponent, build_family,
                                  probe_report_csv, probe_report_json)
 from carlesonlab.norms import as_sampled
 
@@ -70,7 +71,7 @@ def reference_build_family(curve, t0, p, log_phi, config, arcs, randoms):
     family += [(tag.replace("arc", "warc"), f * inv_phi) for tag, f in arcs]
     family.append(("extremal",
                    _extremal_profile(curve, t0, p, log_phi,
-                                     config.extremal_margin)))
+                                     EXTREMAL_MARGIN)))
     family += randoms
     return family
 

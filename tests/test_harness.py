@@ -284,7 +284,7 @@ def test_cli_apcheck_and_norm(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["--out", str(tmp_path), "apcheck",
                                "--kind", "graded-circle", "--n", "2048",
-                               "--t0", "1", "--lam", "0.3"])
+                               "--t0", "1", "--gamma", "0.3"])
     assert res.exit_code == 0, res.output
     assert "A_2 estimate" in res.output
 
@@ -294,6 +294,40 @@ def test_cli_apcheck_and_norm(tmp_path):
     assert res.exit_code == 0, res.output
     value = float(res.output.strip().split()[-1])
     assert value == pytest.approx(np.sqrt(2 * np.pi), rel=1e-6)
+
+
+def test_cli_gamma_replaces_lam(tmp_path):
+    """apcheck --gamma 0.3 and norm --gamma 0.3 print the lines that
+    --lam 0.3 printed before; --lam is gone from both."""
+    runner = CliRunner()
+    args = ["--kind", "graded-circle", "--n", "2048", "--t0", "1"]
+    expected = {"apcheck": "A_2 estimate: 3.795619\n",
+                "norm": "norm: 2.6400753847\n"}
+    for cmd, line in expected.items():
+        res = runner.invoke(main, [cmd, *args, "--gamma", "0.3"])
+        assert (res.exit_code, res.output) == (0, line)
+        res = runner.invoke(main, [cmd, *args, "--lam", "0.3"])
+        assert res.exit_code == 2
+        assert "--lam" in res.output
+
+
+def test_cli_curve_file_needs_t0(tmp_path):
+    """A curve file records no t0: every subcommand that reads it exits 2
+    without --t0 instead of taking t0 = 0, the graded circle's centre."""
+    runner = CliRunner()
+    res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve", "--kind",
+                               "graded-circle", "--n", "2048", "--name",
+                               "g.json"])
+    assert res.exit_code == 0, res.output
+    top = ["--curve", str(tmp_path / "g.json"), "--out", str(tmp_path)]
+    for cmd in (["indices"], ["apcheck", "--gamma", "0.3"], ["norm"],
+                ["maximal"]):
+        res = runner.invoke(main, [*top, *cmd])
+        assert res.exit_code == 2, (cmd, res.output)
+        assert "--t0" in res.output
+    res = runner.invoke(main, [*top, "apcheck", "--gamma", "0.3", "--t0",
+                               "1"])
+    assert res.exit_code == 0, res.output
 
 
 def test_cli_kinds_are_the_curve_kinds(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
-from carlesonlab import maximal as engine_module
+from carlesonlab import argbranch
 from carlesonlab.errors import EmptyArc, PreconditionError
 
 
@@ -172,7 +172,7 @@ def test_real_gamma_equals_power_variant(spiral1, spiral1_branch):
     idx = np.arange(0, spiral1.n_samples, 128)
     for lam in (0.4, 0.0, -0.3):
         b = cl.weighted_maximal(spiral1, f, 0j, lam, eval_indices=idx)
-        with mock.patch.object(engine_module, "power_weight",
+        with mock.patch.object(argbranch, "power_weight",
                                side_effect=AssertionError):
             a = cl.weighted_maximal(spiral1, f, 0j, lam,
                                     branch=spiral1_branch, eval_indices=idx)
