@@ -95,15 +95,8 @@ def power_weight(curve: Curve, t0: complex, lam: float) -> Weight:
     return Weight(lam * np.log(d))
 
 
-def tabulated_weight(values=None, log_values=None) -> Weight:
-    """Wrap explicit per-sample values (or their logs) as a Weight."""
-    if (values is None) == (log_values is None):
-        raise PreconditionError("pass exactly one of values / log_values")
-    if log_values is None:
-        values = np.asarray(values, dtype=np.float64)
-        if np.any(values <= 0) or not np.all(np.isfinite(values)):
-            raise PreconditionError("weight values must be positive finite")
-        log_values = np.log(values)
+def tabulated_weight(log_values) -> Weight:
+    """Wrap explicit per-sample log values as a Weight."""
     return Weight(np.asarray(log_values, dtype=np.float64))
 
 

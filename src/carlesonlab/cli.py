@@ -11,6 +11,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import curves as _curves
 from .argbranch import gamma_weight
@@ -49,6 +50,9 @@ def _parse_complex(text: str) -> complex:
 # the curve-spec keys the CLI takes as float options, --r-min for r_min
 _CURVE_OPTIONS = ("radius", "delta", "alpha", "beta", "r_min", "r_max",
                   "turn", "grade", "t0_angle")
+_n_option = click.option("--n", type=int, default=4096, show_default=True)
+_t0_option = click.option("--t0", "t0_text", default=None,
+                          help="distinguished point, e.g. '0' or '1+0j'")
 
 
 def _curve_spec(kind, params):
@@ -58,10 +62,15 @@ def _curve_spec(kind, params):
 
 
 def _resolve_curve(ctx, kind, n, t0_text, params):
-    """(curve, t0, join_ends) from the global --curve file, which records no
-    t0 and so needs --t0, or else from --kind, whose t0 --t0 replaces."""
+    """(curve, t0, join_ends) from --kind, whose t0 --t0 replaces, or from
+    the global --curve file, which excludes --kind, the curve options and
+    --n and, as it records no t0, needs --t0."""
     path = ctx.obj["curve"]
     if path is not None:
+        given = [f"--{k}".replace("_", "-") for k in ("kind", "n", *params)
+                 if ctx.get_parameter_source(k) is not ParameterSource.DEFAULT]
+        if given:
+            raise PreconditionError(f"--curve excludes {', '.join(given)}")
         if t0_text is None:
             raise PreconditionError("a --curve file records no t0; pass --t0")
         return _curves.load_curve(path), _parse_complex(t0_text), False
@@ -83,12 +92,9 @@ def _out_path(ctx, name):
 def _kind_options(fn):
     kinds = [k.replace("_", "-") for k in CURVE_KEYS]
     fn = click.option("--kind", type=click.Choice(kinds), default=None)(fn)
-    fn = click.option("--n", type=int, default=4096, show_default=True)(fn)
     for key in _CURVE_OPTIONS:
         fn = click.option("--" + key.replace("_", "-"), key, type=float,
                           default=None)(fn)
-    fn = click.option("--t0", "t0_text", default=None,
-                      help="distinguished point, e.g. '0' or '1+0j'")(fn)
     return fn
 
 
@@ -113,10 +119,11 @@ def main(ctx, curve_path, out, seed, levels):
 
 @main.command("gen-curve")
 @_kind_options
+@_n_option
 @click.option("--name", default="curve.json", show_default=True)
 @click.pass_context
 @handles_errors
-def gen_curve(ctx, kind, n, t0_text, name, **params):
+def gen_curve(ctx, kind, n, name, **params):
     """Generate a curve from the zoo and write it as JSON."""
     if kind is None:
         raise PreconditionError("--kind is required")
@@ -129,6 +136,8 @@ def gen_curve(ctx, kind, n, t0_text, name, **params):
 
 @main.command()
 @_kind_options
+@_n_option
+@_t0_option
 @click.option("--csv", "csv_name", default=None,
               help="also dump the majorant samples to this CSV file")
 @click.pass_context
@@ -148,6 +157,8 @@ def indices(ctx, kind, n, t0_text, csv_name, **params):
 
 @main.command()
 @_kind_options
+@_n_option
+@_t0_option
 @click.option("--p", type=float, default=2.0, show_default=True)
 @click.option("--gamma", required=True,
               help="weight exponent; real gamma is a power weight")
@@ -163,6 +174,8 @@ def apcheck(ctx, kind, n, t0_text, p, gamma, **params):
 
 @main.command()
 @_kind_options
+@_n_option
+@_t0_option
 @click.option("--p", type=float, default=2.0, show_default=True)
 @click.option("--f-const", type=float, default=1.0, show_default=True,
               help="constant test function value")
@@ -180,6 +193,8 @@ def norm(ctx, kind, n, t0_text, p, f_const, gamma, **params):
 
 @main.command("maximal")
 @_kind_options
+@_n_option
+@_t0_option
 @click.option("--gamma", default="0", show_default=True,
               help="conjugating weight exponent; 0 is the plain operator")
 @click.option("--arc-radius", type=float, default=None,
@@ -247,7 +262,7 @@ def _probe_config(ctx, kind, gamma, p, p_at, p_far, params):
 @click.option("--name", default="probe", show_default=True)
 @click.pass_context
 @handles_errors
-def probe(ctx, kind, n, t0_text, gamma, p, p_at, p_far, name, **params):
+def probe(ctx, kind, gamma, p, p_at, p_far, name, **params):
     """Empirical boundedness probe across refinement levels."""
     config = _probe_config(ctx, kind, _parse_complex(gamma), p, p_at, p_far,
                            params)
@@ -274,8 +289,8 @@ def probe(ctx, kind, n, t0_text, gamma, p, p_at, p_far, name, **params):
 @click.option("--name", default="sweep.csv", show_default=True)
 @click.pass_context
 @handles_errors
-def sweep(ctx, kind, n, t0_text, p, p_at, p_far, re_min, re_max, im_min,
-          im_max, step, name, **params):
+def sweep(ctx, kind, p, p_at, p_far, re_min, re_max, im_min, im_max,
+          step, name, **params):
     """Probe a rectangle of gamma values and write the verdict/trend table."""
     gammas = gamma_rectangle(re_min, re_max, im_min, im_max, step)
     config = _probe_config(ctx, kind, gammas[0], p, p_at, p_far, params)

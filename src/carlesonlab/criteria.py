@@ -45,8 +45,6 @@ class Verdict:
     classification: str
     upper_limit: float = 1.0
     iff_unbounded: bool = False
-    eps: float | None = None
-    delta: float | None = None
 
     @property
     def margins(self) -> tuple[float, float]:
@@ -154,7 +152,5 @@ def verdict_to_json(verdict: Verdict) -> str:
         "upper": verdict.upper,
         "classification": verdict.classification,
         "margins": list(verdict.margins),
-        "eps": verdict.eps,
-        "delta": verdict.delta,
     }
     return json.dumps(doc, indent=2, sort_keys=True)

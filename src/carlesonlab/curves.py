@@ -138,7 +138,7 @@ def from_points(points, closed: bool = False, provenance: str = "user") -> Curve
 # generators
 
 
-def generate_circle(radius: float, n: int, phase: float = 0.0) -> Curve:
+def generate_circle(radius: float, n: int) -> Curve:
     """Circle of given radius, n uniformly spaced samples plus closure.
 
     cumlen carries the exact arc length, so the total length equals
@@ -149,12 +149,11 @@ def generate_circle(radius: float, n: int, phase: float = 0.0) -> Curve:
     if n < MIN_CIRCLE_SAMPLES:
         raise PreconditionError(
             f"need at least {MIN_CIRCLE_SAMPLES} samples, got {n}")
-    theta = phase + 2.0 * np.pi * np.arange(n + 1) / n
+    theta = 2.0 * np.pi * np.arange(n + 1) / n
     samples = radius * np.exp(1j * theta)
     samples[-1] = samples[0]
-    cumlen = radius * (theta - theta[0])
-    return Curve(samples, cumlen, True,
-                 f"circle(radius={radius}, n={n}, phase={phase})")
+    return Curve(samples, radius * theta, True,
+                 f"circle(radius={radius}, n={n})")
 
 
 def _min_resolvable_theta(n: int) -> float:
@@ -278,17 +277,15 @@ def generate_mixed_spirality(alpha: float, beta: float, r_min: float,
                  f"r_max={r_max}, n={n}, t0=0)")
 
 
-def generate_segment(r_min: float, r_max: float, n: int,
-                     angle: float = 0.0) -> Curve:
+def generate_segment(r_min: float, r_max: float, n: int) -> Curve:
     """Straight ray segment on log-spaced radii; t0 = 0 off the near end."""
     if not (0 < r_min < r_max):
         raise PreconditionError("need 0 < r_min < r_max")
     if n < 2:
         raise PreconditionError("need at least two samples")
     r = np.geomspace(r_min, r_max, n)
-    samples = r * np.exp(1j * angle)
-    return Curve(samples, r - r_min, False,
-                 f"segment(r_min={r_min}, r_max={r_max}, n={n}, angle={angle})")
+    return Curve(r.astype(np.complex128), r - r_min, False,
+                 f"segment(r_min={r_min}, r_max={r_max}, n={n})")
 
 
 def generate_corner(turn: float, r_min: float, r_max: float, n: int) -> Curve:

@@ -28,7 +28,7 @@ from .argbranch import LOG_CLAMP, phi, unit_weight, unwrap_arg
 from .criteria import Verdict, check_kps, check_main
 from .curves import Curve, csv_text, d_t, omega_arc, strided_indices
 from .errors import EmptyArc, NotLocallyIntegrable, PreconditionError
-from .maximal import MaximalEvaluator, weighted_maximal
+from .maximal import MAX_RADII, MaximalEvaluator, weighted_maximal
 from .norms import (ExponentField, constant_exponent, exponent_at,
                     luxemburg_norm, profile_exponent, tabulated_exponent)
 from .submult import IndexPair, spirality_indices
@@ -63,7 +63,7 @@ class ExperimentConfig:
     seed: int = 0
     n_random: int = 8
     eval_points: int = 256
-    max_radii: int = 256
+    max_radii: int = MAX_RADII
     spirality: tuple | None = None
 
     def __post_init__(self):
@@ -111,11 +111,11 @@ def classify_trend(ratios) -> str:
 _RADIAL_KEYS = ("r_min", "r_min_scale", "r_max")
 # the keys each curve kind reads besides "kind"; any other key is rejected
 CURVE_KEYS = {
-    "circle": ("radius", "phase", "t0_angle"),
+    "circle": ("radius", "t0_angle"),
     "graded_circle": ("radius", "t0_angle", "grade", "theta_min"),
     "log_spiral": ("delta",) + _RADIAL_KEYS,
     "mixed_spirality": ("alpha", "beta") + _RADIAL_KEYS,
-    "segment": ("angle",) + _RADIAL_KEYS,
+    "segment": _RADIAL_KEYS,
     "corner": ("turn",) + _RADIAL_KEYS,
 }
 # the keys a kind reads that have no default
@@ -123,6 +123,27 @@ REQUIRED_CURVE_KEYS = {
     "log_spiral": ("delta",),
     "mixed_spirality": ("alpha", "beta"),
 }
+# the keys each exponent kind reads, all of them required
+EXPONENT_KEYS = {"constant": ("value",), "profile": ("p_at", "p_far")}
+
+
+def _spec_kind(what: str, spec: dict, keys: dict, required: dict) -> str:
+    """spec's kind; PreconditionError unless keys lists it and spec sets
+    only keys the kind reads and every key of required[kind]."""
+    kind = spec.get("kind")
+    if kind not in keys:
+        raise PreconditionError(f"unknown {what} kind: {kind!r}")
+    unknown = sorted(set(spec) - {"kind", *keys[kind]})
+    if unknown:
+        raise PreconditionError(
+            f"{what} kind {kind!r} does not read "
+            f"{', '.join(map(repr, unknown))}; it accepts "
+            f"{', '.join(keys[kind])}")
+    missing = [k for k in required.get(kind, ()) if k not in spec]
+    if missing:
+        raise PreconditionError(
+            f"{what} kind {kind!r} requires {', '.join(map(repr, missing))}")
+    return kind
 
 
 def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
@@ -131,33 +152,24 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
     Returns (curve, t0, join_ends): join_ends marks curves generated as a
     slit at t0, whose two array ends are adjacent through the singularity.
     Raises PreconditionError for an unknown kind, a key the kind does not
-    read (see CURVE_KEYS), rather than ignore a misspelled parameter, or a
-    missing key the kind requires (see REQUIRED_CURVE_KEYS).
+    read (see CURVE_KEYS), rather than ignore a misspelled parameter, a
+    missing key the kind requires (see REQUIRED_CURVE_KEYS), or both r_min
+    and r_min_scale.
     """
-    kind = spec.get("kind")
-    if kind not in CURVE_KEYS:
-        raise PreconditionError(f"unknown curve kind: {kind!r}")
-    unknown = sorted(set(spec) - {"kind", *CURVE_KEYS[kind]})
-    if unknown:
-        raise PreconditionError(
-            f"curve kind {kind!r} does not read "
-            f"{', '.join(map(repr, unknown))}; it accepts "
-            f"{', '.join(CURVE_KEYS[kind])}")
-    missing = [k for k in REQUIRED_CURVE_KEYS.get(kind, ()) if k not in spec]
-    if missing:
-        raise PreconditionError(
-            f"curve kind {kind!r} requires {', '.join(map(repr, missing))}")
+    kind = _spec_kind("curve", spec, CURVE_KEYS, REQUIRED_CURVE_KEYS)
     if kind in ("circle", "graded_circle"):
         radius = spec.get("radius", 1.0)
         angle = spec.get("t0_angle", 0.0)
         t0 = complex(radius * np.exp(1j * angle))
         if kind == "circle":
-            curve = _curves.generate_circle(radius, n, spec.get("phase", 0.0))
+            curve = _curves.generate_circle(radius, n)
             return curve, t0, False
         curve = _curves.generate_graded_circle(
             radius, n, t0_angle=angle, grade=spec.get("grade", 3.0),
             theta_min=spec.get("theta_min"))
         return curve, t0, True
+    if "r_min" in spec and "r_min_scale" in spec:
+        raise PreconditionError("pass r_min or r_min_scale, not both")
     r_max = spec.get("r_max", 1.0)
     r_min = (spec["r_min_scale"] / n if "r_min_scale" in spec
              else spec.get("r_min", 1e-4))
@@ -167,8 +179,7 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
         curve = _curves.generate_mixed_spirality(spec["alpha"], spec["beta"],
                                                  r_min, r_max, n)
     elif kind == "segment":
-        curve = _curves.generate_segment(r_min, r_max, n,
-                                         spec.get("angle", 0.0))
+        curve = _curves.generate_segment(r_min, r_max, n)
     else:  # the last kind: corner
         curve = _curves.generate_corner(spec.get("turn", np.pi / 2), r_min,
                                         r_max, n)
@@ -176,14 +187,10 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
 
 
 def build_exponent(curve: Curve, spec: dict, t0: complex) -> ExponentField:
-    kind = spec.get("kind")
+    kind = _spec_kind("exponent", spec, EXPONENT_KEYS, EXPONENT_KEYS)
     if kind == "constant":
         return constant_exponent(curve, spec["value"])
-    if kind == "profile":
-        return profile_exponent(curve, t0, spec["p_at"], spec["p_far"])
-    if kind == "table":
-        return tabulated_exponent(curve, spec["values"])
-    raise PreconditionError(f"unknown exponent kind: {kind!r}")
+    return profile_exponent(curve, t0, spec["p_at"], spec["p_far"])
 
 
 def _eval_subgrid(curve: Curve, count: int) -> np.ndarray:

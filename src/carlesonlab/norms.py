@@ -64,10 +64,9 @@ class ExponentField:
         return _measure_dini(self.curve, self.values)
 
 
-def _measure_dini(curve: Curve, values: np.ndarray,
-                  anchors: int = DINI_ANCHORS) -> float:
+def _measure_dini(curve: Curve, values: np.ndarray) -> float:
     worst = 0.0
-    for i in strided_indices(curve.n_samples, anchors):
+    for i in strided_indices(curve.n_samples, DINI_ANCHORS):
         d = curve.distances_from(curve.samples[i])
         mask = (d > 0) & (d <= 0.5)
         if mask.any():
@@ -162,7 +161,7 @@ def _logsumexp(x: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(x - m))))
 
 
-def _newton_log_lambda(x: np.ndarray, p: ExponentField, rtol: float) -> float:
+def _newton_log_lambda(x: np.ndarray, p: ExponentField) -> float:
     """Root s of F(s) = log(sum exp(x - p*s)) by Newton from the left.
 
     F is convex and decreasing, and s0 = min(L/p_min, L/p_max) with
@@ -181,14 +180,13 @@ def _newton_log_lambda(x: np.ndarray, p: ExponentField, rtol: float) -> float:
         # -F / F'(s), with F'(s) the negated p-weighted mean of the terms
         step = (m + np.log(mass)) * mass / float(np.dot(p.values, e))
         s += step
-        if step <= 0.1 * rtol:
+        if step <= 0.1 * LUXEMBURG_RTOL:
             return s
     raise NumericalError(
         f"Luxemburg Newton solve did not converge in {NEWTON_MAX_STEPS} steps")
 
 
-def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
-                   rtol: float = LUXEMBURG_RTOL) -> float:
+def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField) -> float:
     """inf{lam > 0 : modular(f, w, p, lam) <= 1}, solved in s = log lam.
 
     With x_i = p_i*log|f_i*w_i| + log aw_i (aw the arc weights, whose logs
@@ -196,14 +194,12 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
     sum_i exp(x_i - p_i*s).  For constant p the norm is
     exp(logsumexp(x)/p) in closed form; otherwise Newton on the convex
     log-modular converges monotonically (see _newton_log_lambda) and stops
-    once a step is at most rtol/10 in log lam.  Returns 0 for f*w
+    once a step is at most LUXEMBURG_RTOL/10 in log lam.  Returns 0 for f*w
     identically zero.  Raises NotLocallyIntegrable when f*w overflows, when
     a term of the modular is infinite, or when the norm exceeds
     max|f*w| * (total length + 1); NumericalError when the norm itself
     leaves the float range.
     """
-    if not rtol > 0:
-        raise PreconditionError("rtol must be positive")
     f = as_sampled(curve, f)
     abs_f = np.abs(f)
     with np.errstate(over="ignore"):
@@ -224,7 +220,7 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
     if p.p_min == p.p_max:
         s = _logsumexp(x) / p.p_min
     else:
-        s = _newton_log_lambda(x, p, rtol)
+        s = _newton_log_lambda(x, p)
     if s > np.log(fmax) + np.log(curve.total_length + 1.0):
         raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
     norm = float(np.exp(s))

@@ -64,19 +64,18 @@ class IndexPair:
             raise PreconditionError("index pair needs alpha <= beta")
 
 
-def default_x_grid(decades: int = X_DECADES,
-                   per_side: int = X_POINTS_PER_SIDE) -> np.ndarray:
-    """Log-uniform grid over [10^-decades, 10^decades] with 1 at the center.
+def default_x_grid() -> np.ndarray:
+    """Log-uniform grid over [10^-X_DECADES, 10^X_DECADES], 1 at the center.
 
     Uniform log spacing keeps products of grid points on the grid, which the
     submultiplicativity checks rely on.
     """
-    return 10.0 ** np.linspace(-decades, decades, 2 * per_side + 1)
+    return 10.0 ** np.linspace(-X_DECADES, X_DECADES,
+                               2 * X_POINTS_PER_SIDE + 1)
 
 
-def default_radius_grid(curve: Curve, t0: complex,
-                        count: int = R_POINTS) -> np.ndarray:
-    """Log-spaced radii in [min|tau - t0|, d_t].
+def default_radius_grid(curve: Curve, t0: complex) -> np.ndarray:
+    """R_POINTS log-spaced radii in [min|tau - t0|, d_t].
 
     The grid reaches the innermost realized radius: flooring it higher makes
     the factor estimates miss deep denominator circles that the product
@@ -88,7 +87,7 @@ def default_radius_grid(curve: Curve, t0: complex,
     hi = d_t(curve, t0)
     if lo >= hi:
         raise PreconditionError("curve spans too few scales around t0")
-    return np.geomspace(lo, hi, count)
+    return np.geomspace(lo, hi, R_POINTS)
 
 
 def _band_extrema(log_d: np.ndarray, log_psi: np.ndarray, queries: np.ndarray):
@@ -200,13 +199,10 @@ def estimate_indices(s: SubmultSamples) -> IndexPair:
     })
 
 
-def spirality_indices(curve: Curve, t0: complex,
-                      x_grid: np.ndarray | None = None,
-                      R_grid: np.ndarray | None = None) -> IndexPair:
+def spirality_indices(curve: Curve, t0: complex) -> IndexPair:
     """Lower/upper spirality indices at t0: the indices of W_{t0} eta_{t0},
     eta_{t0} = exp(-arg(tau - t0)) being phi at gamma = i."""
-    samples = compute_W(curve, t0, gamma_weight(curve, t0, 1j),
-                        x_grid=x_grid, R_grid=R_grid)
+    samples = compute_W(curve, t0, gamma_weight(curve, t0, 1j))
     return estimate_indices(samples)
 
 

@@ -10,8 +10,9 @@ from carlesonlab import harness
 from carlesonlab.cli import main
 from carlesonlab.errors import AllAnnuliEmpty, PreconditionError
 from carlesonlab.harness import (CURVE_KEYS, REQUIRED_CURVE_KEYS,
-                                 _denominator, build_curve, probe_report_csv,
-                                 probe_report_json, sweep_csv)
+                                 _denominator, build_curve, build_exponent,
+                                 probe_report_csv, probe_report_json,
+                                 sweep_csv)
 
 
 def small_config(**overrides):
@@ -113,6 +114,29 @@ def test_build_curve_rejects_missing_key():
         build_curve({"kind": "mixed_spirality", "alpha": -1.0}, 512)
     with pytest.raises(PreconditionError, match="requires 'alpha', 'beta'"):
         build_curve({"kind": "mixed_spirality"}, 512)
+
+
+def test_build_curve_rejects_r_min_with_r_min_scale():
+    """r_min_scale would silently replace r_min; passing both raises."""
+    with pytest.raises(PreconditionError, match="r_min or r_min_scale"):
+        build_curve({"kind": "log_spiral", "delta": 1.0, "r_min": 1e-3,
+                     "r_min_scale": 16.0}, 512)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "constant"}, "'constant' requires 'value'"),
+    ({"kind": "profile", "p_at": 1.8}, "'profile' requires 'p_far'"),
+    ({"kind": "constant", "value": 2.0, "p_far": 3.0},
+     "'constant' does not read 'p_far'; it accepts value"),
+    ({"kind": "table", "values": [2.0] * 256},
+     "unknown exponent kind: 'table'"),
+])
+def test_build_exponent_rejects_bad_spec(spec, message):
+    """Exponent specs are checked like curve specs: PreconditionError, not
+    KeyError, and no key is silently ignored."""
+    curve = cl.generate_segment(1e-3, 1.0, 256)
+    with pytest.raises(PreconditionError, match=message):
+        build_exponent(curve, spec, 0j)
 
 
 def test_probe_rejects_missing_key():
@@ -328,6 +352,44 @@ def test_cli_curve_file_needs_t0(tmp_path):
     res = runner.invoke(main, [*top, "apcheck", "--gamma", "0.3", "--t0",
                                "1"])
     assert res.exit_code == 0, res.output
+
+
+def test_cli_curve_file_excludes_kind_options_and_n(tmp_path):
+    """--curve exits 2 with --kind, a curve option or an explicit --n
+    instead of letting the file win over them silently."""
+    runner = CliRunner()
+    res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve", "--kind",
+                               "graded-circle", "--n", "2048", "--name",
+                               "g.json"])
+    assert res.exit_code == 0, res.output
+    top = ["--curve", str(tmp_path / "g.json"), "--out", str(tmp_path),
+           "apcheck", "--t0", "1", "--gamma", "0.3"]
+    for extra, named in ((["--kind", "graded-circle"], "--kind"),
+                         (["--delta", "5"], "--delta"),
+                         (["--n", "4096"], "--n")):
+        res = runner.invoke(main, [*top, *extra])
+        assert res.exit_code == 2, (extra, res.output)
+        assert f"--curve excludes {named}" in res.output
+    res = runner.invoke(main, top)
+    assert (res.exit_code, res.output) == (0, "A_2 estimate: 3.7954645\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["probe", "--kind", "graded-circle", "--gamma", "0.2", "--t0", "0.5"],
+    ["probe", "--kind", "graded-circle", "--gamma", "0.2", "--n", "7"],
+    ["sweep", "--kind", "log-spiral", "--delta", "1.0", "--t0", "0",
+     "--re-min", "0", "--re-max", "0", "--im-min", "0", "--im-max", "0",
+     "--step", "0.2"],
+    ["gen-curve", "--kind", "graded-circle", "--t0", "0.5"],
+])
+def test_cli_rejects_options_a_command_ignores(tmp_path, args):
+    """probe and sweep read neither --n nor --t0, gen-curve no --t0; each
+    is no option of theirs, so click exits 2 before anything runs."""
+    res = CliRunner().invoke(main, ["--out", str(tmp_path), "--levels",
+                                    "256,512,1024", *args])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_kinds_are_the_curve_kinds(tmp_path):

@@ -244,13 +244,6 @@ def test_luxemburg_extreme_scales(unit_circle, scale):
             scale * norm, rel=1e-12, abs=0.0)
 
 
-def test_luxemburg_rejects_nonpositive_rtol(unit_circle):
-    p = cl.constant_exponent(unit_circle, 2.0)
-    with pytest.raises(PreconditionError):
-        cl.luxemburg_norm(unit_circle, 1.0, cl.unit_weight(unit_circle), p,
-                          rtol=0.0)
-
-
 @pytest.mark.parametrize("profile", [False, True])
 def test_luxemburg_invariant_under_reversal(spiral1, spiral1_branch,
                                             profile):

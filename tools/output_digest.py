@@ -156,6 +156,9 @@ def cli_outputs(tmp: Path):
                       "--r-min", "1e-4", "--n", "4096", "--name", "sp.json"],
         "indices": ["--curve", "{out}/gen-curve/sp.json", "indices", "--t0",
                     "0", "--csv", "rho.csv"],
+        "curve-and-kind": ["--curve", "{out}/gen-curve/sp.json", "apcheck",
+                           "--kind", "log-spiral", "--t0", "0", "--gamma",
+                           "0.3"],
         "apcheck-power": ["apcheck", "--kind", "graded-circle", "--n",
                           "2048", "--t0", "1", weight, "0.3"],
         "apcheck-complex": ["apcheck", *spiral, "--t0", "0", "--gamma",
@@ -173,6 +176,9 @@ def cli_outputs(tmp: Path):
                     "--delta-minus", "-1", "--delta-plus", "1"],
         "probe": ["--levels", "256,512,1024", "probe", "--kind",
                   "graded-circle", "--gamma", "0.2", "--name", "gc"],
+        "probe-t0": ["--levels", "256,512,1024", "probe", "--kind",
+                     "graded-circle", "--gamma", "0.2", "--t0", "0.5",
+                     "--name", "gc"],
         "sweep": ["--levels", "256,512", "sweep", "--kind", "log-spiral",
                   "--delta", "1.0", "--re-min", "-0.2", "--re-max", "0.2",
                   "--im-min", "0.0", "--im-max", "0.0", "--step", "0.2"],
