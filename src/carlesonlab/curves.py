@@ -25,6 +25,8 @@ from .errors import EmptyArc, PreconditionError
 # Discretization floors.
 MAX_ANGULAR_STEP = math.pi / 8
 MIN_CIRCLE_SAMPLES = 16
+CARLESON_T_POINTS = 48  # grid points t of default_carleson_grids
+CARLESON_EPS_POINTS = 48  # radii of default_carleson_grids
 
 
 @dataclass(frozen=True)
@@ -411,13 +413,14 @@ def strided_indices(m: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(0, m - 1, min(count, m)).round().astype(int))
 
 
-def default_carleson_grids(curve: Curve, t_count: int = 48,
-                           eps_count: int = 48):
-    """Deterministic sub-grids: strided samples and log-spaced radii."""
-    t_points = curve.samples[strided_indices(curve.n_samples, t_count)]
+def default_carleson_grids(curve: Curve):
+    """Deterministic sub-grids: CARLESON_T_POINTS strided samples and
+    CARLESON_EPS_POINTS log-spaced radii."""
+    t_points = curve.samples[strided_indices(curve.n_samples,
+                                             CARLESON_T_POINTS)]
     dmax = max(d_t(curve, t) for t in t_points)
     seg_min = float(curve.seg_lengths.min())
-    eps_grid = np.geomspace(seg_min, dmax * (1 + 1e-9), eps_count)
+    eps_grid = np.geomspace(seg_min, dmax * (1 + 1e-9), CARLESON_EPS_POINTS)
     return t_points, eps_grid
 
 

@@ -112,7 +112,7 @@ _RADIAL_KEYS = ("r_min", "r_min_scale", "r_max")
 # the keys each curve kind reads besides "kind"; any other key is rejected
 CURVE_KEYS = {
     "circle": ("radius", "t0_angle"),
-    "graded_circle": ("radius", "t0_angle", "grade", "theta_min"),
+    "graded_circle": ("radius", "t0_angle", "grade"),
     "log_spiral": ("delta",) + _RADIAL_KEYS,
     "mixed_spirality": ("alpha", "beta") + _RADIAL_KEYS,
     "segment": _RADIAL_KEYS,
@@ -165,8 +165,7 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
             curve = _curves.generate_circle(radius, n)
             return curve, t0, False
         curve = _curves.generate_graded_circle(
-            radius, n, t0_angle=angle, grade=spec.get("grade", 3.0),
-            theta_min=spec.get("theta_min"))
+            radius, n, t0_angle=angle, grade=spec.get("grade", 3.0))
         return curve, t0, True
     if "r_min" in spec and "r_min_scale" in spec:
         raise PreconditionError("pass r_min or r_min_scale, not both")
@@ -412,6 +411,10 @@ def gamma_rectangle(re_min: float, re_max: float, im_min: float,
     """Row-major complex grid over a rectangle with the given step."""
     if step <= 0:
         raise PreconditionError("step must be positive")
+    if re_max < re_min or im_max < im_min:
+        raise PreconditionError(
+            f"empty gamma rectangle: re [{re_min:g}, {re_max:g}], "
+            f"im [{im_min:g}, {im_max:g}]; a max is below its min")
     res = np.arange(0, math.floor((re_max - re_min) / step + 1e-9) + 1)
     ims = np.arange(0, math.floor((im_max - im_min) / step + 1e-9) + 1)
     return [complex(re_min + i * step, im_min + j * step)

@@ -484,8 +484,16 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     Computes phi(t) * sup of portion averages of |f| / phi in log-space.
     gamma = 0 is the plain maximal operator, the sup of portion averages of
     |f| bit for bit, and reads neither t0 nor branch; any other gamma takes
-    its weight from gamma_weight.
+    its weight from gamma_weight.  An evaluator, built on this curve, takes
+    the place of eval_indices and max_radii.
     """
+    if evaluator is not None:
+        if eval_indices is not None or max_radii != MAX_RADII:
+            raise PreconditionError("an evaluator fixes eval_indices and "
+                                    "max_radii; pass them to it, not here")
+        if evaluator.curve is not curve:
+            raise PreconditionError("the evaluator was built on another "
+                                    "curve")
     gamma = complex(gamma)
     log_phi = (None if gamma == 0
                else gamma_weight(curve, t0, gamma, branch).log_values)

@@ -138,7 +138,7 @@ def test_portion_rejects_bad_eps(unit_circle):
 
 
 def test_carleson_circle(unit_circle):
-    t_pts, eps = cl.default_carleson_grids(unit_circle, 64, 96)
+    t_pts, eps = cl.default_carleson_grids(unit_circle)
     v = cl.carleson_constant(unit_circle, t_pts, eps)
     assert 1.0 <= v <= np.pi + 1e-9
     assert v >= np.pi - 0.05
@@ -157,18 +157,18 @@ def test_carleson_circle_brute_force_pairs():
 def test_carleson_segment_is_two(segment):
     # a line meets every disk in one chord of length up to 2*eps: around an
     # interior point both half-chords count, so the ratio tops out at 2
-    t_pts, eps = cl.default_carleson_grids(segment, 48, 48)
+    t_pts, eps = cl.default_carleson_grids(segment)
     v = cl.carleson_constant(segment, t_pts, eps)
     assert 1.8 <= v <= 2.0 + 1e-6
 
 
 def test_carleson_spiral_regression_and_drift():
     sp4 = cl.generate_log_spiral(1.0, 1e-4, 1.0, 4096)
-    t_pts, eps = cl.default_carleson_grids(sp4, 48, 48)
+    t_pts, eps = cl.default_carleson_grids(sp4)
     v4 = cl.carleson_constant(sp4, t_pts, eps)
     assert v4 == pytest.approx(2.3187, abs=0.05)  # frozen first-run baseline
     sp8 = cl.generate_log_spiral(1.0, 1e-4, 1.0, 8192)
-    t_pts, eps = cl.default_carleson_grids(sp8, 48, 48)
+    t_pts, eps = cl.default_carleson_grids(sp8)
     v8 = cl.carleson_constant(sp8, t_pts, eps)
     assert abs(v8 - v4) / v4 < 0.10
 
@@ -198,7 +198,7 @@ ZOO = {
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_carleson_equals_portion_grid_max(name):
     curve = ZOO[name](400)
-    t_pts, eps = cl.default_carleson_grids(curve, 12, 40)
+    t_pts, eps = cl.default_carleson_grids(curve)
     t_pts = np.concatenate((t_pts, [0j, 0.3 + 0.2j]))
     v = cl.carleson_constant(curve, t_pts, eps[::-1])
     ref = max(cl.portion(curve, t, e).measure / e

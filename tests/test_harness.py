@@ -80,6 +80,13 @@ def test_gamma_rectangle_count():
     assert min(abs(g) for g in grid) < 1e-12
 
 
+def test_gamma_rectangle_rejects_empty():
+    """A max below its min gave an empty grid, on which sweep crashed."""
+    for bounds in ((0.2, -0.2, 0.0, 0.0), (0.0, 0.0, 0.1, -0.1)):
+        with pytest.raises(PreconditionError, match="max is below its min"):
+            cl.gamma_rectangle(*bounds, 0.2)
+
+
 def test_build_curve_kinds():
     required = {"log_spiral": {"delta": 1.0},
                 "mixed_spirality": {"alpha": -1.0, "beta": 1.0}}
@@ -256,16 +263,16 @@ def test_verdicts_come_before_the_ladder(monkeypatch):
 
 def test_cli_gen_curve_and_indices(tmp_path):
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve",
+    res = runner.invoke(main, ["gen-curve", "--out", str(tmp_path),
                                "--kind", "log-spiral", "--delta", "1.0",
                                "--r-min", "1e-4", "--n", "4096",
                                "--name", "sp.json"])
     assert res.exit_code == 0, res.output
     assert (tmp_path / "sp.json").exists()
 
-    res = runner.invoke(main, ["--curve", str(tmp_path / "sp.json"),
-                               "--out", str(tmp_path),
-                               "indices", "--t0", "0",
+    res = runner.invoke(main, ["indices",
+                               "--curve", str(tmp_path / "sp.json"),
+                               "--out", str(tmp_path), "--t0", "0",
                                "--csv", "rho.csv"])
     assert res.exit_code == 0, res.output
     assert "spirality indices" in res.output
@@ -275,7 +282,7 @@ def test_cli_gen_curve_and_indices(tmp_path):
 
 def test_cli_exit_code_2_on_precondition(tmp_path):
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve",
+    res = runner.invoke(main, ["gen-curve", "--out", str(tmp_path),
                                "--kind", "circle", "--n", "8"])
     assert res.exit_code == 2
     assert "precondition" in res.output
@@ -283,9 +290,9 @@ def test_cli_exit_code_2_on_precondition(tmp_path):
 
 def test_cli_probe_missing_key_exits_2(tmp_path):
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path),
+    res = runner.invoke(main, ["probe", "--out", str(tmp_path),
                                "--levels", "256,512,1024",
-                               "probe", "--kind", "log-spiral",
+                               "--kind", "log-spiral",
                                "--gamma", "0.2"])
     assert res.exit_code == 2
     assert "requires 'delta'" in res.output
@@ -298,21 +305,21 @@ def test_cli_exit_code_3_on_numerical(tmp_path):
     bad.write_text(json.dumps({"points": pts, "closed": False,
                                "provenance": "sparse"}))
     runner = CliRunner()
-    res = runner.invoke(main, ["--curve", str(bad), "--out", str(tmp_path),
-                               "indices", "--t0", "0"])
+    res = runner.invoke(main, ["indices", "--curve", str(bad), "--out",
+                               str(tmp_path), "--t0", "0"])
     assert res.exit_code == 3
     assert "numerical" in res.output
 
 
 def test_cli_apcheck_and_norm(tmp_path):
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path), "apcheck",
+    res = runner.invoke(main, ["apcheck",
                                "--kind", "graded-circle", "--n", "2048",
                                "--t0", "1", "--gamma", "0.3"])
     assert res.exit_code == 0, res.output
     assert "A_2 estimate" in res.output
 
-    res = runner.invoke(main, ["--out", str(tmp_path), "norm",
+    res = runner.invoke(main, ["norm",
                                "--kind", "circle", "--n", "2048",
                                "--t0", "0", "--p", "2.0"])
     assert res.exit_code == 0, res.output
@@ -339,17 +346,17 @@ def test_cli_curve_file_needs_t0(tmp_path):
     """A curve file records no t0: every subcommand that reads it exits 2
     without --t0 instead of taking t0 = 0, the graded circle's centre."""
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve", "--kind",
+    res = runner.invoke(main, ["gen-curve", "--out", str(tmp_path), "--kind",
                                "graded-circle", "--n", "2048", "--name",
                                "g.json"])
     assert res.exit_code == 0, res.output
-    top = ["--curve", str(tmp_path / "g.json"), "--out", str(tmp_path)]
+    top = ["--curve", str(tmp_path / "g.json")]
     for cmd in (["indices"], ["apcheck", "--gamma", "0.3"], ["norm"],
                 ["maximal"]):
-        res = runner.invoke(main, [*top, *cmd])
+        res = runner.invoke(main, [cmd[0], *top, *cmd[1:]])
         assert res.exit_code == 2, (cmd, res.output)
         assert "--t0" in res.output
-    res = runner.invoke(main, [*top, "apcheck", "--gamma", "0.3", "--t0",
+    res = runner.invoke(main, ["apcheck", *top, "--gamma", "0.3", "--t0",
                                "1"])
     assert res.exit_code == 0, res.output
 
@@ -358,12 +365,12 @@ def test_cli_curve_file_excludes_kind_options_and_n(tmp_path):
     """--curve exits 2 with --kind, a curve option or an explicit --n
     instead of letting the file win over them silently."""
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve", "--kind",
+    res = runner.invoke(main, ["gen-curve", "--out", str(tmp_path), "--kind",
                                "graded-circle", "--n", "2048", "--name",
                                "g.json"])
     assert res.exit_code == 0, res.output
-    top = ["--curve", str(tmp_path / "g.json"), "--out", str(tmp_path),
-           "apcheck", "--t0", "1", "--gamma", "0.3"]
+    top = ["apcheck", "--curve", str(tmp_path / "g.json"),
+           "--t0", "1", "--gamma", "0.3"]
     for extra, named in ((["--kind", "graded-circle"], "--kind"),
                          (["--delta", "5"], "--delta"),
                          (["--n", "4096"], "--n")):
@@ -381,14 +388,64 @@ def test_cli_curve_file_excludes_kind_options_and_n(tmp_path):
      "--re-min", "0", "--re-max", "0", "--im-min", "0", "--im-max", "0",
      "--step", "0.2"],
     ["gen-curve", "--kind", "graded-circle", "--t0", "0.5"],
+    # the options the command group used to take, which a command ignored
+    ["--curve", "nonexistent.json", "--levels", "1,2", "verdict", "--p-at",
+     "2", "--gamma", "0.3"],
+    ["--curve", "g.json", "gen-curve", "--kind", "circle", "--n", "64"],
+    ["--curve", "g.json", "--levels", "256,512,1024", "probe", "--kind",
+     "graded-circle", "--gamma", "0.2"],
+    ["--seed", "5", "norm", "--kind", "circle", "--n", "64", "--t0", "0"],
+    ["--levels", "256,512", "apcheck", "--kind", "graded-circle", "--n",
+     "2048", "--t0", "1", "--gamma", "0.3"],
 ])
-def test_cli_rejects_options_a_command_ignores(tmp_path, args):
-    """probe and sweep read neither --n nor --t0, gen-curve no --t0; each
-    is no option of theirs, so click exits 2 before anything runs."""
-    res = CliRunner().invoke(main, ["--out", str(tmp_path), "--levels",
-                                    "256,512,1024", *args])
+def test_cli_rejects_options_a_command_ignores(tmp_path, monkeypatch, args):
+    """probe and sweep read neither --n nor --t0, gen-curve no --t0, and
+    the group no option; click exits 2 on each before anything runs."""
+    monkeypatch.chdir(tmp_path)  # where a command without --out writes
+    res = CliRunner().invoke(main, args)
     assert res.exit_code == 2
     assert "No such option" in res.output
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_commands_take_the_options_they_read():
+    """--curve, --out, --levels and --seed sit on the commands that read
+    them; the group takes none, and the 18 other pairs exit 2."""
+    readers = {
+        "--curve": {"indices", "apcheck", "norm", "maximal"},
+        "--out": {"gen-curve", "indices", "maximal", "verdict", "probe",
+                  "sweep"},
+        "--levels": {"probe", "sweep"},
+        "--seed": {"probe", "sweep"},
+    }
+    assert main.params == []
+    runner = CliRunner()
+    rejected = 0
+    for name, command in main.commands.items():
+        options = {o for param in command.params for o in param.opts}
+        for option, commands in readers.items():
+            assert (option in options) == (name in commands), (name, option)
+            if name not in commands:
+                res = runner.invoke(main, [name, option, "1"])
+                assert res.exit_code == 2, (name, option)
+                assert f"No such option '{option}'" in res.output
+                rejected += 1
+    assert rejected == 18
+
+
+@pytest.mark.parametrize("args, message", [
+    (["probe", "--levels", "256,abc", "--kind", "graded-circle", "--gamma",
+      "0.2"], "--levels takes comma-separated integers, got '256,abc'"),
+    (["sweep", "--levels", "256,512", "--kind", "log-spiral", "--delta", "1",
+      "--re-min", "0.2", "--re-max", "-0.2", "--im-min", "0", "--im-max", "0",
+      "--step", "0.2"], "max is below its min"),
+])
+def test_cli_malformed_probe_input_exits_2(tmp_path, args, message):
+    """A malformed --levels and an empty gamma rectangle are precondition
+    errors, not a traceback with exit 1."""
+    res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "precondition error" in res.output and message in res.output
     assert not any(tmp_path.iterdir())
 
 
@@ -403,18 +460,18 @@ def test_cli_kinds_are_the_curve_kinds(tmp_path):
     for key in CURVE_KEYS:
         args = [a for k in REQUIRED_CURVE_KEYS.get(key, ())
                 for a in (f"--{k}", "1.0")]
-        res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve",
+        res = runner.invoke(main, ["gen-curve", "--out", str(tmp_path),
                                    "--kind", key.replace("_", "-"), "--n",
                                    "512", *args])
         assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["--out", str(tmp_path), "gen-curve", "--kind",
+    res = runner.invoke(main, ["gen-curve", "--out", str(tmp_path), "--kind",
                                "mixed", "--alpha", "-1", "--beta", "1"])
     assert res.exit_code == 2
 
 
 def test_cli_maximal_and_verdict(tmp_path):
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path), "maximal",
+    res = runner.invoke(main, ["maximal", "--out", str(tmp_path),
                                "--kind", "log-spiral", "--delta", "1.0",
                                "--r-min", "1e-3", "--n", "1024",
                                "--t0", "0", "--gamma", "0.2+0.1j",
@@ -422,7 +479,7 @@ def test_cli_maximal_and_verdict(tmp_path):
     assert res.exit_code == 0, res.output
     assert (tmp_path / "maximal.csv").exists()
 
-    res = runner.invoke(main, ["--out", str(tmp_path), "verdict",
+    res = runner.invoke(main, ["verdict", "--out", str(tmp_path),
                                "--p-at", "2.0", "--gamma", "0.1j",
                                "--delta-minus", "-1", "--delta-plus", "1"])
     assert res.exit_code == 0, res.output
@@ -433,9 +490,9 @@ def test_cli_maximal_and_verdict(tmp_path):
 def test_cli_probe_graded_circle(tmp_path):
     """The probe adds r_min_scale only to kinds that read an r_min."""
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path),
+    res = runner.invoke(main, ["probe", "--out", str(tmp_path),
                                "--levels", "256,512,1024",
-                               "probe", "--kind", "graded-circle",
+                               "--kind", "graded-circle",
                                "--gamma", "0.2", "--name", "gc"])
     assert res.exit_code == 0, res.output
     assert json.loads((tmp_path / "gc.json").read_text())["levels"] == [
@@ -444,18 +501,18 @@ def test_cli_probe_graded_circle(tmp_path):
 
 def test_cli_probe_and_sweep(tmp_path):
     runner = CliRunner()
-    res = runner.invoke(main, ["--out", str(tmp_path),
+    res = runner.invoke(main, ["probe", "--out", str(tmp_path),
                                "--levels", "256,512",
-                               "probe", "--kind", "log-spiral",
+                               "--kind", "log-spiral",
                                "--delta", "1.0", "--gamma", "0.2",
                                "--name", "p"])
     assert res.exit_code == 0, res.output
     assert (tmp_path / "p.csv").exists()
     assert (tmp_path / "p.json").exists()
 
-    res = runner.invoke(main, ["--out", str(tmp_path),
+    res = runner.invoke(main, ["sweep", "--out", str(tmp_path),
                                "--levels", "256,512",
-                               "sweep", "--kind", "log-spiral",
+                               "--kind", "log-spiral",
                                "--delta", "1.0",
                                "--re-min", "-0.2", "--re-max", "0.2",
                                "--im-min", "0.0", "--im-max", "0.0",

@@ -136,6 +136,25 @@ def test_rejects_nonpositive_max_radii(segment):
                             max_radii=0)
 
 
+@pytest.mark.parametrize("extra", [{"eval_indices": [0, 1, 2]},
+                                   {"max_radii": 64}])
+def test_rejects_evaluator_settings_beside_an_evaluator(segment, extra):
+    """An evaluator fixes the rows and radii; beside one, eval_indices and
+    max_radii were ignored (three indices gave 128 values)."""
+    ev = cl.MaximalEvaluator(segment, np.arange(128))
+    with pytest.raises(PreconditionError, match="evaluator fixes"):
+        cl.weighted_maximal(segment, 1.0, 0j, 0, evaluator=ev, **extra)
+
+
+def test_rejects_an_evaluator_of_another_curve(segment):
+    """A spiral's evaluator read the segment's f on the spiral's portions."""
+    spiral = cl.generate_log_spiral(1.0, 1e-4, 1.0, segment.n_samples)
+    ev = cl.MaximalEvaluator(spiral, np.arange(0, segment.n_samples, 64))
+    f = np.linspace(1.0, 2.0, segment.n_samples)
+    with pytest.raises(PreconditionError, match="another curve"):
+        cl.weighted_maximal(segment, f, 0j, 0, evaluator=ev)
+
+
 def test_overflowing_total_stays_finite():
     """f = 1.5e308 integrates past the float range over the circle; the
     engine scales it by a power of two, so Mf is still f."""

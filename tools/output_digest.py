@@ -149,46 +149,75 @@ def cli_outputs(tmp: Path):
     weight = ("--gamma" if any(p.name == "gamma"
                                for p in main.commands["norm"].params)
               else "--lam")
+    # a checkout whose group takes --curve, --out, --seed and --levels reads
+    # them before the subcommand; one whose commands take them, after it
+    group = {o for p in main.params for o in p.opts}
     spiral = ["--kind", "log-spiral", "--delta", "1.0", "--r-min", "1e-3",
               "--n", "1024"]
+    sp_json = {"--curve": "{out}/gen-curve/sp.json"}
+    # name: (subcommand and its own options, the options the group took)
     calls = {
-        "gen-curve": ["gen-curve", "--kind", "log-spiral", "--delta", "1.0",
-                      "--r-min", "1e-4", "--n", "4096", "--name", "sp.json"],
-        "indices": ["--curve", "{out}/gen-curve/sp.json", "indices", "--t0",
-                    "0", "--csv", "rho.csv"],
-        "curve-and-kind": ["--curve", "{out}/gen-curve/sp.json", "apcheck",
-                           "--kind", "log-spiral", "--t0", "0", "--gamma",
-                           "0.3"],
-        "apcheck-power": ["apcheck", "--kind", "graded-circle", "--n",
-                          "2048", "--t0", "1", weight, "0.3"],
-        "apcheck-complex": ["apcheck", *spiral, "--t0", "0", "--gamma",
-                            "0.2+0.1j"],
-        "norm-power": ["norm", "--kind", "graded-circle", "--n", "2048",
-                       "--t0", "1", weight, "0.3"],
-        "norm-plain": ["norm", "--kind", "circle", "--n", "2048", "--t0",
-                       "0"],
-        "maximal": ["maximal", *spiral, "--t0", "0", "--gamma", "0.2+0.1j",
-                    "--arc-radius", "0.05"],
-        "maximal-default-t0": ["maximal", "--kind", "graded-circle", "--n",
-                               "1024", "--gamma", "0.3", "--arc-radius",
-                               "0.05"],
-        "verdict": ["verdict", "--p-at", "2.0", "--gamma", "0.1j",
-                    "--delta-minus", "-1", "--delta-plus", "1"],
-        "probe": ["--levels", "256,512,1024", "probe", "--kind",
-                  "graded-circle", "--gamma", "0.2", "--name", "gc"],
-        "probe-t0": ["--levels", "256,512,1024", "probe", "--kind",
-                     "graded-circle", "--gamma", "0.2", "--t0", "0.5",
-                     "--name", "gc"],
-        "sweep": ["--levels", "256,512", "sweep", "--kind", "log-spiral",
-                  "--delta", "1.0", "--re-min", "-0.2", "--re-max", "0.2",
-                  "--im-min", "0.0", "--im-max", "0.0", "--step", "0.2"],
+        "gen-curve": (["gen-curve", "--kind", "log-spiral", "--delta", "1.0",
+                       "--r-min", "1e-4", "--n", "4096", "--name",
+                       "sp.json"], {}),
+        "indices": (["indices", "--t0", "0", "--csv", "rho.csv"], sp_json),
+        "curve-and-kind": (["apcheck", "--kind", "log-spiral", "--t0", "0",
+                            "--gamma", "0.3"], sp_json),
+        "apcheck-power": (["apcheck", "--kind", "graded-circle", "--n",
+                           "2048", "--t0", "1", weight, "0.3"], {}),
+        "apcheck-complex": (["apcheck", *spiral, "--t0", "0", "--gamma",
+                             "0.2+0.1j"], {}),
+        "norm-power": (["norm", "--kind", "graded-circle", "--n", "2048",
+                        "--t0", "1", weight, "0.3"], {}),
+        "norm-plain": (["norm", "--kind", "circle", "--n", "2048", "--t0",
+                        "0"], {}),
+        "maximal": (["maximal", *spiral, "--t0", "0", "--gamma", "0.2+0.1j",
+                     "--arc-radius", "0.05"], {}),
+        "maximal-default-t0": (["maximal", "--kind", "graded-circle", "--n",
+                                "1024", "--gamma", "0.3", "--arc-radius",
+                                "0.05"], {}),
+        "verdict": (["verdict", "--p-at", "2.0", "--gamma", "0.1j",
+                     "--delta-minus", "-1", "--delta-plus", "1"], {}),
+        "probe": (["probe", "--kind", "graded-circle", "--gamma", "0.2",
+                   "--name", "gc"], {"--levels": "256,512,1024"}),
+        "probe-t0": (["probe", "--kind", "graded-circle", "--gamma", "0.2",
+                      "--t0", "0.5", "--name", "gc"],
+                     {"--levels": "256,512,1024"}),
+        "sweep": (["sweep", "--kind", "log-spiral", "--delta", "1.0",
+                   "--re-min", "-0.2", "--re-max", "0.2", "--im-min", "0.0",
+                   "--im-max", "0.0", "--step", "0.2"],
+                  {"--levels": "256,512"}),
+        # options a command does not read, and malformed probe input
+        "verdict-curve-levels": (["verdict", "--p-at", "2", "--gamma",
+                                  "0.3"], {"--curve": "nonexistent.json",
+                                           "--levels": "1,2"}),
+        "gen-curve-curve": (["gen-curve", "--kind", "circle", "--n", "64"],
+                            sp_json),
+        "probe-curve": (["probe", "--kind", "graded-circle", "--gamma",
+                         "0.2"], {**sp_json, "--levels": "256,512,1024"}),
+        "norm-seed": (["norm", "--kind", "circle", "--n", "64", "--t0", "0"],
+                      {"--seed": "5"}),
+        "apcheck-levels": (["apcheck", "--kind", "graded-circle", "--n",
+                            "2048", "--t0", "1", "--gamma", "0.3"],
+                           {"--levels": "256,512"}),
+        "probe-bad-levels": (["probe", "--kind", "graded-circle", "--gamma",
+                              "0.2"], {"--levels": "256,abc"}),
+        "sweep-empty": (["sweep", "--kind", "log-spiral", "--delta", "1",
+                         "--re-min", "0.2", "--re-max", "-0.2", "--im-min",
+                         "0", "--im-max", "0", "--step", "0.2"],
+                        {"--levels": "256,512"}),
     }
     runner = CliRunner()
     out = {}
-    for name, args in calls.items():
+    for name, (args, opts) in calls.items():
         out_dir = tmp / name
-        args = [a.replace("{out}", str(tmp)) for a in args]
-        res = runner.invoke(main, ["--out", str(out_dir), *args])
+        if "--out" in group or any("--out" in p.opts for p in
+                                   main.commands[args[0]].params):
+            opts = {"--out": str(out_dir), **opts}
+        opts = {k: v.replace("{out}", str(tmp)) for k, v in opts.items()}
+        before = [x for k, v in opts.items() if k in group for x in (k, v)]
+        after = [x for k, v in opts.items() if k not in group for x in (k, v)]
+        res = runner.invoke(main, [*before, args[0], *after, *args[1:]])
         text = f"exit {res.exit_code}\n{res.output}".replace(str(tmp),
                                                              "<out>")
         out[f"cli/{name}"] = text
