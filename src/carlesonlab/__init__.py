@@ -18,8 +18,7 @@ from .curves import (Curve, Portion, arc_measure, carleson_constant, d_t,
                      default_carleson_grids, from_points, generate_circle,
                      generate_corner, generate_graded_circle,
                      generate_log_spiral, generate_mixed_spirality,
-                     generate_segment, load_curve, omega_arc, portion,
-                     save_curve)
+                     generate_segment, omega_arc, portion)
 from .errors import (AllAnnuliEmpty, BranchJump, CarlesonLabError, EmptyArc,
                      GridTooNarrow, NoAdmissibleDelta, NotLocallyIntegrable,
                      NumericalError, PreconditionError)

@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 on precondition errors, 3 on numerical failures.
 from __future__ import annotations
 
 import functools
+import json
 from pathlib import Path
 
 import click
@@ -82,35 +83,54 @@ def _kind_options(fn):
     return click.option("--kind", type=kinds, default=None)(wrapper)
 
 
+def _given(*params):
+    """The options among params set on the command line, as --x-y."""
+    ctx = click.get_current_context()
+    return [f"--{p}".replace("_", "-") for p in params
+            if ctx.get_parameter_source(p) is not ParameterSource.DEFAULT]
+
+
+def _read_spec(path: Path) -> tuple[dict, int]:
+    """The (spec, n) of a gen-curve file: {"kind": ..., options, "n": n}."""
+    def reject(name):
+        raise PreconditionError(f"non-finite constant in curve file: {name}")
+
+    try:
+        spec = json.loads(path.read_bytes(), parse_constant=reject)
+    except ValueError as exc:
+        raise PreconditionError(f"malformed curve file: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise PreconditionError("curve file must be a JSON object")
+    n = spec.pop("n", None)
+    if type(n) is not int:
+        raise PreconditionError(f"{path} has no integer 'n'; regenerate it "
+                                "with gen-curve")
+    return spec, n
+
+
 def _curve_input(fn):
-    """fn gets curve=(curve, t0, join_ends) from --kind, whose t0 --t0
-    replaces, or from a --curve file, which excludes --kind, the curve
-    options and --n and, as it records no t0, needs --t0."""
+    """fn gets curve=(curve, t0, join_ends), built from --kind and the curve
+    options at --n or from a gen-curve --curve file, which excludes them;
+    --t0 replaces the spec's t0."""
 
     @_kind_options
-    @click.option("--curve", "curve_path", type=click.Path(path_type=Path),
-                  default=None, help="curve JSON file, in place of --kind")
+    @click.option("--curve", "curve_path", default=None,
+                  type=click.Path(exists=True, dir_okay=False,
+                                  path_type=Path),
+                  help="gen-curve file, in place of --kind")
     @_n_option
     @click.option("--t0", "t0_text", default=None,
                   help="distinguished point, e.g. '0' or '1+0j'")
     @functools.wraps(fn)
     def wrapper(spec, curve_path, n, t0_text, **kwargs):
-        if curve_path is None:
-            if "kind" not in spec:
-                raise PreconditionError("pass --curve or --kind")
-            curve, t0, join_ends = build_curve(spec, n)
-        else:
-            given = list(spec)
-            source = click.get_current_context().get_parameter_source("n")
-            if source is not ParameterSource.DEFAULT:
-                given.append("n")
+        if curve_path is not None:
+            given = _given(*spec, "n")
             if given:
-                raise PreconditionError("--curve excludes " + ", ".join(
-                    f"--{k}".replace("_", "-") for k in given))
-            if t0_text is None:
-                raise PreconditionError("a --curve file records no t0; "
-                                        "pass --t0")
-            curve, join_ends = _curves.load_curve(curve_path), False
+                raise PreconditionError("--curve excludes " + ", ".join(given))
+            spec, n = _read_spec(curve_path)
+        elif "kind" not in spec:
+            raise PreconditionError("pass --curve or --kind")
+        curve, t0, join_ends = build_curve(spec, n)
         if t0_text is not None:
             t0 = _parse_complex(t0_text)
         return fn(curve=(curve, t0, join_ends), **kwargs)
@@ -135,8 +155,12 @@ def _probe_input(fn):
             raise PreconditionError("--kind is required for probes")
         if "r_min" in CURVE_KEYS[spec["kind"]] and "r_min" not in spec:
             spec["r_min_scale"] = 16.0  # deepen the resolved scale per level
-        if p_at is not None and p_far is not None:
+        if p_at is not None or p_far is not None:
+            if _given("p"):
+                raise PreconditionError("--p excludes --p-at and --p-far")
+            # build_exponent names the one of them that is missing
             exponent = {"kind": "profile", "p_at": p_at, "p_far": p_far}
+            exponent = {k: v for k, v in exponent.items() if v is not None}
         else:
             exponent = {"kind": "constant", "value": p}
         try:
@@ -163,12 +187,14 @@ def main():
 @click.option("--name", default="curve.json", show_default=True)
 @_out_option
 def gen_curve(spec, n, name, out):
-    """Generate a curve from the zoo and write it as JSON."""
+    """Generate a curve from the zoo and write its spec, which --curve
+    builds again, as one JSON line."""
     if "kind" not in spec:
         raise PreconditionError("--kind is required")
     curve, t0, _ = build_curve(spec, n)
     path = _out_path(out, name)
-    _curves.save_curve(curve, path)
+    path.write_text(json.dumps({**spec, "n": n}, sort_keys=True) + "\n",
+                    encoding="utf-8")
     click.echo(f"wrote {path} ({curve.n_samples} samples, "
                f"length {curve.total_length:.6g}, t0={t0})")
 
@@ -252,6 +278,10 @@ def verdict(p_at, gamma, delta_minus, delta_plus, name, out):
     """Classify a configuration from p(t0), gamma and spirality indices."""
     g = _parse_complex(gamma)
     if g.imag == 0.0:
+        given = _given("delta_minus", "delta_plus")
+        if given:
+            raise PreconditionError("a real --gamma reads no "
+                                    + ", ".join(given))
         v = check_kps(p_at, g.real)
     else:
         v = check_main(p_at, g,

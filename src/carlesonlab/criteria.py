@@ -90,23 +90,16 @@ def check_kps(p_at_t0: float, lam: float) -> Verdict:
 
 
 def check_ersatz(curve: Curve, p: ExponentField, t0: complex, gamma: complex,
-                 spirality: IndexPair, scope_mask=None) -> Verdict:
-    """Exponent-minimum sufficient condition over the given scope.
+                 spirality: IndexPair) -> Verdict:
+    """Exponent-minimum sufficient condition over the whole curve.
 
-    The upper bracket is compared against p_*/p(t0) with p_* the minimum of
-    p over the scope (whole curve by default, or an arc mask).  For constant
-    p this coincides with the main condition.
+    The upper bracket is compared against p_*/p(t0) with p_* = p.p_min,
+    the minimum of p over the curve.  For constant p this coincides with
+    the main condition.
     """
     p_t0 = exponent_at(curve, p, t0)
-    if scope_mask is None:
-        p_star = p.p_min
-    else:
-        scope_mask = np.asarray(scope_mask, dtype=bool)
-        if not scope_mask.any():
-            raise PreconditionError("scope mask selects no samples")
-        p_star = float(p.values[scope_mask].min())
     v = check_main(p_t0, gamma, spirality)
-    limit = p_star / p_t0
+    limit = p.p_min / p_t0
     cls = _classify(v.lower, v.upper, ERSATZ_BOUNDED, limit)
     return replace(v, classification=cls, upper_limit=limit)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -486,38 +485,3 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(csv_text(header, rows))
 
-
-def save_curve(curve: Curve, path):
-    """Write the curve as JSON with >= 15 significant digits per coordinate."""
-    pts = ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in curve.samples)
-    closed = "true" if curve.closed else "false"
-    prov = json.dumps(curve.provenance)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"points":[{pts}],"closed":{closed},"provenance":{prov}}}\n')
-
-
-def load_curve(path) -> Curve:
-    """Read a curve JSON file; rejects malformed or non-finite input."""
-    def _bad_const(name):
-        raise PreconditionError(f"non-finite constant in curve file: {name}")
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_bad_const)
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(f"malformed curve file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise PreconditionError("curve file must be a JSON object")
-    try:
-        pts_raw = doc["points"]
-        closed = bool(doc["closed"])
-        prov = str(doc.get("provenance", "file"))
-    except KeyError as exc:
-        raise PreconditionError(f"curve file missing field {exc}") from exc
-    arr = np.asarray(pts_raw, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise PreconditionError("points must be an array of [re, im] pairs")
-    if not np.all(np.isfinite(arr)):
-        raise PreconditionError("curve file contains non-finite coordinates")
-    return from_points(arr[:, 0] + 1j * arr[:, 1], closed=closed,
-                       provenance=prov)

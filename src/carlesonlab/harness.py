@@ -227,15 +227,16 @@ def _nested_arc_indicators(curve: Curve, t0: complex, join_ends: bool):
 
 
 def _extremal_profile(curve: Curve, t0: complex, p: ExponentField,
-                      log_phi: np.ndarray, margin: float) -> np.ndarray:
-    """Near-critical profile phi^-1 * |tau-t0|^(-1/p + margin), truncated.
+                      log_phi: np.ndarray) -> np.ndarray:
+    """Near-critical profile phi^-1 * |tau-t0|^(-1/p + EXTREMAL_MARGIN),
+    truncated.
 
     Truncation (hard zero) below four times the closest approach keeps the
     profile sampled where the quadrature still resolves it.
     """
     d = curve.distances_from(t0)
     trunc = 4.0 * float(np.min(d))
-    log_f = -log_phi + (-1.0 / p.values + margin) * np.log(d)
+    log_f = -log_phi + (-1.0 / p.values + EXTREMAL_MARGIN) * np.log(d)
     f = np.exp(np.clip(log_f, -LOG_CLAMP, LOG_CLAMP))
     f[d < trunc] = 0.0
     return f
@@ -262,8 +263,7 @@ def _level_functions(curve: Curve, t0: complex, config: ExperimentConfig,
 
 
 def build_family(curve: Curve, t0: complex, p: ExponentField,
-                 log_phi: np.ndarray, config: ExperimentConfig, arcs,
-                 randoms):
+                 log_phi: np.ndarray, arcs, randoms):
     """The probe's test functions, yielded one (tag, values) at a time.
 
     The level's nested arc indicators and their weight-inverted companions
@@ -279,8 +279,7 @@ def build_family(curve: Curve, t0: complex, p: ExponentField,
     for tag, mask in arcs:
         yield tag.replace("arc", "warc"), mask * inv_phi
     del inv_phi
-    yield "extremal", _extremal_profile(curve, t0, p, log_phi,
-                                        EXTREMAL_MARGIN)
+    yield "extremal", _extremal_profile(curve, t0, p, log_phi)
     yield from randoms()
 
 
@@ -357,8 +356,7 @@ def _probe_level(config: ExperimentConfig, n: int, gammas, per_gamma):
     for gamma in gammas:
         log_phi = phi(branch, gamma).log_values
         rows, skipped = [], []
-        for tag, f in build_family(curve, t0, p, log_phi, config, arcs,
-                                   randoms):
+        for tag, f in build_family(curve, t0, p, log_phi, arcs, randoms):
             den, reason = dens[tag] if tag in dens \
                 else _denominator(curve, f, one, p)
             if reason is None:

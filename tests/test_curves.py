@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,41 +330,6 @@ def test_cached_lengths_are_readonly(spiral1):
     assert spiral1.seg_lengths is spiral1.seg_lengths
     assert spiral1.arc_weights is spiral1.arc_weights
     assert spiral1.log_arc_weights is spiral1.log_arc_weights
-
-
-# --- file format ----------------------------------------------------------
-
-
-def test_curve_json_roundtrip(tmp_path, spiral1):
-    path = tmp_path / "c.json"
-    cl.save_curve(spiral1, path)
-    back = cl.load_curve(path)
-    assert np.array_equal(back.samples, spiral1.samples)
-    assert not back.closed
-    raw = json.loads(path.read_text())
-    assert raw["provenance"].startswith("log_spiral")
-
-
-def test_curve_json_rejects_nonfinite(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"points":[[0,0],[NaN,1]],"closed":false,'
-                    '"provenance":"x"}')
-    with pytest.raises(PreconditionError):
-        cl.load_curve(path)
-
-
-def test_curve_json_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("not json")
-    with pytest.raises(PreconditionError):
-        cl.load_curve(path)
-
-
-def test_curve_json_rejects_missing_points(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"closed":false,"provenance":"x"}')
-    with pytest.raises(PreconditionError, match="points"):
-        cl.load_curve(path)
 
 
 # --- shared helpers: the index stride and the CSV writer ----------------------

@@ -19,9 +19,8 @@ from carlesonlab import harness
 from carlesonlab.argbranch import unwrap_arg
 from carlesonlab.curves import d_t, omega_arc
 from carlesonlab.errors import EmptyArc
-from carlesonlab.harness import (EXTREMAL_MARGIN, _extremal_profile,
-                                 _level_functions, build_curve,
-                                 build_exponent, build_family,
+from carlesonlab.harness import (_extremal_profile, _level_functions,
+                                 build_curve, build_exponent, build_family,
                                  probe_report_csv, probe_report_json)
 from carlesonlab.norms import as_sampled
 
@@ -57,7 +56,7 @@ def reference_level_functions(curve, t0, config, level_n, join_ends):
     return arcs, randoms
 
 
-def reference_build_family(curve, t0, p, log_phi, config, arcs, randoms):
+def reference_build_family(curve, t0, p, log_phi, arcs, randoms):
     """The probe's test functions.
 
     The level's nested arc indicators and their weight-inverted companions
@@ -69,9 +68,7 @@ def reference_build_family(curve, t0, p, log_phi, config, arcs, randoms):
     inv_phi = np.exp(np.clip(-log_phi, -700.0, 700.0))
     family = list(arcs)
     family += [(tag.replace("arc", "warc"), f * inv_phi) for tag, f in arcs]
-    family.append(("extremal",
-                   _extremal_profile(curve, t0, p, log_phi,
-                                     EXTREMAL_MARGIN)))
+    family.append(("extremal", _extremal_profile(curve, t0, p, log_phi)))
     family += randoms
     return family
 
@@ -95,9 +92,9 @@ def _families(config, n):
     gamma = config.gamma
     log_phi = gamma.real * branch.log_abs - gamma.imag * branch.values
     ref = reference_build_family(
-        curve, t0, p, log_phi, config,
+        curve, t0, p, log_phi,
         *reference_level_functions(curve, t0, config, n, join_ends))
-    new = build_family(curve, t0, p, log_phi, config,
+    new = build_family(curve, t0, p, log_phi,
                        *_level_functions(curve, t0, config, n, join_ends))
     return curve, ref, list(new)
 
@@ -137,8 +134,8 @@ def _reference_patch(monkeypatch):
                                                   level_n, join_ends)
         return arcs, lambda: iter(randoms)
 
-    def family(curve, t0, p, log_phi, config, arcs, randoms):
-        return reference_build_family(curve, t0, p, log_phi, config, arcs,
+    def family(curve, t0, p, log_phi, arcs, randoms):
+        return reference_build_family(curve, t0, p, log_phi, arcs,
                                       list(randoms()))
 
     monkeypatch.setattr(harness, "_level_functions", level_functions)

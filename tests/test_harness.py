@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 import carlesonlab as cl
 from carlesonlab import harness
-from carlesonlab.cli import main
+from carlesonlab.cli import _read_spec, main
 from carlesonlab.errors import AllAnnuliEmpty, PreconditionError
 from carlesonlab.harness import (CURVE_KEYS, REQUIRED_CURVE_KEYS,
                                  _denominator, build_curve, build_exponent,
@@ -299,16 +299,14 @@ def test_cli_probe_missing_key_exits_2(tmp_path):
 
 
 def test_cli_exit_code_3_on_numerical(tmp_path):
-    # a curve that is under-sampled around t0 = 0 trips the branch unwrap
-    pts = [[1.0, 0.0], [-1.0, 1e-09], [-1.0, 1.0]]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"points": pts, "closed": False,
-                               "provenance": "sparse"}))
-    runner = CliRunner()
-    res = runner.invoke(main, ["indices", "--curve", str(bad), "--out",
-                               str(tmp_path), "--t0", "0"])
+    # t0 is the midpoint of a chord of the 16-sample circle: the branch
+    # unwrap sees an angular increment of pi there
+    res = CliRunner().invoke(main, [
+        "indices", "--kind", "circle", "--n", "16", "--out", str(tmp_path),
+        "--t0", "0.9619397662556434+0.1913417161825449j"])
     assert res.exit_code == 3
     assert "numerical" in res.output
+    assert "angular increment 3.141593" in res.output
 
 
 def test_cli_apcheck_and_norm(tmp_path):
@@ -342,23 +340,104 @@ def test_cli_gamma_replaces_lam(tmp_path):
         assert "--lam" in res.output
 
 
-def test_cli_curve_file_needs_t0(tmp_path):
-    """A curve file records no t0: every subcommand that reads it exits 2
-    without --t0 instead of taking t0 = 0, the graded circle's centre."""
-    runner = CliRunner()
-    res = runner.invoke(main, ["gen-curve", "--out", str(tmp_path), "--kind",
-                               "graded-circle", "--n", "2048", "--name",
-                               "g.json"])
+# per kind, gen-curve options other than the kind's defaults
+CURVE_OPTIONS = {
+    "circle": ["--radius", "2", "--t0-angle", "0.5"],
+    "graded_circle": ["--radius", "1.5", "--t0-angle", "1", "--grade",
+                      "2.5"],
+    "log_spiral": ["--delta", "1", "--r-min", "1e-3"],
+    "mixed_spirality": ["--alpha", "-1", "--beta", "1", "--r-max", "7.389"],
+    "segment": ["--r-min", "1e-3", "--r-max", "2"],
+    "corner": ["--turn", "1", "--r-min", "1e-3"],
+}
+
+
+def _gen_curve(tmp_path, kind, n="512"):
+    """The path of a gen-curve file of kind with CURVE_OPTIONS[kind]."""
+    res = CliRunner().invoke(main, [
+        "gen-curve", "--out", str(tmp_path), "--kind", kind.replace("_", "-"),
+        *CURVE_OPTIONS[kind], "--n", n, "--name", f"{kind}.json"])
     assert res.exit_code == 0, res.output
-    top = ["--curve", str(tmp_path / "g.json")]
-    for cmd in (["indices"], ["apcheck", "--gamma", "0.3"], ["norm"],
-                ["maximal"]):
-        res = runner.invoke(main, [cmd[0], *top, *cmd[1:]])
-        assert res.exit_code == 2, (cmd, res.output)
-        assert "--t0" in res.output
-    res = runner.invoke(main, ["apcheck", *top, "--gamma", "0.3", "--t0",
-                               "1"])
-    assert res.exit_code == 0, res.output
+    return tmp_path / f"{kind}.json"
+
+
+@pytest.mark.parametrize("kind", list(CURVE_KEYS))
+def test_cli_curve_file_is_the_spec(tmp_path, kind):
+    """A gen-curve file is the spec and n, and builds the curve, t0 and
+    join_ends that build_curve builds from them, bit for bit."""
+    assert list(CURVE_OPTIONS) == list(CURVE_KEYS)
+    path = _gen_curve(tmp_path, kind)
+    spec = {"kind": kind}
+    opts = CURVE_OPTIONS[kind]
+    spec.update((k[2:].replace("-", "_"), float(v))
+                for k, v in zip(opts[::2], opts[1::2]))
+    text = path.read_text()
+    assert text == json.dumps({**spec, "n": 512}, sort_keys=True) + "\n"
+    want_curve, want_t0, want_join = build_curve(spec, 512)
+    curve, t0, join_ends = build_curve(*_read_spec(path))
+    assert curve.samples.tobytes() == want_curve.samples.tobytes()
+    assert curve.cumlen.tobytes() == want_curve.cumlen.tobytes()
+    assert curve.closed == want_curve.closed
+    assert (t0, join_ends) == (want_t0, want_join)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "malformed curve file"),
+    ('{"kind": "circle", "radius": NaN, "n": 64}',
+     "non-finite constant in curve file: NaN"),
+    ('{"kind": "circle"}', "no integer 'n'"),
+    ('{"kind": "circle", "n": 64.0}', "no integer 'n'"),
+    ('{"kind": "circle", "n": true}', "no integer 'n'"),
+    ('[{"kind": "circle", "n": 64}]', "must be a JSON object"),
+    ('{"points":[[1,0],[0,1]],"closed":false,"provenance":"x"}',
+     "regenerate it with gen-curve"),
+    ('{"kind": "circle", "delta": 1.0, "n": 64}', "does not read 'delta'"),
+    (None, "does not exist"),
+], ids=["malformed", "nonfinite", "missing-n", "float-n", "bool-n",
+        "not-object", "points-file", "spec-error", "missing-path"])
+def test_cli_bad_curve_file_exits_2(tmp_path, text, message):
+    """A curve file that is no gen-curve spec exits 2, and so does a
+    missing path, instead of a traceback with exit 1."""
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    res = CliRunner().invoke(main, ["apcheck", "--curve", str(path),
+                                    "--gamma", "0.3"])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+def _outcome(args, out):
+    """(exit code, stdout, {file name: bytes}) of one CLI call writing to
+    the fresh directory out, which stdout names as <out>."""
+    out.mkdir()
+    if args[0] in ("indices", "maximal"):
+        args = [*args, "--out", str(out)]
+    res = CliRunner().invoke(main, args)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return res.exit_code, res.output.replace(str(out), "<out>"), files
+
+
+@pytest.mark.parametrize("kind", list(CURVE_KEYS))
+def test_cli_curve_file_matches_kind(tmp_path, kind):
+    """indices, apcheck, norm and maximal read the same curve and t0 from
+    a gen-curve file, without --t0, as from --kind with the same options,
+    and --t0 replaces t0 for both."""
+    path = _gen_curve(tmp_path, kind)
+    source = {"kind": ["--kind", kind.replace("_", "-"),
+                       *CURVE_OPTIONS[kind], "--n", "512"],
+              "file": ["--curve", str(path)]}
+    for cmd in (["indices", "--csv", "rho.csv"],
+                ["apcheck", "--gamma", "0.3"], ["norm", "--gamma", "0.2"],
+                ["maximal", "--gamma", "0.3", "--arc-radius", "0.05"]):
+        outcomes = []
+        for t0 in ([], ["--t0", "0.001+0.002j"]):
+            got = {name: _outcome([*cmd, *args, *t0],
+                                  tmp_path / f"{name}-{cmd[0]}-{len(t0)}")
+                   for name, args in source.items()}
+            assert got["file"] == got["kind"], (cmd, t0)
+            outcomes.append(got["file"])
+        assert outcomes[0] != outcomes[1], cmd
 
 
 def test_cli_curve_file_excludes_kind_options_and_n(tmp_path):
@@ -369,8 +448,7 @@ def test_cli_curve_file_excludes_kind_options_and_n(tmp_path):
                                "graded-circle", "--n", "2048", "--name",
                                "g.json"])
     assert res.exit_code == 0, res.output
-    top = ["apcheck", "--curve", str(tmp_path / "g.json"),
-           "--t0", "1", "--gamma", "0.3"]
+    top = ["apcheck", "--curve", str(tmp_path / "g.json"), "--gamma", "0.3"]
     for extra, named in ((["--kind", "graded-circle"], "--kind"),
                          (["--delta", "5"], "--delta"),
                          (["--n", "4096"], "--n")):
@@ -378,7 +456,7 @@ def test_cli_curve_file_excludes_kind_options_and_n(tmp_path):
         assert res.exit_code == 2, (extra, res.output)
         assert f"--curve excludes {named}" in res.output
     res = runner.invoke(main, top)
-    assert (res.exit_code, res.output) == (0, "A_2 estimate: 3.7954645\n")
+    assert (res.exit_code, res.output) == (0, "A_2 estimate: 3.795619\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -433,20 +511,56 @@ def test_cli_commands_take_the_options_they_read():
     assert rejected == 18
 
 
+PROBE = ["probe", "--levels", "256,512,1024", "--kind", "graded-circle",
+         "--gamma", "0.2"]
+SWEEP = ["sweep", "--levels", "256,512", "--kind", "log-spiral", "--delta",
+         "1", "--re-min", "0", "--re-max", "0", "--im-min", "0", "--im-max",
+         "0", "--step", "0.2"]
+
+
 @pytest.mark.parametrize("args, message", [
     (["probe", "--levels", "256,abc", "--kind", "graded-circle", "--gamma",
       "0.2"], "--levels takes comma-separated integers, got '256,abc'"),
     (["sweep", "--levels", "256,512", "--kind", "log-spiral", "--delta", "1",
       "--re-min", "0.2", "--re-max", "-0.2", "--im-min", "0", "--im-max", "0",
       "--step", "0.2"], "max is below its min"),
+    ([*PROBE, "--p-at", "1.5"], "'profile' requires 'p_far'"),
+    ([*PROBE, "--p-far", "2.2"], "'profile' requires 'p_at'"),
+    ([*SWEEP, "--p-at", "1.5"], "'profile' requires 'p_far'"),
+    ([*PROBE, "--p", "2", "--p-at", "1.8", "--p-far", "2.2"],
+     "--p excludes --p-at and --p-far"),
+    ([*SWEEP, "--p", "1.5", "--p-far", "2.2"],
+     "--p excludes --p-at and --p-far"),
 ])
 def test_cli_malformed_probe_input_exits_2(tmp_path, args, message):
-    """A malformed --levels and an empty gamma rectangle are precondition
-    errors, not a traceback with exit 1."""
+    """A malformed --levels, an empty gamma rectangle, one of --p-at and
+    --p-far without the other, and --p beside either are precondition
+    errors, not a traceback with exit 1 or a silent constant p."""
     res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
     assert res.exit_code == 2, res.output
     assert "precondition error" in res.output and message in res.output
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--delta-minus", "5"], "--delta-minus"),
+    (["--delta-plus", "0"], "--delta-plus"),
+    (["--delta-minus", "5", "--delta-plus", "9"],
+     "--delta-minus, --delta-plus"),
+], ids=["minus", "plus", "both"])
+def test_cli_verdict_real_gamma_rejects_index_options(tmp_path, extra,
+                                                      named):
+    """check_kps reads no spirality indices: a real --gamma with either
+    index option exits 2 and names them, instead of ignoring them."""
+    args = ["verdict", "--out", str(tmp_path), "--p-at", "2", "--gamma",
+            "0.3"]
+    res = CliRunner().invoke(main, [*args, *extra])
+    assert res.exit_code == 2, res.output
+    assert f"a real --gamma reads no {named}\n" in res.output
+    assert not any(tmp_path.iterdir())
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("KPS_BOUNDED (lower=0.800000")
 
 
 def test_cli_kinds_are_the_curve_kinds(tmp_path):

@@ -145,79 +145,91 @@ def cli_outputs(tmp: Path):
 
     from carlesonlab.cli import main
 
-    # a checkout whose norm has no --gamma spells the power weight --lam
-    weight = ("--gamma" if any(p.name == "gamma"
-                               for p in main.commands["norm"].params)
-              else "--lam")
-    # a checkout whose group takes --curve, --out, --seed and --levels reads
-    # them before the subcommand; one whose commands take them, after it
-    group = {o for p in main.params for o in p.opts}
     spiral = ["--kind", "log-spiral", "--delta", "1.0", "--r-min", "1e-3",
               "--n", "1024"]
-    sp_json = {"--curve": "{out}/gen-curve/sp.json"}
-    # name: (subcommand and its own options, the options the group took)
+    sp_json = ["--curve", "{out}/gen-curve/sp.json"]
+    g_json = ["--curve", "{out}/gen-curve-graded-circle/curve.json"]
+    points = tmp / "points.json"  # the curve file format before spec files
+    points.parent.mkdir(parents=True, exist_ok=True)
+    points.write_text('{"points":[[1,0],[0,1],[-1,0]],"closed":false,'
+                      '"provenance":"user"}\n', encoding="utf-8")
+    kinds = {
+        "circle": [], "graded-circle": ["--t0-angle", "0.5"],
+        "log-spiral": ["--delta", "1.0"],
+        "mixed-spirality": ["--alpha", "-1", "--beta", "1"],
+        "segment": ["--r-max", "2"], "corner": ["--turn", "1"],
+    }
     calls = {
-        "gen-curve": (["gen-curve", "--kind", "log-spiral", "--delta", "1.0",
-                       "--r-min", "1e-4", "--n", "4096", "--name",
-                       "sp.json"], {}),
-        "indices": (["indices", "--t0", "0", "--csv", "rho.csv"], sp_json),
-        "curve-and-kind": (["apcheck", "--kind", "log-spiral", "--t0", "0",
-                            "--gamma", "0.3"], sp_json),
-        "apcheck-power": (["apcheck", "--kind", "graded-circle", "--n",
-                           "2048", "--t0", "1", weight, "0.3"], {}),
-        "apcheck-complex": (["apcheck", *spiral, "--t0", "0", "--gamma",
-                             "0.2+0.1j"], {}),
-        "norm-power": (["norm", "--kind", "graded-circle", "--n", "2048",
-                        "--t0", "1", weight, "0.3"], {}),
-        "norm-plain": (["norm", "--kind", "circle", "--n", "2048", "--t0",
-                        "0"], {}),
-        "maximal": (["maximal", *spiral, "--t0", "0", "--gamma", "0.2+0.1j",
-                     "--arc-radius", "0.05"], {}),
-        "maximal-default-t0": (["maximal", "--kind", "graded-circle", "--n",
-                                "1024", "--gamma", "0.3", "--arc-radius",
-                                "0.05"], {}),
-        "verdict": (["verdict", "--p-at", "2.0", "--gamma", "0.1j",
-                     "--delta-minus", "-1", "--delta-plus", "1"], {}),
-        "probe": (["probe", "--kind", "graded-circle", "--gamma", "0.2",
-                   "--name", "gc"], {"--levels": "256,512,1024"}),
-        "probe-t0": (["probe", "--kind", "graded-circle", "--gamma", "0.2",
-                      "--t0", "0.5", "--name", "gc"],
-                     {"--levels": "256,512,1024"}),
-        "sweep": (["sweep", "--kind", "log-spiral", "--delta", "1.0",
-                   "--re-min", "-0.2", "--re-max", "0.2", "--im-min", "0.0",
-                   "--im-max", "0.0", "--step", "0.2"],
-                  {"--levels": "256,512"}),
+        "gen-curve": ["gen-curve", "--kind", "log-spiral", "--delta", "1.0",
+                      "--r-min", "1e-4", "--n", "4096", "--name", "sp.json"],
+        **{f"gen-curve-{kind}": ["gen-curve", "--kind", kind, *opts, "--n",
+                                 "1024"]
+           for kind, opts in kinds.items()},
+        "indices": ["indices", *sp_json, "--t0", "0", "--csv", "rho.csv"],
+        "curve-and-kind": ["apcheck", *sp_json, "--kind", "log-spiral",
+                           "--t0", "0", "--gamma", "0.3"],
+        "apcheck-power": ["apcheck", "--kind", "graded-circle", "--n",
+                          "2048", "--t0", "1", "--gamma", "0.3"],
+        "apcheck-complex": ["apcheck", *spiral, "--t0", "0", "--gamma",
+                            "0.2+0.1j"],
+        "norm-power": ["norm", "--kind", "graded-circle", "--n", "2048",
+                       "--t0", "1", "--gamma", "0.3"],
+        "norm-plain": ["norm", "--kind", "circle", "--n", "2048", "--t0",
+                       "0"],
+        "maximal": ["maximal", *spiral, "--t0", "0", "--gamma", "0.2+0.1j",
+                    "--arc-radius", "0.05"],
+        "maximal-default-t0": ["maximal", "--kind", "graded-circle", "--n",
+                               "1024", "--gamma", "0.3", "--arc-radius",
+                               "0.05"],
+        "verdict": ["verdict", "--p-at", "2.0", "--gamma", "0.1j",
+                    "--delta-minus", "-1", "--delta-plus", "1"],
+        "probe": ["probe", "--levels", "256,512,1024", "--kind",
+                  "graded-circle", "--gamma", "0.2", "--name", "gc"],
+        "probe-t0": ["probe", "--levels", "256,512,1024", "--kind",
+                     "graded-circle", "--gamma", "0.2", "--t0", "0.5",
+                     "--name", "gc"],
+        "sweep": ["sweep", "--levels", "256,512", "--kind", "log-spiral",
+                  "--delta", "1.0", "--re-min", "-0.2", "--re-max", "0.2",
+                  "--im-min", "0.0", "--im-max", "0.0", "--step", "0.2"],
+        # a curve file read without --t0, an old points file, a missing one
+        "apcheck-curve-no-t0": ["apcheck", *g_json, "--gamma", "0.3"],
+        "indices-points-file": ["indices", "--curve", str(points), "--t0",
+                                "0"],
+        "apcheck-missing-curve": ["apcheck", "--curve", "nonexistent.json",
+                                  "--t0", "0", "--gamma", "0.3"],
         # options a command does not read, and malformed probe input
-        "verdict-curve-levels": (["verdict", "--p-at", "2", "--gamma",
-                                  "0.3"], {"--curve": "nonexistent.json",
-                                           "--levels": "1,2"}),
-        "gen-curve-curve": (["gen-curve", "--kind", "circle", "--n", "64"],
-                            sp_json),
-        "probe-curve": (["probe", "--kind", "graded-circle", "--gamma",
-                         "0.2"], {**sp_json, "--levels": "256,512,1024"}),
-        "norm-seed": (["norm", "--kind", "circle", "--n", "64", "--t0", "0"],
-                      {"--seed": "5"}),
-        "apcheck-levels": (["apcheck", "--kind", "graded-circle", "--n",
-                            "2048", "--t0", "1", "--gamma", "0.3"],
-                           {"--levels": "256,512"}),
-        "probe-bad-levels": (["probe", "--kind", "graded-circle", "--gamma",
-                              "0.2"], {"--levels": "256,abc"}),
-        "sweep-empty": (["sweep", "--kind", "log-spiral", "--delta", "1",
-                         "--re-min", "0.2", "--re-max", "-0.2", "--im-min",
-                         "0", "--im-max", "0", "--step", "0.2"],
-                        {"--levels": "256,512"}),
+        "verdict-curve-levels": ["verdict", "--curve", "nonexistent.json",
+                                 "--levels", "1,2", "--p-at", "2",
+                                 "--gamma", "0.3"],
+        "gen-curve-curve": ["gen-curve", *sp_json, "--kind", "circle",
+                            "--n", "64"],
+        "probe-curve": ["probe", *sp_json, "--levels", "256,512,1024",
+                        "--kind", "graded-circle", "--gamma", "0.2"],
+        "norm-seed": ["norm", "--seed", "5", "--kind", "circle", "--n", "64",
+                      "--t0", "0"],
+        "apcheck-levels": ["apcheck", "--levels", "256,512", "--kind",
+                           "graded-circle", "--n", "2048", "--t0", "1",
+                           "--gamma", "0.3"],
+        "probe-bad-levels": ["probe", "--levels", "256,abc", "--kind",
+                             "graded-circle", "--gamma", "0.2"],
+        "sweep-empty": ["sweep", "--levels", "256,512", "--kind",
+                        "log-spiral", "--delta", "1", "--re-min", "0.2",
+                        "--re-max", "-0.2", "--im-min", "0", "--im-max", "0",
+                        "--step", "0.2"],
+        # a partial profile exponent, and index options with a real gamma
+        "probe-p-at": ["probe", "--levels", "256,512,1024", "--kind",
+                       "graded-circle", "--gamma", "0.2", "--p-at", "1.5"],
+        "verdict-real-deltas": ["verdict", "--p-at", "2", "--gamma", "0.3",
+                                "--delta-minus", "5", "--delta-plus", "9"],
     }
     runner = CliRunner()
     out = {}
-    for name, (args, opts) in calls.items():
+    for name, args in calls.items():
         out_dir = tmp / name
-        if "--out" in group or any("--out" in p.opts for p in
-                                   main.commands[args[0]].params):
-            opts = {"--out": str(out_dir), **opts}
-        opts = {k: v.replace("{out}", str(tmp)) for k, v in opts.items()}
-        before = [x for k, v in opts.items() if k in group for x in (k, v)]
-        after = [x for k, v in opts.items() if k not in group for x in (k, v)]
-        res = runner.invoke(main, [*before, args[0], *after, *args[1:]])
+        if any("--out" in p.opts for p in main.commands[args[0]].params):
+            args = [args[0], "--out", str(out_dir), *args[1:]]
+        args = [a.replace("{out}", str(tmp)) for a in args]
+        res = runner.invoke(main, args)
         text = f"exit {res.exit_code}\n{res.output}".replace(str(tmp),
                                                              "<out>")
         out[f"cli/{name}"] = text
