@@ -24,6 +24,11 @@ from .errors import BranchJump, PreconditionError
 LOG_CLAMP = 700.0
 
 
+def clamped_exp(log_values) -> np.ndarray:
+    """exp(log_values) with the logs clamped to [-LOG_CLAMP, LOG_CLAMP]."""
+    return np.exp(np.clip(log_values, -LOG_CLAMP, LOG_CLAMP))
+
+
 @dataclass(frozen=True)
 class ArgBranch:
     """A continuous branch of arg(tau - t0) sampled along the curve.
@@ -35,7 +40,7 @@ class ArgBranch:
 
     t0: complex
     values: np.ndarray
-    log_abs: np.ndarray = field(repr=False, default=None)
+    log_abs: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class Weight:
 
     @property
     def values(self) -> np.ndarray:
-        return np.exp(np.clip(self.log_values, -LOG_CLAMP, LOG_CLAMP))
+        return clamped_exp(self.log_values)
 
     @property
     def clipped(self) -> bool:
@@ -108,10 +113,14 @@ def gamma_weight(curve: Curve, t0: complex, gamma: complex,
                  branch: ArgBranch | None = None) -> Weight:
     """phi_{t0,gamma}: unit_weight at gamma = 0, reading neither t0 nor
     branch; power_weight for real gamma without a branch, with no unwrap;
-    otherwise phi on the given branch, or on one unwrapped here."""
+    otherwise phi on the given branch, which must be around t0, or on one
+    unwrapped here."""
     gamma = complex(gamma)
     if gamma == 0:
         return unit_weight(curve)
+    if branch is not None and branch.t0 != complex(t0):
+        raise PreconditionError(f"the branch is around {branch.t0}, not the "
+                                f"t0 {complex(t0)}")
     if branch is None and gamma.imag == 0.0:
         return power_weight(curve, t0, gamma.real)
     return phi(branch if branch is not None else unwrap_arg(curve, t0), gamma)

@@ -35,16 +35,14 @@ class Curve:
     samples: ordered points in the complex plane.
     cumlen:  cumulative arc length per sample, cumlen[0] == 0, strictly
              increasing.  Generators fill in the exact arc length of the
-             underlying analytic curve; curves loaded from files fall back
-             to chord sums.
+             underlying analytic curve; from_points falls back to chord
+             sums.
     closed:  whether the last sample closes the loop onto the first.
-    provenance: generator descriptor string.
     """
 
     samples: np.ndarray
     cumlen: np.ndarray
     closed: bool
-    provenance: str
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -111,8 +109,7 @@ class Curve:
 
     def reversed(self) -> "Curve":
         cum = self.cumlen[-1] - self.cumlen[::-1]
-        return Curve(self.samples[::-1].copy(), cum.copy(), self.closed,
-                     self.provenance + " [reversed]")
+        return Curve(self.samples[::-1].copy(), cum.copy(), self.closed)
 
 
 @dataclass(frozen=True)
@@ -128,11 +125,11 @@ class Portion:
     measure: float
 
 
-def from_points(points, closed: bool = False, provenance: str = "user") -> Curve:
+def from_points(points, closed: bool = False) -> Curve:
     """Build a curve from raw points; cumlen falls back to chord sums."""
     pts = np.asarray(points, dtype=np.complex128)
     cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(pts)))))
-    return Curve(pts, cum, closed, provenance)
+    return Curve(pts, cum, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +150,7 @@ def generate_circle(radius: float, n: int) -> Curve:
     theta = 2.0 * np.pi * np.arange(n + 1) / n
     samples = radius * np.exp(1j * theta)
     samples[-1] = samples[0]
-    return Curve(samples, radius * theta, True,
-                 f"circle(radius={radius}, n={n})")
+    return Curve(samples, radius * theta, True)
 
 
 def _min_resolvable_theta(n: int) -> float:
@@ -197,9 +193,7 @@ def generate_graded_circle(radius: float, n: int, t0_angle: float = 0.0,
                            t0_angle + 2.0 * np.pi - offsets[-2::-1]])
     samples = radius * np.exp(1j * phis)
     cumlen = radius * (phis - phis[0])
-    return Curve(samples, cumlen, False,
-                 f"graded_circle(radius={radius}, n={n}, t0_angle={t0_angle}, "
-                 f"theta_min={theta_min:.6g})")
+    return Curve(samples, cumlen, False)
 
 
 def _check_angular_steps(theta: np.ndarray, what: str):
@@ -226,9 +220,7 @@ def generate_log_spiral(delta: float, r_min: float, r_max: float,
     samples = r * np.exp(1j * theta)
     # |tau'(r)| = sqrt(1 + delta^2) is constant, so arc length is exact.
     cumlen = math.sqrt(1.0 + delta * delta) * (r - r_min)
-    return Curve(samples, cumlen, False,
-                 f"log_spiral(delta={delta}, r_min={r_min}, r_max={r_max}, "
-                 f"n={n}, t0=0)")
+    return Curve(samples, cumlen, False)
 
 
 def _mixed_phase(r: np.ndarray, alpha: float, beta: float):
@@ -273,9 +265,7 @@ def generate_mixed_spirality(alpha: float, beta: float, r_min: float,
     speed = np.sqrt(1.0 + dth.reshape(ri.shape) ** 2) * ri
     seg = half * (speed * gw[None, :]).sum(axis=1)
     cumlen = np.concatenate(([0.0], np.cumsum(seg)))
-    return Curve(samples, cumlen, False,
-                 f"mixed_spirality(alpha={alpha}, beta={beta}, r_min={r_min}, "
-                 f"r_max={r_max}, n={n}, t0=0)")
+    return Curve(samples, cumlen, False)
 
 
 def generate_segment(r_min: float, r_max: float, n: int) -> Curve:
@@ -285,8 +275,7 @@ def generate_segment(r_min: float, r_max: float, n: int) -> Curve:
     if n < 2:
         raise PreconditionError("need at least two samples")
     r = np.geomspace(r_min, r_max, n)
-    return Curve(r.astype(np.complex128), r - r_min, False,
-                 f"segment(r_min={r_min}, r_max={r_max}, n={n})")
+    return Curve(r.astype(np.complex128), r - r_min, False)
 
 
 def generate_corner(turn: float, r_min: float, r_max: float, n: int) -> Curve:
@@ -308,9 +297,7 @@ def generate_corner(turn: float, r_min: float, r_max: float, n: int) -> Curve:
     bridge = abs(r_min * np.exp(1j * turn) - r_min)
     cumlen = np.concatenate([r_max - r_in,
                              (r_max - r_min) + bridge + (r_out - r_min)])
-    return Curve(samples, cumlen, False,
-                 f"corner(turn={turn}, r_min={r_min}, r_max={r_max}, n={n}, "
-                 f"t0=0)")
+    return Curve(samples, cumlen, False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import curves as _curves
-from .argbranch import LOG_CLAMP, phi, unit_weight, unwrap_arg
+from .argbranch import clamped_exp, phi, unit_weight, unwrap_arg
 from .criteria import Verdict, check_kps, check_main
 from .curves import Curve, csv_text, d_t, omega_arc, strided_indices
 from .errors import EmptyArc, NotLocallyIntegrable, PreconditionError
@@ -129,9 +130,10 @@ EXPONENT_KEYS = {"constant": ("value",), "profile": ("p_at", "p_far")}
 
 def _spec_kind(what: str, spec: dict, keys: dict, required: dict) -> str:
     """spec's kind; PreconditionError unless keys lists it and spec sets
-    only keys the kind reads and every key of required[kind]."""
+    only keys the kind reads, every key of required[kind], and each to a
+    real number (not a bool)."""
     kind = spec.get("kind")
-    if kind not in keys:
+    if not isinstance(kind, str) or kind not in keys:
         raise PreconditionError(f"unknown {what} kind: {kind!r}")
     unknown = sorted(set(spec) - {"kind", *keys[kind]})
     if unknown:
@@ -143,6 +145,11 @@ def _spec_kind(what: str, spec: dict, keys: dict, required: dict) -> str:
     if missing:
         raise PreconditionError(
             f"{what} kind {kind!r} requires {', '.join(map(repr, missing))}")
+    for key, value in spec.items():
+        if key != "kind" and (isinstance(value, bool)
+                              or not isinstance(value, numbers.Real)):
+            raise PreconditionError(
+                f"{what} key {key!r} must be a real number, got {value!r}")
     return kind
 
 
@@ -237,7 +244,7 @@ def _extremal_profile(curve: Curve, t0: complex, p: ExponentField,
     d = curve.distances_from(t0)
     trunc = 4.0 * float(np.min(d))
     log_f = -log_phi + (-1.0 / p.values + EXTREMAL_MARGIN) * np.log(d)
-    f = np.exp(np.clip(log_f, -LOG_CLAMP, LOG_CLAMP))
+    f = clamped_exp(log_f)
     f[d < trunc] = 0.0
     return f
 
@@ -275,7 +282,7 @@ def build_family(curve: Curve, t0: complex, p: ExponentField,
     a time whatever its number of arcs.
     """
     yield from arcs
-    inv_phi = np.exp(np.clip(-log_phi, -LOG_CLAMP, LOG_CLAMP))
+    inv_phi = clamped_exp(-log_phi)
     for tag, mask in arcs:
         yield tag.replace("arc", "warc"), mask * inv_phi
     del inv_phi
@@ -296,8 +303,7 @@ def _denominator(curve: Curve, f: np.ndarray, one, p: ExponentField):
 
 def _subcurve(curve: Curve, idx: np.ndarray) -> Curve:
     cum = curve.cumlen[idx] - curve.cumlen[idx[0]]
-    return Curve(curve.samples[idx].copy(), cum.copy(), False,
-                 "eval-subgrid")
+    return Curve(curve.samples[idx].copy(), cum.copy(), False)
 
 
 def _verdicts(config: ExperimentConfig, gammas) -> dict:

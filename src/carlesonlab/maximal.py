@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .argbranch import ArgBranch, LOG_CLAMP, gamma_weight
+from .argbranch import ArgBranch, LOG_CLAMP, clamped_exp, gamma_weight
 from .curves import Curve, omega_arc, write_csv
 from .errors import PreconditionError
 from .norms import as_sampled
@@ -389,7 +389,6 @@ class MaximalEvaluator:
                 f"max_radii must be a positive integer, got {max_radii!r}")
         self.curve = curve
         self.eval_indices = _check_eval_indices(eval_indices, n)
-        self.max_radii = max_radii
         rows = self.eval_indices.size
         exact = n <= max_radii
         n_radii = n if exact else int(max_radii)
@@ -475,8 +474,7 @@ class MaximalEvaluator:
 
 
 def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
-                     branch: ArgBranch | None = None, eval_indices=None,
-                     max_radii: int = MAX_RADII,
+                     branch: ArgBranch | None = None,
                      evaluator: MaximalEvaluator | None = None
                      ) -> MaximalResult:
     """The weight-conjugated maximal operator for phi_{t0,gamma}.
@@ -484,21 +482,16 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     Computes phi(t) * sup of portion averages of |f| / phi in log-space.
     gamma = 0 is the plain maximal operator, the sup of portion averages of
     |f| bit for bit, and reads neither t0 nor branch; any other gamma takes
-    its weight from gamma_weight.  An evaluator, built on this curve, takes
-    the place of eval_indices and max_radii.
+    its weight from gamma_weight.  The evaluator, built on this curve, sets
+    the evaluation points and radii; by default every sample, at MAX_RADII.
     """
-    if evaluator is not None:
-        if eval_indices is not None or max_radii != MAX_RADII:
-            raise PreconditionError("an evaluator fixes eval_indices and "
-                                    "max_radii; pass them to it, not here")
-        if evaluator.curve is not curve:
-            raise PreconditionError("the evaluator was built on another "
-                                    "curve")
+    if evaluator is not None and evaluator.curve is not curve:
+        raise PreconditionError("the evaluator was built on another curve")
     gamma = complex(gamma)
     log_phi = (None if gamma == 0
                else gamma_weight(curve, t0, gamma, branch).log_values)
     if evaluator is None:
-        evaluator = MaximalEvaluator(curve, eval_indices, max_radii)
+        evaluator = MaximalEvaluator(curve)
     absf = np.abs(as_sampled(curve, f))
     if log_phi is None:
         values, eps = evaluator.sup_average(absf)
@@ -520,7 +513,7 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
         log_vals = log_phi[evaluator.eval_indices] + shift + np.log(avg)
     nonzero = avg > 0.0
     clipped = bool(np.any(np.abs(log_vals[nonzero]) > LOG_CLAMP))
-    values = np.exp(np.clip(log_vals, -LOG_CLAMP, LOG_CLAMP))
+    values = clamped_exp(log_vals)
     values[~nonzero] = 0.0
     return MaximalResult(values, eps, evaluator.eval_indices, clipped)
 
@@ -543,13 +536,15 @@ class Decomposition:
 
 
 def decompose(curve: Curve, f, t0: complex, gamma: complex, delta: float,
-              branch: ArgBranch | None = None, eval_indices=None,
-              max_radii: int = MAX_RADII, join_ends: bool = False
-              ) -> Decomposition:
-    """Split the weighted maximal operator across the arc omega(t0, delta)."""
+              branch: ArgBranch | None = None,
+              evaluator: MaximalEvaluator | None = None,
+              join_ends: bool = False) -> Decomposition:
+    """Split the weighted maximal operator across the arc omega(t0, delta);
+    the evaluator is weighted_maximal's, built here when not given."""
     f = as_sampled(curve, f)
     mask = omega_arc(curve, t0, delta, join_ends=join_ends)
-    evaluator = MaximalEvaluator(curve, eval_indices, max_radii)
+    if evaluator is None:
+        evaluator = MaximalEvaluator(curve)
     f_in = np.where(mask, f, 0.0)
     f_out = np.where(mask, 0.0, f)
     m_in = weighted_maximal(curve, f_in, t0, gamma, branch=branch,

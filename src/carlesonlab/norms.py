@@ -37,20 +37,26 @@ AP_EPS_POINTS = 64  # radii per grid point of muckenhoupt_ap
 class ExponentField:
     """Variable exponent p(.) with verified bounds 1 < p_min <= p_max < inf.
 
-    curve is the curve the values are sampled on; dini_constant reads it.
+    curve is the curve the values are sampled on, one per sample;
+    dini_constant reads it.  p_min and p_max are derived from the values.
     """
 
     values: np.ndarray
-    p_min: float
-    p_max: float
     curve: Curve = field(repr=False, compare=False)
+    p_min: float = field(init=False)
+    p_max: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
+        if v.shape != self.curve.samples.shape:
+            raise PreconditionError(
+                "exponent values must align with the curve")
         if np.any(v <= 1.0) or not np.all(np.isfinite(v)):
             raise PreconditionError("exponents must lie in (1, inf)")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "p_min", float(v.min()))
+        object.__setattr__(self, "p_max", float(v.max()))
 
     @cached_property
     def dini_constant(self) -> float:
@@ -75,21 +81,11 @@ def _measure_dini(curve: Curve, values: np.ndarray) -> float:
     return worst
 
 
-def _build(curve: Curve, values: np.ndarray) -> ExponentField:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != curve.samples.shape:
-        raise PreconditionError("exponent values must align with the curve")
-    # ExponentField itself rejects values outside (1, inf)
-    return ExponentField(values, float(values.min()), float(values.max()),
-                         curve)
-
-
 def constant_exponent(curve: Curve, p: float) -> ExponentField:
     """Constant exponent field; dini constant is exactly 0."""
     if not (1.0 < p < np.inf):
         raise PreconditionError("p must lie in (1, inf)")
-    return ExponentField(np.full(curve.n_samples, float(p)), float(p),
-                         float(p), curve)
+    return ExponentField(np.full(curve.n_samples, float(p)), curve)
 
 
 def profile_exponent(curve: Curve, t0: complex, p_at: float,
@@ -106,12 +102,12 @@ def profile_exponent(curve: Curve, t0: complex, p_at: float,
     if np.any(d == 0):
         raise PreconditionError("t0 coincides with a curve sample")
     values = p_at + (p_far - p_at) / np.maximum(1.0, -np.log(d))
-    return _build(curve, values)
+    return ExponentField(values, curve)
 
 
 def tabulated_exponent(curve: Curve, values) -> ExponentField:
     """Exponent field from an explicit per-sample table."""
-    return _build(curve, values)
+    return ExponentField(values, curve)
 
 
 def exponent_at(curve: Curve, p: ExponentField, t0: complex) -> float:

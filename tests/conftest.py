@@ -55,4 +55,4 @@ def zoo():
 def moved(curve, t0, z):
     """The curve rotated by arg z and dilated by |z| about t0."""
     return cl.Curve(t0 + z * (curve.samples - t0), abs(z) * curve.cumlen,
-                    curve.closed, curve.provenance + " [moved]")
+                    curve.closed)

@@ -199,3 +199,26 @@ def test_gamma_weight_complex_is_phi_on_the_branch(spiral1, spiral1_branch):
                               expected)
         given = cl.gamma_weight(spiral1, 0j, gamma, branch=spiral1_branch)
         assert np.array_equal(given.log_values, expected)
+
+
+def test_gamma_weight_rejects_a_branch_around_another_point():
+    """A branch carries its own t0; around 0 it gave a t0 = 0.5 weight and
+    maximal operator that silently used 0 (log-weights off by up to 2.29)."""
+    c = cl.generate_log_spiral(1.0, 1e-4, 1.0, 1024)
+    branch = cl.unwrap_arg(c, 0j)
+    with pytest.raises(PreconditionError, match="branch is around"):
+        cl.gamma_weight(c, 0.5, 0.3j, branch=branch)
+    ev = cl.MaximalEvaluator(c, [0, 100, 500])
+    with pytest.raises(PreconditionError, match="branch is around"):
+        cl.weighted_maximal(c, 1.0, 0.5, 0.3j, branch=branch, evaluator=ev)
+    with pytest.raises(PreconditionError, match="branch is around"):
+        cl.decompose(c, 1.0, 0.5, 0.3j, 1.0, branch=branch, evaluator=ev)
+    # the same point in another numeric type is the same t0
+    same = cl.gamma_weight(c, 0, 0.3j, branch=branch)
+    assert np.array_equal(same.log_values, cl.phi(branch, 0.3j).log_values)
+
+
+def test_branch_needs_its_log_abs(spiral1):
+    """phi and seifullayev_ratio read log_abs; it has no default."""
+    with pytest.raises(TypeError):
+        cl.ArgBranch(0j, np.zeros(spiral1.n_samples))

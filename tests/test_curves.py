@@ -89,11 +89,11 @@ def test_mixed_arclength_close_to_chords():
 
 def test_curve_validation():
     with pytest.raises(PreconditionError):
-        cl.Curve(np.array([1.0, 1.0]), np.array([0.0, 1.0]), False, "dup")
+        cl.Curve(np.array([1.0, 1.0]), np.array([0.0, 1.0]), False)
     with pytest.raises(PreconditionError):
-        cl.Curve(np.array([0.0, 1.0]), np.array([0.0, -1.0]), False, "bad")
+        cl.Curve(np.array([0.0, 1.0]), np.array([0.0, -1.0]), False)
     with pytest.raises(PreconditionError):
-        cl.Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), True, "open")
+        cl.Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), True)
 
 
 # --- portions -----------------------------------------------------------
@@ -376,3 +376,12 @@ def test_csv_text_exact_bytes(tmp_path):
     path = tmp_path / "t.csv"
     cl.curves.write_csv(path, header, rows)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_curve_carries_no_label():
+    """A curve is its samples, cumlen and closed flag; the provenance label
+    that nothing read is gone from Curve and from_points."""
+    with pytest.raises(TypeError):
+        cl.Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), False, "x")
+    with pytest.raises(TypeError):
+        cl.from_points([0.0, 1.0], provenance="x")

@@ -131,6 +131,30 @@ def test_build_curve_rejects_r_min_with_r_min_scale():
 
 
 @pytest.mark.parametrize("spec, message", [
+    ({"kind": "circle", "radius": "2"}, "'radius' must be a real number"),
+    ({"kind": ["x"]}, "unknown curve kind: \\['x'\\]"),
+    ({"kind": "log_spiral", "delta": None}, "'delta' must be a real number"),
+    ({"kind": "circle", "radius": True}, "'radius' must be a real number"),
+], ids=["str", "list-kind", "none", "bool"])
+def test_build_curve_rejects_values_of_the_wrong_type(spec, message):
+    """A kind is a string and every other value a real number: a string
+    radius and a list kind raised TypeError, a None delta too, and a True
+    radius built the unit circle."""
+    with pytest.raises(PreconditionError, match=message):
+        build_curve(spec, 64)
+
+
+def test_build_curve_reads_numpy_reals_not_numpy_bools():
+    curve, t0, _ = build_curve({"kind": "circle", "radius": np.float64(2.0),
+                                "t0_angle": np.int64(0)}, 64)
+    want = build_curve({"kind": "circle", "radius": 2.0}, 64)[0]
+    assert np.array_equal(curve.samples, want.samples)
+    assert t0 == 2.0
+    with pytest.raises(PreconditionError, match="must be a real number"):
+        build_curve({"kind": "circle", "radius": np.True_}, 64)
+
+
+@pytest.mark.parametrize("spec, message", [
     ({"kind": "constant"}, "'constant' requires 'value'"),
     ({"kind": "profile", "p_at": 1.8}, "'profile' requires 'p_far'"),
     ({"kind": "constant", "value": 2.0, "p_far": 3.0},
@@ -392,9 +416,15 @@ def test_cli_curve_file_is_the_spec(tmp_path, kind):
     ('{"points":[[1,0],[0,1]],"closed":false,"provenance":"x"}',
      "regenerate it with gen-curve"),
     ('{"kind": "circle", "delta": 1.0, "n": 64}', "does not read 'delta'"),
+    ('{"kind": "circle", "radius": "2", "n": 64}', "must be a real number"),
+    ('{"kind": ["x"], "n": 64}', "unknown curve kind"),
+    ('{"kind": "log_spiral", "delta": null, "n": 64}',
+     "must be a real number"),
+    ('{"kind": "circle", "radius": true, "n": 64}', "must be a real number"),
     (None, "does not exist"),
 ], ids=["malformed", "nonfinite", "missing-n", "float-n", "bool-n",
-        "not-object", "points-file", "spec-error", "missing-path"])
+        "not-object", "points-file", "spec-error", "str-value", "list-kind",
+        "null-value", "bool-value", "missing-path"])
 def test_cli_bad_curve_file_exits_2(tmp_path, text, message):
     """A curve file that is no gen-curve spec exits 2, and so does a
     missing path, instead of a traceback with exit 1."""

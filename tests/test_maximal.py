@@ -25,8 +25,8 @@ def brute_force_maximal_at(curve, f, i):
 
 
 def test_constant_function(unit_circle):
-    res = cl.weighted_maximal(unit_circle, 1.0, 0j, 0,
-                              eval_indices=np.arange(0, 4096, 64))
+    ev = cl.MaximalEvaluator(unit_circle, np.arange(0, 4096, 64))
+    res = cl.weighted_maximal(unit_circle, 1.0, 0j, 0, evaluator=ev)
     assert np.max(np.abs(res.values - 1.0)) == 0.0
 
 
@@ -34,8 +34,8 @@ def test_bounded_by_sup(unit_circle):
     rng = np.random.default_rng(0)
     f = rng.normal(size=unit_circle.n_samples) \
         + 1j * rng.normal(size=unit_circle.n_samples)
-    res = cl.weighted_maximal(unit_circle, f, 0j, 0,
-                              eval_indices=np.arange(0, 4096, 128))
+    ev = cl.MaximalEvaluator(unit_circle, np.arange(0, 4096, 128))
+    res = cl.weighted_maximal(unit_circle, f, 0j, 0, evaluator=ev)
     assert np.all(res.values <= np.max(np.abs(f)) + 1e-12)
 
 
@@ -43,8 +43,8 @@ def test_against_brute_force_scan():
     c = cl.generate_circle(1.0, 1024)
     mask = cl.omega_arc(c, 1.0 + 0j, 0.2).astype(float)
     eval_idx = np.array([0, 3, 127, 255, 512, 700])
-    res = cl.weighted_maximal(c, mask, 0j, 0, eval_indices=eval_idx,
-                              max_radii=2048)
+    ev = cl.MaximalEvaluator(c, eval_idx, max_radii=2048)
+    res = cl.weighted_maximal(c, mask, 0j, 0, evaluator=ev)
     for k, i in enumerate(eval_idx):
         oracle = brute_force_maximal_at(c, mask, i)
         assert res.values[k] == pytest.approx(oracle, rel=1e-12)
@@ -63,8 +63,8 @@ def test_dominates_every_radius(unit_circle):
     rng = np.random.default_rng(3)
     f = rng.uniform(0, 1, unit_circle.n_samples)
     i = 17
-    res = cl.weighted_maximal(unit_circle, f, 0j, 0,
-                              eval_indices=np.array([i]))
+    ev = cl.MaximalEvaluator(unit_circle, np.array([i]))
+    res = cl.weighted_maximal(unit_circle, f, 0j, 0, evaluator=ev)
     d = np.abs(unit_circle.samples - unit_circle.samples[i])
     aw = unit_circle.arc_weights
     for eps in (0.01, 0.1, 1.0, 2.0):
@@ -76,11 +76,11 @@ def test_dominates_every_radius(unit_circle):
 def test_positive_homogeneity(spiral1):
     rng = np.random.default_rng(4)
     f = rng.uniform(0, 1, spiral1.n_samples)
-    idx = np.arange(0, spiral1.n_samples, 256)
-    base = cl.weighted_maximal(spiral1, f, 0j, 0, eval_indices=idx)
-    doubled = cl.weighted_maximal(spiral1, 2.0 * f, 0j, 0, eval_indices=idx)
+    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 256))
+    base = cl.weighted_maximal(spiral1, f, 0j, 0, evaluator=ev)
+    doubled = cl.weighted_maximal(spiral1, 2.0 * f, 0j, 0, evaluator=ev)
     assert np.array_equal(doubled.values, 2.0 * base.values)
-    scaled = cl.weighted_maximal(spiral1, 3.7 * f, 0j, 0, eval_indices=idx)
+    scaled = cl.weighted_maximal(spiral1, 3.7 * f, 0j, 0, evaluator=ev)
     assert scaled.values == pytest.approx(3.7 * base.values, rel=1e-13)
 
 
@@ -103,47 +103,47 @@ def test_sublinearity(segment, seed):
 
 def test_rejects_negative_eval_index(segment):
     with pytest.raises(PreconditionError):
-        cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[-1])
+        cl.MaximalEvaluator(segment, [-1])
 
 
 def test_rejects_fractional_eval_index(segment):
     with pytest.raises(PreconditionError):
-        cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[1.5])
+        cl.MaximalEvaluator(segment, [1.5])
 
 
 def test_rejects_eval_index_past_the_end(segment):
     with pytest.raises(PreconditionError):
-        cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[10**6])
+        cl.MaximalEvaluator(segment, [10**6])
 
 
 def test_rejects_two_dimensional_eval_indices(segment):
     with pytest.raises(PreconditionError):
-        cl.weighted_maximal(segment, 1.0, 0j, 0,
-                            eval_indices=np.array([[0, 1], [2, 3]]))
+        cl.MaximalEvaluator(segment, np.array([[0, 1], [2, 3]]))
 
 
 def test_empty_eval_indices_give_empty_result(segment):
-    res = cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[])
+    ev = cl.MaximalEvaluator(segment, [])
+    res = cl.weighted_maximal(segment, 1.0, 0j, 0, evaluator=ev)
     assert res.values.shape == res.argmax_eps.shape == (0,)
     assert res.eval_indices.shape == (0,)
-    res = cl.weighted_maximal(segment, 1.0, 0j, 0.2 + 0.1j, eval_indices=[])
+    res = cl.weighted_maximal(segment, 1.0, 0j, 0.2 + 0.1j, evaluator=ev)
     assert res.values.shape == (0,)
 
 
 def test_rejects_nonpositive_max_radii(segment):
     with pytest.raises(PreconditionError):
-        cl.weighted_maximal(segment, 1.0, 0j, 0, eval_indices=[0, 5],
-                            max_radii=0)
+        cl.MaximalEvaluator(segment, [0, 5], max_radii=0)
 
 
-@pytest.mark.parametrize("extra", [{"eval_indices": [0, 1, 2]},
-                                   {"max_radii": 64}])
-def test_rejects_evaluator_settings_beside_an_evaluator(segment, extra):
-    """An evaluator fixes the rows and radii; beside one, eval_indices and
-    max_radii were ignored (three indices gave 128 values)."""
-    ev = cl.MaximalEvaluator(segment, np.arange(128))
-    with pytest.raises(PreconditionError, match="evaluator fixes"):
-        cl.weighted_maximal(segment, 1.0, 0j, 0, evaluator=ev, **extra)
+@pytest.mark.parametrize("name", ["eval_indices", "max_radii"])
+def test_evaluator_is_the_only_source_of_points_and_radii(segment, name):
+    """weighted_maximal and decompose take their evaluation points and
+    radii from the evaluator alone, which keeps neither as a second copy."""
+    with pytest.raises(TypeError):
+        cl.weighted_maximal(segment, 1.0, 0j, 0, **{name: 1})
+    with pytest.raises(TypeError):
+        cl.decompose(segment, 1.0, 0j, 0.1, 0.5, **{name: 1})
+    assert not hasattr(cl.MaximalEvaluator(segment, [0, 5]), "max_radii")
 
 
 def test_rejects_an_evaluator_of_another_curve(segment):
@@ -159,8 +159,8 @@ def test_overflowing_total_stays_finite():
     """f = 1.5e308 integrates past the float range over the circle; the
     engine scales it by a power of two, so Mf is still f."""
     c = cl.generate_circle(1.0, 256)
-    res = cl.weighted_maximal(c, 1.5e308, 0j, 0,
-                              eval_indices=np.arange(0, 256, 16))
+    ev = cl.MaximalEvaluator(c, np.arange(0, 256, 16))
+    res = cl.weighted_maximal(c, 1.5e308, 0j, 0, evaluator=ev)
     assert np.all(np.isfinite(res.values))
     np.testing.assert_allclose(res.values, 1.5e308, rtol=1e-12, atol=0.0)
 
@@ -173,12 +173,12 @@ def test_gamma_zero_coincides_exactly(spiral1):
     reads no t0: one on a sample, which any weight rejects, is fine."""
     rng = np.random.default_rng(5)
     f = rng.uniform(-1, 1, spiral1.n_samples)
-    idx = np.arange(0, spiral1.n_samples, 128)
-    values, eps = cl.MaximalEvaluator(spiral1, idx).sup_average(np.abs(f))
+    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 128))
+    values, eps = ev.sup_average(np.abs(f))
     with pytest.raises(PreconditionError):
         cl.power_weight(spiral1, spiral1.samples[7], 0.3)
     res = cl.weighted_maximal(spiral1, f, spiral1.samples[7], 0.0,
-                              eval_indices=idx)
+                              evaluator=ev)
     assert np.array_equal(res.values, values)
     assert np.array_equal(res.argmax_eps, eps)
 
@@ -188,13 +188,13 @@ def test_real_gamma_equals_power_variant(spiral1, spiral1_branch):
     and the values are the branch-free power_weight route's bit for bit."""
     rng = np.random.default_rng(6)
     f = rng.uniform(0, 1, spiral1.n_samples)
-    idx = np.arange(0, spiral1.n_samples, 128)
+    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 128))
     for lam in (0.4, 0.0, -0.3):
-        b = cl.weighted_maximal(spiral1, f, 0j, lam, eval_indices=idx)
+        b = cl.weighted_maximal(spiral1, f, 0j, lam, evaluator=ev)
         with mock.patch.object(argbranch, "power_weight",
                                side_effect=AssertionError):
             a = cl.weighted_maximal(spiral1, f, 0j, lam,
-                                    branch=spiral1_branch, eval_indices=idx)
+                                    branch=spiral1_branch, evaluator=ev)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.argmax_eps, b.argmax_eps)
 
@@ -219,8 +219,8 @@ def test_weighted_against_brute_force():
     mask = cl.omega_arc(c, 0j, 0.05).astype(float)
     log_phi = cl.phi(br, 1j).log_values
     eval_idx = np.array([0, 50, 400, 1023])
-    res = cl.weighted_maximal(c, mask, 0j, 1j, branch=br,
-                              eval_indices=eval_idx, max_radii=2048)
+    ev = cl.MaximalEvaluator(c, eval_idx, max_radii=2048)
+    res = cl.weighted_maximal(c, mask, 0j, 1j, branch=br, evaluator=ev)
     for k, i in enumerate(eval_idx):
         oracle = brute_force_weighted_at(c, mask, log_phi, i)
         assert res.values[k] == pytest.approx(oracle, rel=1e-10)
@@ -259,9 +259,9 @@ def test_power_dominance_outside_arc(spiral1, spiral1_branch):
 def test_decompose_support_inside(spiral1, spiral1_branch):
     delta = cl.d_t(spiral1, 0j) / 8
     mask = cl.omega_arc(spiral1, 0j, delta)
+    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 64))
     dec = cl.decompose(spiral1, mask.astype(float), 0j, 0.3 + 0.2j, delta,
-                       branch=spiral1_branch,
-                       eval_indices=np.arange(0, spiral1.n_samples, 64))
+                       branch=spiral1_branch, evaluator=ev)
     assert np.max(dec.pieces[2]) == 0.0
     assert np.max(dec.pieces[3]) == 0.0
     assert np.max(dec.pieces[0]) > 0.0
@@ -270,9 +270,9 @@ def test_decompose_support_inside(spiral1, spiral1_branch):
 def test_decompose_support_outside(spiral1, spiral1_branch):
     delta = cl.d_t(spiral1, 0j) / 8
     mask = cl.omega_arc(spiral1, 0j, delta)
+    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 64))
     dec = cl.decompose(spiral1, (~mask).astype(float), 0j, 0.3 + 0.2j, delta,
-                       branch=spiral1_branch,
-                       eval_indices=np.arange(0, spiral1.n_samples, 64))
+                       branch=spiral1_branch, evaluator=ev)
     assert np.max(dec.pieces[0]) == 0.0
     assert np.max(dec.pieces[1]) == 0.0
 
@@ -281,12 +281,12 @@ def test_decompose_dominates(spiral1, spiral1_branch):
     rng = np.random.default_rng(7)
     f = rng.uniform(0, 1, spiral1.n_samples)
     delta = cl.d_t(spiral1, 0j) / 8
-    idx = np.arange(0, spiral1.n_samples, 64)
+    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 64))
     dec = cl.decompose(spiral1, f, 0j, 0.3 + 0.2j, delta,
-                       branch=spiral1_branch, eval_indices=idx)
+                       branch=spiral1_branch, evaluator=ev)
     total = sum(dec.pieces)
     mf = cl.weighted_maximal(spiral1, f, 0j, 0.3 + 0.2j,
-                             branch=spiral1_branch, eval_indices=idx)
+                             branch=spiral1_branch, evaluator=ev)
     assert np.all(mf.values <= total + 1e-10)
 
 
@@ -296,8 +296,8 @@ def test_decompose_empty_arc(spiral1):
 
 
 def test_csv_export(tmp_path, unit_circle):
-    res = cl.weighted_maximal(unit_circle, 1.0, 0j, 0,
-                     eval_indices=np.arange(0, 4096, 512))
+    ev = cl.MaximalEvaluator(unit_circle, np.arange(0, 4096, 512))
+    res = cl.weighted_maximal(unit_circle, 1.0, 0j, 0, evaluator=ev)
     path = tmp_path / "m.csv"
     cl.export_maximal_csv(unit_circle, res, path)
     lines = path.read_bytes().decode().split("\r\n")
@@ -308,7 +308,7 @@ def test_csv_export(tmp_path, unit_circle):
 def _dyadic(curve):
     """The curve with cumlen on a 2^-40 grid, so that reversal is exact."""
     cum = np.round(curve.cumlen * 2.0**40) / 2.0**40
-    return cl.Curve(curve.samples, cum, curve.closed, curve.provenance)
+    return cl.Curve(curve.samples, cum, curve.closed)
 
 
 @pytest.mark.parametrize("make, t0", [
@@ -325,9 +325,10 @@ def test_weighted_invariant_under_reversal(make, t0):
     n = curve.n_samples
     idx = np.unique(np.linspace(0, n - 1, 64).round().astype(int))
     f = np.random.default_rng(8).uniform(0.0, 1.0, n)
+    fwd_ev = cl.MaximalEvaluator(curve, idx)
+    bwd_ev = cl.MaximalEvaluator(rev, n - 1 - idx)
     for gamma in (0.3, -0.4, 0.2 - 0.3j, 1j):
-        fwd = cl.weighted_maximal(curve, f, t0, gamma, eval_indices=idx)
-        bwd = cl.weighted_maximal(rev, f[::-1], t0, gamma,
-                                  eval_indices=n - 1 - idx)
+        fwd = cl.weighted_maximal(curve, f, t0, gamma, evaluator=fwd_ev)
+        bwd = cl.weighted_maximal(rev, f[::-1], t0, gamma, evaluator=bwd_ev)
         np.testing.assert_allclose(bwd.values, fwd.values, rtol=1e-12,
                                    atol=0.0)

@@ -138,7 +138,7 @@ def _square(n):
     corners = np.array([0, 1, 1 + 1j, 1j, 0])
     pts = corners[side] + u * (corners[side + 1] - corners[side])
     pts[-1] = pts[0]
-    return cl.from_points(pts, closed=True, provenance="square")
+    return cl.from_points(pts, closed=True)
 
 
 CURVES = {
@@ -207,8 +207,7 @@ def _tight_spiral(n):
     """Twenty turns 6.3e-4 apart, sampled more coarsely than that, so a
     point's nearest samples lie on the neighbouring turns."""
     theta = np.linspace(0.0, 40.0 * np.pi, n)
-    return cl.from_points((1.0 - 1e-4 * theta) * np.exp(1j * theta),
-                          provenance="tight spiral")
+    return cl.from_points((1.0 - 1e-4 * theta) * np.exp(1j * theta))
 
 
 BUILD_CURVES = {

@@ -44,6 +44,20 @@ def test_constant_exponent(unit_circle):
     assert p.dini_constant == 0.0
 
 
+def test_exponent_field_derives_its_bounds(spiral1):
+    """p_min and p_max come from the values alone: bounds given beside
+    them (5.0 and 1.5 for values in 1.86-2.2) were accepted."""
+    p = cl.profile_exponent(spiral1, 0j, 1.8, 2.2)
+    with pytest.raises(TypeError):
+        cl.ExponentField(p.values, 5.0, 1.5, spiral1)
+    q = cl.ExponentField(p.values, spiral1)
+    assert (q.p_min, q.p_max) == (float(p.values.min()),
+                                  float(p.values.max()))
+    assert (p.p_min, p.p_max) == (q.p_min, q.p_max)
+    with pytest.raises(PreconditionError, match="align with the curve"):
+        cl.ExponentField(p.values[:-1], spiral1)
+
+
 def test_constant_one_rejected(unit_circle):
     with pytest.raises(PreconditionError):
         cl.constant_exponent(unit_circle, 1.0)
@@ -208,7 +222,7 @@ def _tiny_first_arc():
     than the others, so sample 0 has arc weight 5e-21."""
     cumlen = np.concatenate(([0.0, 1e-20],
                              np.linspace(0.01, 1.0, 62) + 1e-20))
-    return cl.Curve(np.exp(2j * np.pi * cumlen), cumlen, False, "test")
+    return cl.Curve(np.exp(2j * np.pi * cumlen), cumlen, False)
 
 
 def test_luxemburg_below_any_bracket():
@@ -264,7 +278,7 @@ def test_luxemburg_dilation(spiral1, c):
     rng = np.random.default_rng(4)
     f = rng.uniform(0.0, 1.0, spiral1.n_samples)
     dilated = cl.Curve(c * spiral1.samples, c * spiral1.cumlen,
-                       spiral1.closed, "dilated")
+                       spiral1.closed)
     for p_val in (1.3, 2.0, 3.5):
         norm = cl.luxemburg_norm(spiral1, f, cl.unit_weight(spiral1),
                                  cl.constant_exponent(spiral1, p_val))

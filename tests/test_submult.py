@@ -47,7 +47,7 @@ def aligned_segment_setup(lam=0.7):
     sub = (6.0 / 128.0) / per  # x-grid decade step, eight sub-steps each
     exps = np.arange(-680, 1) * sub  # ~3.98 decades, on-lattice
     radii = 10.0 ** exps
-    curve = cl.from_points(radii.astype(complex), provenance="aligned segment")
+    curve = cl.from_points(radii.astype(complex))
     w = cl.power_weight(curve, 0j, lam)
     R_grid = radii[:: per * 16].copy()
     return curve, w, xs, R_grid

@@ -133,8 +133,9 @@ def export_outputs(cl, tmp: Path):
     cl.export_weight_csv(curve, cl.phi(branch, 0.2 + 0.1j), paths["weight"])
     cl.export_submult_csv(cl.compute_W(curve, 0j, cl.phi(branch, 1j)),
                           paths["submult"])
-    res = cl.weighted_maximal(curve, f, 0j, 0.2 + 0.1j,
-                              eval_indices=range(0, 4096, 16))
+    res = cl.weighted_maximal(
+        curve, f, 0j, 0.2 + 0.1j,
+        evaluator=cl.MaximalEvaluator(curve, range(0, 4096, 16)))
     cl.export_maximal_csv(curve, res, paths["maximal"])
     return {f"export/{name}.csv": path.read_bytes()
             for name, path in paths.items()}
@@ -153,6 +154,12 @@ def cli_outputs(tmp: Path):
     points.parent.mkdir(parents=True, exist_ok=True)
     points.write_text('{"points":[[1,0],[0,1],[-1,0]],"closed":false,'
                       '"provenance":"user"}\n', encoding="utf-8")
+    # curve specs whose values have the wrong type
+    str_radius = tmp / "str-radius.json"
+    str_radius.write_text('{"kind": "circle", "radius": "2", "n": 64}\n',
+                          encoding="utf-8")
+    list_kind = tmp / "list-kind.json"
+    list_kind.write_text('{"kind": ["x"], "n": 64}\n', encoding="utf-8")
     kinds = {
         "circle": [], "graded-circle": ["--t0-angle", "0.5"],
         "log-spiral": ["--delta", "1.0"],
@@ -197,6 +204,10 @@ def cli_outputs(tmp: Path):
                                 "0"],
         "apcheck-missing-curve": ["apcheck", "--curve", "nonexistent.json",
                                   "--t0", "0", "--gamma", "0.3"],
+        "apcheck-str-radius": ["apcheck", "--curve", str(str_radius),
+                               "--gamma", "0.3"],
+        "apcheck-list-kind": ["apcheck", "--curve", str(list_kind),
+                              "--gamma", "0.3"],
         # options a command does not read, and malformed probe input
         "verdict-curve-levels": ["verdict", "--curve", "nonexistent.json",
                                  "--levels", "1,2", "--p-at", "2",
