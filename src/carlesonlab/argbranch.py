@@ -29,7 +29,7 @@ def clamped_exp(log_values) -> np.ndarray:
     return np.exp(np.clip(log_values, -LOG_CLAMP, LOG_CLAMP))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArgBranch:
     """A continuous branch of arg(tau - t0) sampled along the curve.
 
@@ -43,7 +43,7 @@ class ArgBranch:
     log_abs: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
     """Per-sample positive weight, stored as natural logs.
 

@@ -28,7 +28,7 @@ CARLESON_T_POINTS = 48  # grid points t of default_carleson_grids
 CARLESON_EPS_POINTS = 48  # radii of default_carleson_grids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
     """Discretized rectifiable curve.
 

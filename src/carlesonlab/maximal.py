@@ -6,17 +6,18 @@ representatives: the portion average is piecewise constant in the radius
 between realized distances, so the scan is exact whenever the cap exceeds
 the number of distinct distances.
 
-The engine is a run-length bucket table.  For an evaluation point with
-radius grid eps_0 <= ... <= eps_{R-1}, sample j gets the bucket id
-b_j = #{r : eps_r <= d_j}, so that j lies in the radius-r portion
-(d_j < eps_r) exactly when b_j <= r.  Along the curve the distance to the
-point changes slowly, so b_j, taken in sample order, is constant over long
-runs: one rise and fall of the distance gives at most about 2R runs, and
-the probe curves have 260-460 runs per point at R = 256 from n = 2048 to
-131072.  Only the run starts and their bucket ids are stored; a portion sum
-is the sum of its run sums, bucketed and accumulated over the radii.  Each
-run sum is a difference of two compensated prefix sums of the integrand, so
-one evaluation costs O(n + runs), not O(E * n).
+The engine stores each portion as an interval of samples.  For an
+evaluation point with radius grid eps_0 <= ... <= eps_{R-1}, sample j gets
+the bucket id b_j = #{r : eps_r <= d_j}, so that j lies in the radius-r
+portion (d_j < eps_r) exactly when b_j <= r.  Along the curve the distance
+to the point changes slowly, so b_j, taken in sample order, is constant
+over long runs, and the samples around the point with ids <= r form one
+cyclic interval [p, q) of the sample array: it wraps across the array's
+ends when p > q, as on a curve closed or slit at t0.  Nearly every portion
+is that interval alone (1.00 to 1.01 segments per portion on the probe
+curves at R = 256); the few others keep their further segments in a short
+list.  A portion sum is then one difference of two compensated prefix sums
+of the integrand, so one evaluation costs O(n + E * R), not O(E * n).
 
 The build need not compute every distance either.  On large curves it
 places nodes every B ~ sqrt(n / R) samples; a polyline bound from the node
@@ -24,7 +25,7 @@ distances and the gap's length confines each gap's distances, and a gap
 confined to one bucket takes it whole, so a point costs about n / B + B *
 runs distances instead of n.  Bucket ids of log-spaced grids come in closed
 form from the log of the distance, with an exact search only next to a
-grid point.  The table is bit for bit the one of the full scan.
+grid point.  The runs are bit for bit the ones of the full scan.
 
 Portion integrals use per-sample arc weights (trapezoid in disguise), and
 averages over empty portions never arise because evaluation points are curve
@@ -48,10 +49,10 @@ MAX_RADII = 256
 _CHUNK_ENTRIES = 1 << 18  # distances per build chunk: bounds its memory
 _MIN_BLOCK = 8  # smallest node spacing at which the block build pays
 _SLACK = 1e-12  # relative widening of a gap's polyline distance bound
-_GATHER_BLOCK = 1 << 14  # run starts per prefix-sum gather
+_BLOCK_SLOTS = 1 << 14  # portions per prefix-sum gather
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaximalResult:
     """Mf at the evaluation points plus the radius achieving each supremum."""
 
@@ -294,44 +295,166 @@ def _block_runs(samples, eval_indices, eps_out, block: int):
         yield lo, m, row, piece_start[heads], piece_id[heads]
 
 
+def _nearest_block(side, prev, row, key, width: int, out: np.ndarray):
+    """Per row and radius r: the key of the nearest run on one side whose
+    cyclic running maximum side exceeds r, 2n (the keys' bound) if none.
+
+    side rises over prev at a blocking run, which blocks the radii from
+    prev up to its id; the keys grow with the distance from the point, so
+    the smallest key over the rises above r is the nearest block.  out
+    holds the rows' R + 1 columns; column 0 is scratch.
+    """
+    rise = np.flatnonzero(side > prev)
+    out.reshape(-1)[row[rise] * width + side[rise]] = key[rise]
+    flip = out[:, ::-1]
+    np.minimum.accumulate(flip, axis=1, out=flip)
+
+
+def _portions(row, col, bucket, centres, n: int, start, end, head):
+    """Fill one chunk's rows of start, end and head from their run heads,
+    and return their extra segments; see MaximalEvaluator.
+
+    row, col and bucket give each run's row (ascending from 0), first sample
+    and bucket id, and centres each row's own sample.  The extra segments
+    come as (row * R + radius, start, end), ordered by slot.
+    """
+    m, n_radii = start.shape
+    width = n_radii + 1
+    runs = bucket.size
+    b = bucket.astype(np.intp)
+    first = np.searchsorted(row, np.arange(m))
+    last = np.append(first[1:], runs) - 1
+    stop = np.empty_like(col)
+    stop[:-1] = col[1:]
+    stop[last] = n
+    # the eval run holds the row's own sample
+    own = np.searchsorted(row * n + col, np.arange(m) * n + centres,
+                          side="right") - 1
+    # stretch 2 * row + 1 holds a row's runs after the eval run, 2 * row
+    # the others; offsets by stretch keep each stretch's running maximum of
+    # the ids to itself, forward and backward, in one pass each
+    has_after = own < last
+    step = np.zeros(runs, dtype=np.intp)
+    step[first[1:]] = 2 - has_after[:-1]
+    step[own[has_after] + 1] = 1
+    stretch = np.cumsum(step)
+    odd = (stretch & 1).astype(bool)
+    even = ~odd
+    off = stretch * width
+    right = np.maximum.accumulate(b + off)
+    right -= off
+    off -= (2 * m - 1) * width
+    left = np.maximum.accumulate((b - off)[::-1])[::-1]
+    left += off
+    del off, step, stretch
+    # cyclic: a side that runs off the array goes on at its other end, so
+    # it holds the whole other stretch's maximum there
+    top_right = np.where(has_after, right[last], 0)
+    top_left = left[first]
+    np.maximum(right, top_right[row], out=right, where=even)
+    np.maximum(left, top_left[row], out=left, where=odd)
+    right[own] = 0
+    left[own] = 0
+    # the interval ends at the nearest right block's first sample and
+    # starts at the nearest left block's end; keys run from the point
+    # around the cycle, col + n past the array's end to the right, and
+    # n - stop, 2n - stop past it to the left
+    ends = np.full((m, width), 2 * n, dtype=np.intp)
+    prev = np.empty_like(right)
+    prev[1:] = right[:-1]
+    prev[first] = top_right
+    _nearest_block(right, prev, row, col + n * even, width, ends)
+    starts = np.full((m, width), 2 * n, dtype=np.intp)
+    prev[:-1] = left[1:]
+    prev[last] = top_left
+    _nearest_block(left, prev, row, n + n * odd - stop, width, starts)
+    del prev
+    end[:] = ends[:, 1:]
+    np.subtract(end, n, out=end, where=end > n)  # a block at 0: end n
+    np.subtract(n, starts[:, 1:], out=start)
+    np.add(start, n, out=start, where=start < 0)  # a block ending at n: 0
+    del ends, starts
+    wrap = start > end
+    np.multiply(end, wrap, out=head)
+    np.copyto(end, n, where=wrap)
+    # a run outside the interval at radius r, below its reach (the radius
+    # from which the interval holds it), starts an extra segment when its
+    # left neighbour is above r and ends one when its right neighbour is
+    reach = np.minimum(right, left)
+    outside = np.flatnonzero(reach > b)
+    reach = reach[outside]
+    segs = []
+    for nb, edge in ((outside - 1, first), (outside + 1, last)):
+        # the neighbour's id, or R past the row's end
+        nb_id = np.where(outside == edge[row[outside]], n_radii,
+                         b[np.clip(nb, 0, runs - 1)])
+        count = np.minimum(nb_id, reach) - b[outside]
+        at = np.flatnonzero(count > 0)
+        radius, j = _gap_samples(b[outside[at]], count[at])
+        at = outside[at[j]]
+        slot = row[at] * n_radii + radius
+        order = np.argsort(slot, kind="stable")
+        segs.append((slot[order], at[order]))
+    (slot, seg_first), (_, seg_last) = segs
+    return slot, col[seg_first], stop[seg_last]
+
+
 class MaximalEvaluator:
     """Reusable sup-of-portion-averages engine for one curve and point set.
 
     Stores, per evaluation point (row), its radius grid eps (R entries: every
     realized distance when the curve has at most max_radii samples, else
-    max_radii log-spaced representatives) and the run-length encoding of its
-    bucket ids b_j in sample order.  All rows are flattened into one
-    ``starts``/``bins`` pair: each run's first sample index and its slot
-    row * (R + 1) + b in an E x (R + 1) bucket table.  Every row ends with a
-    boundary start at n, so that its last run stops there and not at the
-    next row's first start; a run ends at the next entry of ``starts``, and
-    the boundary's own entry goes to the row's last slot, the bucket beyond
-    the largest radius, which is never read.
+    max_radii log-spaced representatives) and, per row and radius (slot),
+    the portion's interval around the point as three E x R int32 sample
+    indices: start p, end and head.  A plain interval [p, q) has end q and head 0; a
+    wrapped one, [p, n) then [0, q), has end n and head q.  A portion whose
+    other samples lie elsewhere keeps each further stretch as an extra
+    segment (slot, start, end) in one short list, ordered by slot.
+
+    The intervals come from the runs of equal bucket ids, chunk by chunk as
+    the build yields them.  Going right from the point's own run (the eval
+    run, id 0) and on from the array's start past its end, the portion at
+    radius r stops at the first run whose id exceeds r; so the running
+    maximum of the ids along that way rises exactly at the blocking runs,
+    and a run where it rises to v blocks the radii from the previous rise
+    up to v - 1.  One ``np.maximum.accumulate`` per direction gives both
+    stretches of every row: row and side offsets keep each stretch's
+    maximum to itself, and the stretch past the array's end then takes the
+    maximum of the whole other one.  Each rise is written at its row and
+    id with a key that grows with its distance from the point around the
+    cycle, and a running minimum down the radii gives every slot its
+    nearest block.  A run with id b that neither direction reaches before
+    radius m > b lies outside the interval for the radii in [b, m); where
+    its neighbour's id is above r it starts or ends an extra segment.
 
     One evaluation takes the prefix sums hi of x = g * arc_weights by one
     sequential ``cumsum`` and the exact rounding error of each of its steps
-    by TwoSum; their running sum is lo.  A run [s, s') then sums to
-    (hi[s'] - hi[s]) + (lo[s'] - lo[s]), clamped at 0, and a run of one
-    sample is that sample's x.  The run sums go into the bucket table by one
-    ``np.bincount`` and are accumulated along the radii by one ``cumsum``.
-    The prefix sums are gathered in blocks of _GATHER_BLOCK runs, so the run
-    sums are the only temporary with one entry per run.  The denominators come
+    by TwoSum; their running sum is lo, and pre = hi + lo.  A portion then
+    sums to pre[end] - pre[p] + pre[head]: on a wrap (pre[n] - pre[p]) +
+    pre[q], the two close values first, and its pieces of hi and of lo
+    are added apart before they are joined.  A piece [p, p + 1) of one
+    sample is that sample's x, so a one-sample portion is exact; extra
+    segments are summed the same way and added after.  Every sum is
+    clamped at 0.  The prefix sums are gathered in blocks of rows of at
+    most _BLOCK_SLOTS slots, so no temporary holds E x R complex entries,
+    and the head only where a block has a wrap.  The denominators come
     from the same kernel applied to g = 1, so a constant averages to
     exactly 1.
 
     Error: hi + lo is the prefix sum up to an absolute error of about
     n * u^2 * sum(x) (u the unit roundoff), against u * sum(x) for hi alone,
-    which puts tiny runs far down the array, where hi is about sum(x), off
-    by percents.  The largest radius covers the whole curve, so each row's
-    sup is at least sum(x) / L (L the curve length), and the relative error
-    of a returned sup is at most about n * u^2 * L / (smallest portion
-    measure).  With a single radius (max_radii = 1) no portion covers the
-    curve; there every read run is one sample, summed exactly.
-    sup_average scales g by a power of two, so that an integrand whose
-    total overflows still gives a finite sup.
+    which puts tiny portions far down the array, where hi is about sum(x),
+    off by percents.  The largest radius covers the whole curve, so each
+    row's sup is at least sum(x) / L (L the curve length), and the relative
+    error of a portion's average, against that sup, is at most about
+    n * u^2 * L / (the portion's measure).  With a single radius
+    (max_radii = 1) no portion covers the curve; there every portion is one
+    sample, or a closed curve's first sample and its copy at the end, and
+    is summed exactly.  sup_average scales g by a power of two, so that an
+    integrand whose total overflows still gives a finite sup.
 
-    Storage is O(E * runs) rather than the O(E * n) that a per-point sort
-    order with cumulative weights needs.
+    Storage is O(E * R), against the O(E * n) that a per-point sort order
+    with cumulative weights needs; the runs are never held for all rows.
 
     Build.  With n <= max_radii the grid is every realized distance and
     each row is bucketed by ``np.searchsorted``.  Otherwise the grid is
@@ -374,7 +497,7 @@ class MaximalEvaluator:
     are exact: this covers spiral turns that nearly touch and zero
     distances away from the point, such as a closed curve's duplicate
     closure sample.  A row then computes about n / B node distances and B
-    per run, not n, and the table is the one the dense scan gives, bit for
+    per run, not n, and the runs are the ones the dense scan gives, bit for
     bit.  Rows go in chunks of about _CHUNK_ENTRIES / (8 * n / B), which
     keeps a chunk's temporaries below the dense scan's.
     """
@@ -392,7 +515,6 @@ class MaximalEvaluator:
         rows = self.eval_indices.size
         exact = n <= max_radii
         n_radii = n if exact else int(max_radii)
-        slots = n_radii + 1
         self._eps = np.empty((rows, n_radii))
         block = 0 if exact else math.isqrt(n // n_radii)
         if block >= _MIN_BLOCK:
@@ -401,31 +523,31 @@ class MaximalEvaluator:
         else:
             chunks = _dense_runs(curve.samples, self.eval_indices, self._eps,
                                  exact)
-        starts = [np.empty(0, dtype=np.intp)]  # no rows: an empty table
-        bins = [np.empty(0, dtype=np.intp)]
+        # sample indices: int32 holds any n that fits in memory, at half
+        # the table's size
+        self._start, self._end, self._head = np.empty((3, rows, n_radii),
+                                                      dtype=np.int32)
+        extras = [np.empty((3, 0), dtype=np.intp)]  # no rows: none
         for lo, m, row, col, bucket in chunks:
-            # each row's runs, then its boundary: shift by earlier boundaries
-            pos = np.arange(row.size) + row
-            ends = np.cumsum(np.bincount(row, minlength=m)) + np.arange(m)
-            chunk_starts = np.empty(row.size + m, dtype=np.intp)
-            chunk_bins = np.empty_like(chunk_starts)
-            chunk_starts[pos] = col
-            chunk_bins[pos] = (lo + row) * slots + bucket.astype(np.intp)
-            chunk_starts[ends] = n
-            chunk_bins[ends] = (lo + np.arange(m)) * slots + n_radii
-            starts.append(chunk_starts)
-            bins.append(chunk_bins)
-        self._starts = np.concatenate(starts)
-        self._bins = np.concatenate(bins)
-        del starts, bins  # before the denominators' evaluation below
-        # one-sample runs: a boundary (n) is never followed by n + 1
-        self._single = np.flatnonzero(np.diff(self._starts) == 1)
-        self._shape = (rows, slots)
+            at = np.s_[lo:lo + m]
+            slot, seg_start, seg_end = _portions(
+                row, col, bucket, self.eval_indices[at], n, self._start[at],
+                self._end[at], self._head[at])
+            extras.append(np.stack([slot + lo * n_radii, seg_start, seg_end]))
+        self._extra = np.concatenate(extras, axis=1)
+        # one-sample pieces: that sample's x, with no prefix cancellation
+        self._single = np.flatnonzero(self._end - self._start == 1)
+        self._wraps = np.any(self._head, axis=1)
         self._aw = curve.arc_weights
+        # the gather buffers live with the evaluator, which so serves one
+        # call at a time: taking and freeing them on every call leaves the
+        # heap more fragmented
+        self._buf = np.empty((2, max(1, _BLOCK_SLOTS // n_radii), n_radii),
+                             dtype=np.complex128)
         self._den = self._portion_sums(np.ones(n))
 
-    def _run_sums(self, g: np.ndarray) -> np.ndarray:
-        """Per entry of starts: the sum of g * arc_weights over its run."""
+    def _portion_sums(self, g: np.ndarray) -> np.ndarray:
+        """E x R table: per row and radius, the sum of g * arc_weights."""
         x = g * self._aw
         # compensated prefix sums: sum(x[:k]) = pre[k].real + pre[k].imag
         pre = np.zeros(x.size + 1, dtype=np.complex128)
@@ -435,26 +557,35 @@ class MaximalEvaluator:
         b = hi[2:] - hi[1:-1]
         err = (hi[1:-1] - (hi[2:] - b)) + (x[1:] - b)
         np.cumsum(err, out=lo[2:])
-        starts = self._starts
-        run_sums = np.zeros(starts.size)
-        at = np.empty(_GATHER_BLOCK + 1, dtype=np.complex128)
-        diff = np.empty(_GATHER_BLOCK, dtype=np.complex128)
-        # run i ends at starts[i + 1]; the last (a boundary) stays 0
-        for a in range(0, starts.size - 1, _GATHER_BLOCK):
-            m = min(_GATHER_BLOCK, starts.size - 1 - a)
-            np.take(pre, starts[a:a + m + 1], out=at[:m + 1])
-            np.subtract(at[1:m + 1], at[:m], out=diff[:m])
-            np.add(diff[:m].real, diff[:m].imag, out=run_sums[a:a + m])
-        np.maximum(run_sums, 0.0, out=run_sums)
-        # a one-sample run is its sample, with no prefix cancellation
-        run_sums[self._single] = x[starts[self._single]]
-        return run_sums
-
-    def _portion_sums(self, g: np.ndarray) -> np.ndarray:
-        """E x R table: per row and radius, the sum of g * arc_weights."""
-        table = np.bincount(self._bins, weights=self._run_sums(g),
-                            minlength=self._shape[0] * self._shape[1])
-        return np.cumsum(table.reshape(self._shape)[:, :-1], axis=1)
+        sums = np.empty(self._start.shape)
+        buf = self._buf
+        rows = buf.shape[1]
+        for a in range(0, sums.shape[0], rows):
+            at = np.s_[a:a + rows]
+            t, s = buf[:, :sums[at].shape[0]]
+            # every index is in [0, n]: "clip" only skips the bounds check
+            np.take(pre, self._end[at], out=t, mode="clip")
+            np.take(pre, self._start[at], out=s, mode="clip")
+            t -= s
+            if self._wraps[at].any():
+                # (pre[n] - pre[p]) + pre[q]: the close values first
+                np.take(pre, self._head[at], out=s, mode="clip")
+                t += s
+            np.add(t.real, t.imag, out=sums[at])
+        flat = sums.reshape(-1)
+        single = self._single
+        head = pre[self._head.reshape(-1)[single]]
+        flat[single] = x[self._start.reshape(-1)[single]] + (head.real
+                                                            + head.imag)
+        np.maximum(sums, 0.0, out=sums)
+        if self._extra.size:
+            slot, start, end = self._extra
+            seg = pre[end] - pre[start]
+            seg = np.maximum(seg.real + seg.imag, 0.0)
+            one = end - start == 1
+            seg[one] = x[start[one]]
+            np.add.at(flat, slot, seg)
+        return sums
 
     def sup_average(self, g: np.ndarray):
         """Per evaluation point: max over radii of avg(g over the portion).
@@ -467,7 +598,8 @@ class MaximalEvaluator:
         shift = math.frexp(float(np.max(g)))[1] - 1
         if shift:  # the weighted path's maximum is exactly 1: no copy
             g = np.ldexp(g, -shift)
-        avg = self._portion_sums(g) / self._den
+        avg = self._portion_sums(g)
+        avg /= self._den
         hit = np.argmax(avg, axis=1)
         rows = np.arange(avg.shape[0])
         return np.ldexp(avg[rows, hit], shift), self._eps[rows, hit]
@@ -518,7 +650,7 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     return MaximalResult(values, eps, evaluator.eval_indices, clipped)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """The four arc-localized pieces of the weighted maximal operator.
 

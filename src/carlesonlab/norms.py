@@ -33,7 +33,7 @@ AP_T_POINTS = 48  # default grid points t of muckenhoupt_ap
 AP_EPS_POINTS = 64  # radii per grid point of muckenhoupt_ap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentField:
     """Variable exponent p(.) with verified bounds 1 < p_min <= p_max < inf.
 

@@ -30,7 +30,7 @@ R_POINTS = 64
 BAND_WIDEN = 1.01  # safety factor on the annulus band half-width
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubmultSamples:
     """Majorant estimates rho(x) on a multiplicative grid.
 

@@ -385,3 +385,30 @@ def test_curve_carries_no_label():
         cl.Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), False, "x")
     with pytest.raises(TypeError):
         cl.from_points([0.0, 1.0], provenance="x")
+
+
+def test_array_dataclasses_compare_by_identity():
+    """Results that hold arrays answer == by identity instead of raising
+    on the truth value of an elementwise comparison."""
+    curve = cl.generate_circle(1.0, 16)
+    f = np.ones(curve.n_samples)
+    spiral = cl.generate_log_spiral(1.0, 1e-4, 1.0, 1024)
+    branch = cl.unwrap_arg(spiral, 0j)
+    evaluator = cl.MaximalEvaluator(curve)
+    makers = {
+        "Curve": lambda: cl.generate_circle(1.0, 16),
+        "ExponentField": lambda: cl.constant_exponent(curve, 2.0),
+        "ArgBranch": lambda: cl.unwrap_arg(curve, 0j),
+        "Weight": lambda: cl.power_weight(curve, 0j, 0.3),
+        "MaximalResult": lambda: cl.weighted_maximal(
+            curve, f, 0j, 0.0, evaluator=evaluator),
+        "Decomposition": lambda: cl.decompose(curve, f, 1.0, 0.0, 0.5,
+                                              evaluator=evaluator),
+        "SubmultSamples": lambda: cl.compute_W(spiral, 0j,
+                                               cl.phi(branch, 0.2j)),
+    }
+    for name, make in makers.items():
+        a, b = make(), make()
+        assert type(a).__name__ == name
+        assert a == a and a != b, name
+        assert len({a, a, b}) == 2, name

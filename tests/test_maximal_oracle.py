@@ -1,14 +1,16 @@
-"""The bucket-table maximal engine against the two kernels it replaced.
+"""The per-portion maximal engine against the kernels it replaced.
 
 ``SortedCumsumEvaluator`` is the first ``MaximalEvaluator``: per
 evaluation point it sorts every distance, keeps the sort order and the
 cumulative arc weights, and answers each integrand with a gather and a
-cumulative sum.  ``ReduceatEvaluator`` is the bucket table with the run
-sums taken by ``np.add.reduceat`` over every sample, as before the
-compensated prefix sums.  Both are kept here only as test references.
-``dense_reference_table`` is the bucket-table build before the block
-build and the closed-form bucket ids: every distance of every row, each row
-searched with ``np.searchsorted``.
+cumulative sum.  The other two read the run-length bucket table that the
+engine stored before its per-portion intervals: ``ReduceatEvaluator`` takes
+each run sum by ``np.add.reduceat`` over every sample, as before the
+compensated prefix sums, and ``PrefixRunEvaluator`` as a difference of two
+compensated prefix sums, bucketed and accumulated over the radii.  All
+three are kept here only as test references.  ``dense_reference_table`` is
+that table's build before the block build and the closed-form bucket ids:
+every distance of every row, each row searched with ``np.searchsorted``.
 """
 
 from unittest import mock
@@ -61,19 +63,6 @@ class SortedCumsumEvaluator:
                 np.array([eps[h] for (eps, _), h in zip(table, hits)]))
 
 
-class ReduceatEvaluator(cl.MaximalEvaluator):
-    """Reference kernel: each run sum added up term by term."""
-
-    def _portion_sums(self, g: np.ndarray) -> np.ndarray:
-        """E x R table: per row and radius, the sum of g * arc_weights."""
-        gw = np.zeros(self._aw.size + 1)  # the boundary runs' zero sentinel
-        np.multiply(g, self._aw, out=gw[:-1])
-        run_sums = np.add.reduceat(gw, self._starts)
-        table = np.bincount(self._bins, weights=run_sums,
-                            minlength=self._shape[0] * self._shape[1])
-        return np.cumsum(table.reshape(self._shape)[:, :-1], axis=1)
-
-
 def dense_reference_table(curve, eval_indices, max_radii):
     """Reference build: (eps, starts, bins) from every distance, each row
     bucketed by searchsorted on its grid."""
@@ -123,11 +112,147 @@ def dense_reference_table(curve, eval_indices, max_radii):
     return eps_table, np.concatenate(starts), np.concatenate(bins)
 
 
+class RunTableEvaluator:
+    """A reference engine on dense_reference_table's run table: each row's
+    runs, then a boundary start at n whose bucket is never read."""
+
+    def __init__(self, curve, eval_indices, max_radii=256):
+        self.eval_indices = np.asarray(eval_indices, dtype=np.intp)
+        self._eps, self._starts, self._bins = dense_reference_table(
+            curve, self.eval_indices, max_radii)
+        self._shape = (self._eps.shape[0], self._eps.shape[1] + 1)
+        # one-sample runs: a boundary (n) is never followed by n + 1
+        self._single = np.flatnonzero(np.diff(self._starts) == 1)
+        self._aw = curve.arc_weights
+        self._den = self._portion_sums(np.ones(curve.n_samples))
+
+    def _table(self, run_sums):
+        """Run sums bucketed per row and accumulated over the radii."""
+        table = np.bincount(self._bins, weights=run_sums,
+                            minlength=self._shape[0] * self._shape[1])
+        return np.cumsum(table.reshape(self._shape)[:, :-1], axis=1)
+
+    sup_average = cl.MaximalEvaluator.sup_average
+
+
+class ReduceatEvaluator(RunTableEvaluator):
+    """Reference kernel: each run sum added up term by term."""
+
+    def _portion_sums(self, g):
+        gw = np.zeros(self._aw.size + 1)  # the boundary runs' zero sentinel
+        np.multiply(g, self._aw, out=gw[:-1])
+        return self._table(np.add.reduceat(gw, self._starts))
+
+
+class PrefixRunEvaluator(RunTableEvaluator):
+    """Reference kernel: the engine's run sums before its per-portion
+    intervals, each a difference of two compensated prefix sums."""
+
+    GATHER_BLOCK = 1 << 14  # run starts per prefix-sum gather
+
+    def _run_sums(self, g):
+        """Per entry of starts: the sum of g * arc_weights over its run."""
+        x = g * self._aw
+        # compensated prefix sums: sum(x[:k]) = pre[k].real + pre[k].imag
+        pre = np.zeros(x.size + 1, dtype=np.complex128)
+        hi, lo = pre.real, pre.imag
+        np.cumsum(x, out=hi[1:])
+        # TwoSum: the exact rounding error of hi[k+1] = hi[k] + x[k]
+        b = hi[2:] - hi[1:-1]
+        err = (hi[1:-1] - (hi[2:] - b)) + (x[1:] - b)
+        np.cumsum(err, out=lo[2:])
+        starts = self._starts
+        run_sums = np.zeros(starts.size)
+        at = np.empty(self.GATHER_BLOCK + 1, dtype=np.complex128)
+        diff = np.empty(self.GATHER_BLOCK, dtype=np.complex128)
+        # run i ends at starts[i + 1]; the last (a boundary) stays 0
+        for a in range(0, starts.size - 1, self.GATHER_BLOCK):
+            m = min(self.GATHER_BLOCK, starts.size - 1 - a)
+            np.take(pre, starts[a:a + m + 1], out=at[:m + 1])
+            np.subtract(at[1:m + 1], at[:m], out=diff[:m])
+            np.add(diff[:m].real, diff[:m].imag, out=run_sums[a:a + m])
+        np.maximum(run_sums, 0.0, out=run_sums)
+        # a one-sample run is its sample, with no prefix cancellation
+        run_sums[self._single] = x[starts[self._single]]
+        return run_sums
+
+    def _portion_sums(self, g):
+        return self._table(self._run_sums(g))
+
+
+def reference_portions(starts, bins, eval_indices, n, n_radii):
+    """Per row and radius, from the run table: the interval around the
+    point as (start, end, head), and the other segments of the portion.
+
+    The interval is the cyclic stretch of runs with ids <= r around the
+    eval run.  It wraps across the array's ends when start > end; then end
+    is n and head the end of its piece at the array's start, else head is
+    0.  The other stretches of runs with ids <= r, cut at the array's
+    ends, are the extra segments (row * R + r, start, end).
+    """
+    rows = eval_indices.size
+    start, end, head = np.zeros((3, rows, n_radii), dtype=np.intp)
+    extras = [np.empty((3, 0), dtype=np.intp)]
+    radii = np.arange(n_radii)
+    bounds = np.flatnonzero(starts == n)
+    for row in range(rows):
+        lo = bounds[row - 1] + 1 if row else 0
+        cols = starts[lo:bounds[row]]
+        stops = starts[lo + 1:bounds[row] + 1]
+        ids = bins[lo:bounds[row]] - row * (n_radii + 1)
+        n_runs = cols.size
+        own = np.searchsorted(cols, eval_indices[row], side="right") - 1
+        # the runs in turn away from the eval run, to the right and to the
+        # left, going on at the other end of the array: the interval stops
+        # at the first run whose id is above r, so it holds run k from the
+        # smallest running maximum of the ids up to k on either side
+        steps = np.arange(1, n_runs)
+        p, q = np.zeros(n_radii, dtype=np.intp), np.full(n_radii, n)
+        reach = np.zeros((2, n_runs), dtype=np.intp)
+        for side, order in enumerate(((own + steps) % n_runs,
+                                      (own - steps) % n_runs)):
+            top = np.maximum.accumulate(ids[order])
+            reach[side, order] = top
+            first = np.searchsorted(top, radii, side="right")
+            blocked = first < steps.size
+            block = order[first[blocked]]
+            if side == 0:
+                q[blocked] = np.where(cols[block] == 0, n, cols[block])
+            else:
+                p[blocked] = np.where(stops[block] == n, 0, stops[block])
+        wrap = p > q
+        start[row] = p
+        end[row] = np.where(wrap, n, q)
+        head[row] = np.where(wrap, q, 0)
+        reach = reach.min(axis=0)
+        # radius by run: the runs outside the interval, and where each of
+        # their stretches starts and ends; only runs below their reach can
+        # be outside, so the table spans those alone
+        some = np.flatnonzero(ids < reach)
+        if not some.size:
+            continue
+        span = np.s_[some[0]:some[-1] + 1]
+        extra = (radii[:, None] >= ids[span]) & (radii[:, None] < reach[span])
+        width = extra.shape[1]
+        pad = np.zeros((n_radii, 1), dtype=bool)
+        r, k = np.divmod(np.flatnonzero(
+            extra & ~np.hstack([pad, extra[:, :-1]])), width)
+        k_end = np.flatnonzero(extra & ~np.hstack([extra[:, 1:], pad])) % width
+        extras.append(np.stack([row * n_radii + r, cols[span][k],
+                                stops[span][k_end]]))
+    return start, end, head, np.concatenate(extras, axis=1)
+
+
 def _assert_same_table(engine, curve, idx, max_radii):
+    """eps bit for bit, and every portion as the run table gives it."""
     eps, starts, bins = dense_reference_table(curve, idx, max_radii)
     assert np.array_equal(engine._eps, eps)
-    assert np.array_equal(engine._starts, starts)
-    assert np.array_equal(engine._bins, bins)
+    start, end, head, extra = reference_portions(
+        starts, bins, np.asarray(idx), curve.n_samples, eps.shape[1])
+    assert np.array_equal(engine._start, start)
+    assert np.array_equal(engine._end, end)
+    assert np.array_equal(engine._head, head)
+    assert np.array_equal(engine._extra, extra)
 
 
 def _square(n):
@@ -141,6 +266,13 @@ def _square(n):
     return cl.from_points(pts, closed=True)
 
 
+def _tight_spiral(n):
+    """Twenty turns 6.3e-4 apart, sampled more coarsely than that, so a
+    point's nearest samples lie on the neighbouring turns."""
+    theta = np.linspace(0.0, 40.0 * np.pi, n)
+    return cl.from_points((1.0 - 1e-4 * theta) * np.exp(1j * theta))
+
+
 CURVES = {
     "circle": lambda n: cl.generate_circle(1.0, n),
     "graded_circle": lambda n: cl.generate_graded_circle(1.0, n),
@@ -148,6 +280,7 @@ CURVES = {
     "segment": lambda n: cl.generate_segment(1e-3, 1.0, n),
     "corner": lambda n: cl.generate_corner(np.pi / 2, 1e-3, 1.0, n),
     "closed_square": _square,
+    "tight_spiral": _tight_spiral,
 }
 
 
@@ -187,12 +320,14 @@ def test_bucket_table_matches_sorted_cumsum(case):
         engine = cl.MaximalEvaluator(curve, idx, max_radii)
     oracle = SortedCumsumEvaluator(curve, idx, max_radii)
     reduceat = ReduceatEvaluator(curve, idx, max_radii)
+    prefix_runs = PrefixRunEvaluator(curve, idx, max_radii)
     ones, _ = engine.sup_average(np.ones(curve.n_samples))
     assert np.all(ones == 1.0)
     for g in _integrands(curve, seed):
         values, eps = engine.sup_average(g)
-        np.testing.assert_allclose(values, reduceat.sup_average(g)[0],
-                                   rtol=1e-12, atol=0.0)
+        for reference in (reduceat, prefix_runs):
+            np.testing.assert_allclose(values, reference.sup_average(g)[0],
+                                       rtol=1e-12, atol=0.0)
         ref_values, ref_eps = oracle.sup_average(g)
         np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
         for row in np.flatnonzero(eps != ref_eps):
@@ -203,16 +338,8 @@ def test_bucket_table_matches_sorted_cumsum(case):
             assert avg[at[0]] == pytest.approx(ref_values[row], rel=1e-12)
 
 
-def _tight_spiral(n):
-    """Twenty turns 6.3e-4 apart, sampled more coarsely than that, so a
-    point's nearest samples lie on the neighbouring turns."""
-    theta = np.linspace(0.0, 40.0 * np.pi, n)
-    return cl.from_points((1.0 - 1e-4 * theta) * np.exp(1j * theta))
-
-
 BUILD_CURVES = {
     **CURVES,
-    "tight_spiral": _tight_spiral,
     "mixed_spirality": lambda n: cl.generate_mixed_spirality(
         -1.0, 1.0, 1e-3, 1.0, n),
 }
@@ -312,18 +439,39 @@ def test_prefix_kernel_matches_reduceat_deep():
     curve = cl.generate_graded_circle(1.0, 32768)
     idx = _eval_subgrid(curve, 256)
     engine = cl.MaximalEvaluator(curve, idx)
-    reference = ReduceatEvaluator(curve, idx)
+    references = (ReduceatEvaluator(curve, idx), PrefixRunEvaluator(curve, idx))
     d = np.abs(curve.samples - 1.0)
     rng = np.random.default_rng(5)
     for g in (d ** -0.8, d ** 0.7, rng.uniform(0.0, 1.0, curve.n_samples)):
-        _assert_same_sup(engine, reference, g)
+        for reference in references:
+            _assert_same_sup(engine, reference, g)
+
+
+@pytest.mark.parametrize("name", ["tight_spiral", "closed_square"])
+def test_portion_kernel_matches_run_kernels(name):
+    """Portions of many segments (the tight spiral's neighbouring turns)
+    and portions that wrap across the array's ends (the closed square,
+    whose last sample repeats its first), on the block build."""
+    curve = CURVES[name](16384)
+    n = curve.n_samples
+    idx = np.append(np.arange(0, n, 97), n - 1)
+    engine = cl.MaximalEvaluator(curve, idx)
+    assert engine._extra.shape[1] > 0 if name == "tight_spiral" \
+        else np.any(engine._head > 0)
+    references = (ReduceatEvaluator(curve, idx), PrefixRunEvaluator(curve, idx))
+    d = np.abs(curve.samples - curve.samples[0])
+    d[d == 0.0] = 1.0
+    for g in (d ** -0.8, d ** 0.7, *_integrands(curve, 7)):
+        for reference in references:
+            _assert_same_sup(engine, reference, g)
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
 def test_single_radius_is_exact(name):
     """With one radius the largest portion does not cover the curve, so
-    the prefix error bound does not apply: every read run is one sample,
-    taken as it is."""
+    the prefix error bound does not apply: every portion is one sample,
+    taken as it is, or a closed curve's first sample and its copy at the
+    end, added once."""
     curve = CURVES[name](200)
     idx = np.arange(curve.n_samples)
     g = _integrands(curve, 11)[3]

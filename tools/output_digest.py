@@ -6,6 +6,14 @@ every output byte-identical:
     python tools/output_digest.py                   # the checkout it sits in
     python tools/output_digest.py --root ../other   # another checkout
 
+A change that moves last bits, such as a new summation order, leaves no
+hash equal.  ``--against`` compares the outputs of two checkouts instead and
+prints, per output, ``identical`` (the same bytes), ``close`` (the same text
+once numbers are set aside, each number within 1e-12 relative of its
+counterpart; the largest relative difference follows) or ``DIFFERENT``:
+
+    python tools/output_digest.py --against ../parent
+
 The outputs are the probe and sweep reports of three probe configurations,
 every ``single_shot`` call of ``perfbench/workloads.py``, the criteria
 checks, the weight/submult/maximal CSV exports and a set of CLI invocations
@@ -17,14 +25,21 @@ A whole run takes about five seconds on two cores.
 from __future__ import annotations
 
 import argparse
+import base64
 import dataclasses
 import hashlib
+import json
 import math
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 sys.dont_write_bytecode = True
+
+RTOL = 1e-12  # how far a number may move for its output to be "close"
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _sha(data) -> str:
@@ -250,13 +265,8 @@ def cli_outputs(tmp: Path):
     return out
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path,
-                        default=Path(__file__).resolve().parents[1],
-                        help="checkout whose src/ and perfbench/ to run")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
+def collect(root: Path) -> dict:
+    """Every output of the checkout at root, as bytes by name."""
     sys.path.insert(0, str(root / "src"))
     import carlesonlab as cl
 
@@ -268,6 +278,72 @@ def main(argv=None):
         outputs.update(criteria_outputs(cl))
         outputs.update(export_outputs(cl, tmp))
         outputs.update(cli_outputs(tmp / "cli"))
+    return {name: data.encode("utf-8") if isinstance(data, str) else data
+            for name, data in outputs.items()}
+
+
+def compare(a: bytes, b: bytes):
+    """The verdict on two outputs: "identical", ("close", the largest
+    relative difference of their numbers) or "DIFFERENT"."""
+    if a == b:
+        return "identical"
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return "DIFFERENT"
+    worst = 0.0
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        x, y = float(x), float(y)
+        if x != y:
+            diff = abs(x - y) / max(abs(x), abs(y))
+            if not diff <= RTOL:
+                return "DIFFERENT"
+            worst = max(worst, diff)
+    return "close", worst
+
+
+def against(root: Path, other: Path) -> int:
+    """Print one comparison line per output of root against other's;
+    returns 1 when some output differs, else 0."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--root",
+         str(other), "--dump"], stdout=subprocess.PIPE, check=True)
+    theirs = {name: base64.b64decode(data)
+              for name, data in json.loads(proc.stdout).items()}
+    ours = collect(root)
+    counts = {"identical": 0, "close": 0, "DIFFERENT": 0}
+    for name in sorted(ours.keys() | theirs.keys()):
+        if name not in ours or name not in theirs:
+            verdict = "DIFFERENT"
+        else:
+            verdict = compare(ours[name], theirs[name])
+        if isinstance(verdict, tuple):
+            print(f"close {verdict[1]:.1e}  {name}")
+            verdict = "close"
+        else:
+            print(f"{verdict}  {name}")
+        counts[verdict] += 1
+    print(", ".join(f"{count} {verdict}" for verdict, count in counts.items())
+          + f" (of {sum(counts.values())} outputs)")
+    return 1 if counts["DIFFERENT"] else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/ and perfbench/ to run")
+    parser.add_argument("--against", type=Path,
+                        help="checkout to compare every output with")
+    parser.add_argument("--dump", action="store_true",
+                        help=argparse.SUPPRESS)  # the outputs, for --against
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    if args.against is not None:
+        sys.exit(against(root, args.against.resolve()))
+    outputs = collect(root)
+    if args.dump:
+        print(json.dumps({name: base64.b64encode(data).decode("ascii")
+                          for name, data in outputs.items()}))
+        return
     lines = [f"{_sha(data)}  {name}" for name, data in outputs.items()]
     lines.append(f"{_sha(chr(10).join(lines))}  ALL ({len(outputs)} outputs)")
     print("\n".join(lines))
