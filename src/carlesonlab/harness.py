@@ -55,6 +55,8 @@ class ExperimentConfig:
         {"kind": "profile", "p_at": ..., "p_far": ...}.
     spirality: optional (alpha, beta) override; measured on the top-level
         curve when absent and gamma is not real.
+    seed, n_random, eval_points and max_radii are integers, not bools, of
+    at least 0, 0, 2 and 1; PreconditionError otherwise.
     """
 
     curve: dict
@@ -68,6 +70,13 @@ class ExperimentConfig:
     spirality: tuple | None = None
 
     def __post_init__(self):
+        for name, low in (("seed", 0), ("n_random", 0), ("eval_points", 2),
+                          ("max_radii", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < low):
+                raise PreconditionError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
         levels = tuple(int(n) for n in self.levels)
         if len(levels) == 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             raise PreconditionError("levels must be strictly increasing")

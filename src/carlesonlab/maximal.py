@@ -17,7 +17,11 @@ ends when p > q, as on a curve closed or slit at t0.  Nearly every portion
 is that interval alone (1.00 to 1.01 segments per portion on the probe
 curves at R = 256); the few others keep their further segments in a short
 list.  A portion sum is then one difference of two compensated prefix sums
-of the integrand, so one evaluation costs O(n + E * R), not O(E * n).
+of the integrand, so one evaluation costs O(n + E * R), not O(E * n).  A
+portion is held as two int32 indices into the prefix table and its float64
+denominator, 16 bytes per (point, radius) slot, and an evaluation streams
+its table of portion averages block by block, so it never holds E * R
+values.
 
 The build need not compute every distance either.  On large curves it
 places nodes every B ~ sqrt(n / R) samples; a polyline bound from the node
@@ -79,11 +83,29 @@ def _check_eval_indices(eval_indices, n: int) -> np.ndarray:
     return idx.astype(np.intp)
 
 
-def _log_grid(d_lo, d_hi, n_radii: int) -> np.ndarray:
-    """Per row: n_radii log-spaced radii from just below its smallest
-    positive distance d_lo to just above its largest distance d_hi."""
-    return np.exp(np.linspace(np.log(d_lo * (1.0 - 1e-12)),
-                              np.log(d_hi * (1.0 + 1e-9)), n_radii, axis=1))
+def _log_ends(d_lo, d_hi) -> np.ndarray:
+    """Per row: the logs of the ends of its radius grid, from just below
+    its smallest positive distance d_lo to just above its largest d_hi."""
+    return np.stack([np.log(d_lo * (1.0 - 1e-12)),
+                     np.log(d_hi * (1.0 + 1e-9))])
+
+
+def _log_radii(ends, k, n_radii: int) -> np.ndarray:
+    """Radius k of the log grids with ends = (start, stop), by
+    ``np.linspace``'s own arithmetic: exp(k * step + start) with step =
+    (stop - start) / (n_radii - 1), and exp(stop) at the last index.  The
+    build's grids and a radius recomputed from a row's ends so agree bit
+    for bit.  start, stop and k broadcast."""
+    start, stop = ends
+    y = k * ((stop - start) / max(n_radii - 1, 1)) + start
+    if n_radii > 1:
+        y = np.where(k == n_radii - 1, stop, y)
+    return np.exp(y)
+
+
+def _log_grid(ends, n_radii: int) -> np.ndarray:
+    """Per row of ends (2 x rows): its n_radii log-spaced radii."""
+    return _log_radii(ends[:, :, None], np.arange(n_radii), n_radii)
 
 
 def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
@@ -154,20 +176,20 @@ def _bucket_ids(buf, eps, row, col, samples, centres):
     buf[at] = _count_le(eps, r, np.abs(samples[c] - centres[r]))
 
 
-def _dense_runs(samples, eval_indices, eps_out, exact: bool):
+def _dense_runs(samples, eval_indices, radii, n_radii: int, exact: bool):
     """Run heads of every row from all of its distances, chunk by chunk.
 
     Yields (first row, rows, row, start, bucket id) per chunk of at most
     _CHUNK_ENTRIES distances.  With exact set, the grid is every realized
-    distance and each row is searched; otherwise the grid is log-spaced
-    and the ids come in closed form.
+    distance, written to the rows of the table radii, and each row is
+    searched; otherwise the grid is log-spaced, its ends are written to
+    the columns of radii (2 x rows) and the ids come in closed form.
     """
     n = samples.size
     chunk = max(1, _CHUNK_ENTRIES // n)
     for lo in range(0, eval_indices.size, chunk):
         idx = eval_indices[lo:lo + chunk]
         m = idx.size
-        eps = eps_out[lo:lo + m]
         centres = samples[idx]
         dists = np.abs(samples[None, :] - centres[:, None])
         # the smallest positive distance: a plain minimum with each row's
@@ -183,6 +205,7 @@ def _dense_runs(samples, eval_indices, eps_out, exact: bool):
             d_lo[dup] = np.min(d, axis=1, where=d > 0.0, initial=np.inf)
         if exact:
             # every realized distance: the scan is exact at this size
+            eps = radii[lo:lo + m]
             ds = np.sort(dists, axis=1)
             eps[:] = np.where(ds > 0.0, ds * (1.0 + 1e-12),
                               d_lo[:, None] * (1.0 - 1e-12))
@@ -190,7 +213,9 @@ def _dense_runs(samples, eval_indices, eps_out, exact: bool):
             for r in range(m):
                 dists[r] = np.searchsorted(eps[r], dists[r], side="right")
         else:
-            eps[:] = _log_grid(d_lo, np.max(dists, axis=1), eps.shape[1])
+            ends = radii[:, lo:lo + m]
+            ends[:] = _log_ends(d_lo, np.max(dists, axis=1))
+            eps = _log_grid(ends, n_radii)
             _bucket_ids(dists, eps, np.arange(m)[:, None],
                         np.arange(n)[None, :], samples, centres)
         # run heads on the flat row-major buffer; every row starts a run,
@@ -214,14 +239,14 @@ def _gap_samples(first: np.ndarray, size: np.ndarray):
     return np.arange(k.size) + (first - (np.cumsum(size) - size))[k], k
 
 
-def _block_runs(samples, eval_indices, eps_out, block: int):
+def _block_runs(samples, eval_indices, ends_out, n_radii: int, block: int):
     """Run heads of every row from the node distances and the distances
     of the gaps that the polyline bound does not put in one bucket; see
     MaximalEvaluator.  Nodes sit every `block` samples and at the last.
-    Yields chunks as _dense_runs does.
+    Writes each row's log grid ends to ends_out and yields chunks as
+    _dense_runs does.
     """
     n = samples.size
-    n_radii = eps_out.shape[1]
     nodes = np.arange(0, n, block)
     if nodes[-1] != n - 1:
         nodes = np.append(nodes, n - 1)
@@ -237,7 +262,6 @@ def _block_runs(samples, eval_indices, eps_out, block: int):
     for lo in range(0, eval_indices.size, chunk):
         idx = eval_indices[lo:lo + chunk]
         m = idx.size
-        eps = eps_out[lo:lo + m]
         centres = samples[idx]
         d_node = np.abs(samples[nodes][None, :] - centres[:, None])
         near = np.min(d_node, axis=1, where=d_node > 0.0, initial=np.inf)
@@ -258,7 +282,9 @@ def _block_runs(samples, eval_indices, eps_out, block: int):
         d = np.abs(samples[j] - centres[row[k]])
         np.minimum.at(near, row[k], np.where(d > 0.0, d, np.inf))
         np.maximum.at(far, row[k], d)
-        eps[:] = _log_grid(near, far, n_radii)
+        ends = ends_out[:, lo:lo + m]
+        ends[:] = _log_ends(near, far)
+        eps = _log_grid(ends, n_radii)
         rows = np.arange(m)[:, None]
         uniform = _grid_position(d_min, eps, rows)
         uniform |= _grid_position(d_max, eps, rows)
@@ -310,15 +336,15 @@ def _nearest_block(side, prev, row, key, width: int, out: np.ndarray):
     np.minimum.accumulate(flip, axis=1, out=flip)
 
 
-def _portions(row, col, bucket, centres, n: int, start, end, head):
-    """Fill one chunk's rows of start, end and head from their run heads,
-    and return their extra segments; see MaximalEvaluator.
+def _portions(row, col, bucket, centres, n: int, p, q):
+    """Fill one chunk's rows of the interval indices p and q from their
+    run heads, and return their extra segments; see MaximalEvaluator.
 
     row, col and bucket give each run's row (ascending from 0), first sample
     and bucket id, and centres each row's own sample.  The extra segments
     come as (row * R + radius, start, end), ordered by slot.
     """
-    m, n_radii = start.shape
+    m, n_radii = p.shape
     width = n_radii + 1
     runs = bucket.size
     b = bucket.astype(np.intp)
@@ -369,14 +395,14 @@ def _portions(row, col, bucket, centres, n: int, start, end, head):
     prev[last] = top_left
     _nearest_block(left, prev, row, n + n * odd - stop, width, starts)
     del prev
-    end[:] = ends[:, 1:]
-    np.subtract(end, n, out=end, where=end > n)  # a block at 0: end n
-    np.subtract(n, starts[:, 1:], out=start)
-    np.add(start, n, out=start, where=start < 0)  # a block ending at n: 0
+    q[:] = ends[:, 1:]
+    np.subtract(q, n, out=q, where=q > n)  # a block at 0: end n
+    np.subtract(n, starts[:, 1:], out=p)
+    np.add(p, n, out=p, where=p < 0)  # a block ending at n: 0
     del ends, starts
-    wrap = start > end
-    np.multiply(end, wrap, out=head)
-    np.copyto(end, n, where=wrap)
+    # a wrapped interval, [p, n) then [0, q), is read from the second half
+    # of the prefix table: (p + n + 1, q)
+    np.add(p, n + 1, out=p, where=p > q)
     # a run outside the interval at radius r, below its reach (the radius
     # from which the interval holds it), starts an extra segment when its
     # left neighbour is above r and ends one when its right neighbour is
@@ -402,14 +428,28 @@ def _portions(row, col, bucket, centres, n: int, start, end, head):
 class MaximalEvaluator:
     """Reusable sup-of-portion-averages engine for one curve and point set.
 
-    Stores, per evaluation point (row), its radius grid eps (R entries: every
-    realized distance when the curve has at most max_radii samples, else
-    max_radii log-spaced representatives) and, per row and radius (slot),
-    the portion's interval around the point as three E x R int32 sample
-    indices: start p, end and head.  A plain interval [p, q) has end q and head 0; a
-    wrapped one, [p, n) then [0, q), has end n and head q.  A portion whose
-    other samples lie elsewhere keeps each further stretch as an extra
-    segment (slot, start, end) in one short list, ordered by slot.
+    Stores, per evaluation point (row), its radius grid and, per row and
+    radius (slot), the portion's interval around the point as two int32
+    indices into the prefix table (see below): a plain interval
+    [p, q) as (p, q), a wrapped one, [p, n) then [0, q), as (p + n + 1, q).
+    A portion whose other samples lie elsewhere keeps each further stretch
+    as an extra segment (slot, start, end) in one short list, ordered by
+    slot, and the slots whose first piece is one sample are listed as
+    (slot, sample, head), with head q on a wrap and 0 otherwise.
+
+    The grid is every realized distance (R = n entries) when the curve has
+    at most max_radii samples; otherwise R = max_radii log-spaced radii, of
+    which a row keeps only the logs of the ends, start = log(d_lo * (1 -
+    1e-12)) and stop = log(d_hi * (1 + 1e-9)).  Radius k is exp(k * step +
+    start) with step = (stop - start) / (R - 1), and exp(stop) at k =
+    R - 1: ``np.linspace``'s own arithmetic.  The build makes each chunk's
+    grids from the ends with the same helper that recomputes the radius of
+    a hit, so the two agree bit for bit.
+
+    Memory: two indices and a denominator are 16 bytes per slot, 16 MB for
+    the full grid at n = 4096 (E = 4096, R = 256); the slot lists, the row
+    ends and the prefix table are O(E + n), and a call allocates O(n)
+    beside the evaluator's buffers.
 
     The intervals come from the runs of equal bucket ids, chunk by chunk as
     the build yields them.  Going right from the point's own run (the eval
@@ -429,17 +469,24 @@ class MaximalEvaluator:
 
     One evaluation takes the prefix sums hi of x = g * arc_weights by one
     sequential ``cumsum`` and the exact rounding error of each of its steps
-    by TwoSum; their running sum is lo, and pre = hi + lo.  A portion then
-    sums to pre[end] - pre[p] + pre[head]: on a wrap (pre[n] - pre[p]) +
-    pre[q], the two close values first, and its pieces of hi and of lo
-    are added apart before they are joined.  A piece [p, p + 1) of one
-    sample is that sample's x, so a one-sample portion is exact; extra
-    segments are summed the same way and added after.  Every sum is
-    clamped at 0.  The prefix sums are gathered in blocks of rows of at
-    most _BLOCK_SLOTS slots, so no temporary holds E x R complex entries,
-    and the head only where a block has a wrap.  The denominators come
-    from the same kernel applied to g = 1, so a constant averages to
-    exactly 1.
+    by TwoSum; their running sum is lo, and pre = hi + lo.  The prefix
+    table is T = [pre | pre - pre[n]] (2(n + 1) entries; its second half
+    only when some portion wraps), and a portion sums to T[q] - T[p'] for
+    its stored pair (p', q), its pieces of hi and of lo differenced apart
+    before they are joined.  On a wrap that is pre[q] - (pre[p] - pre[n]),
+    exactly (pre[n] - pre[p]) + pre[q], the two close values first, since
+    negation is exact.  A first piece of one sample is that sample's x,
+    plus pre[q] on a wrap, so a one-sample portion is exact; extra segments
+    are summed the same way and added after.  Every sum is clamped at 0.
+
+    One kernel streams the table in blocks of rows of at most _BLOCK_SLOTS
+    slots: gather both ends, join hi and lo, set the one-sample pieces,
+    clamp at 0 and add the extra segments.  The build stores its blocks for
+    g = 1 as the denominators, so a constant averages to exactly 1; a call
+    divides each block by its rows of them and keeps each row's maximum and
+    its index, so it writes E values and E indices.  The prefix table and
+    the block buffers belong to the evaluator, which so serves one call at
+    a time; each call rewrites them.
 
     Error: hi + lo is the prefix sum up to an absolute error of about
     n * u^2 * sum(x) (u the unit roundoff), against u * sum(x) for hi alone,
@@ -454,7 +501,8 @@ class MaximalEvaluator:
     integrand whose total overflows still gives a finite sup.
 
     Storage is O(E * R), against the O(E * n) that a per-point sort order
-    with cumulative weights needs; the runs are never held for all rows.
+    with cumulative weights needs; the runs are never held for all rows,
+    nor a grid of radii in log mode.
 
     Build.  With n <= max_radii the grid is every realized distance and
     each row is bucketed by ``np.searchsorted``.  Otherwise the grid is
@@ -507,102 +555,146 @@ class MaximalEvaluator:
         n = curve.n_samples
         if eval_indices is None:
             eval_indices = np.arange(n)
-        if not isinstance(max_radii, numbers.Integral) or max_radii < 1:
+        if (isinstance(max_radii, bool)
+                or not isinstance(max_radii, numbers.Integral)
+                or max_radii < 1):
             raise PreconditionError(
                 f"max_radii must be a positive integer, got {max_radii!r}")
         self.curve = curve
         self.eval_indices = _check_eval_indices(eval_indices, n)
         rows = self.eval_indices.size
-        exact = n <= max_radii
-        n_radii = n if exact else int(max_radii)
-        self._eps = np.empty((rows, n_radii))
-        block = 0 if exact else math.isqrt(n // n_radii)
+        self._exact = n <= max_radii
+        n_radii = n if self._exact else int(max_radii)
+        # the realized distances, or the log grid ends of each row
+        self._radii = np.empty((rows, n_radii) if self._exact else (2, rows))
+        block = 0 if self._exact else math.isqrt(n // n_radii)
         if block >= _MIN_BLOCK:
-            chunks = _block_runs(curve.samples, self.eval_indices, self._eps,
-                                 block)
+            chunks = _block_runs(curve.samples, self.eval_indices,
+                                 self._radii, n_radii, block)
         else:
-            chunks = _dense_runs(curve.samples, self.eval_indices, self._eps,
-                                 exact)
-        # sample indices: int32 holds any n that fits in memory, at half
-        # the table's size
-        self._start, self._end, self._head = np.empty((3, rows, n_radii),
-                                                      dtype=np.int32)
+            chunks = _dense_runs(curve.samples, self.eval_indices,
+                                 self._radii, n_radii, self._exact)
+        # prefix table indices: int32 holds 2n + 1 for any n that fits in
+        # memory, at half the table's size
+        self._p, self._q = np.empty((2, rows, n_radii), dtype=np.int32)
         extras = [np.empty((3, 0), dtype=np.intp)]  # no rows: none
+        singles = [np.empty((3, 0), dtype=np.intp)]
+        self._wraps = False
         for lo, m, row, col, bucket in chunks:
             at = np.s_[lo:lo + m]
+            p, q = self._p[at], self._q[at]
             slot, seg_start, seg_end = _portions(
-                row, col, bucket, self.eval_indices[at], n, self._start[at],
-                self._end[at], self._head[at])
+                row, col, bucket, self.eval_indices[at], n, p, q)
             extras.append(np.stack([slot + lo * n_radii, seg_start, seg_end]))
+            # one-sample first pieces, [p, p + 1) or [n - 1, n) then [0, q):
+            # that sample's x, with no prefix cancellation
+            slot = np.flatnonzero((q - p == 1) | (p == 2 * n))
+            first, head = p.reshape(-1)[slot], q.reshape(-1)[slot]
+            singles.append(np.stack([slot + lo * n_radii, first % (n + 1),
+                                     head * (first > n)]))
+            self._wraps |= bool(np.any(p > n))
         self._extra = np.concatenate(extras, axis=1)
-        # one-sample pieces: that sample's x, with no prefix cancellation
-        self._single = np.flatnonzero(self._end - self._start == 1)
-        self._wraps = np.any(self._head, axis=1)
+        self._single = np.concatenate(singles, axis=1)
         self._aw = curve.arc_weights
-        # the gather buffers live with the evaluator, which so serves one
-        # call at a time: taking and freeing them on every call leaves the
-        # heap more fragmented
-        self._buf = np.empty((2, max(1, _BLOCK_SLOTS // n_radii), n_radii),
-                             dtype=np.complex128)
-        self._den = self._portion_sums(np.ones(n))
+        # the prefix table and the block buffers live with the evaluator,
+        # which so serves one call at a time: taking and freeing them on
+        # every call leaves the heap more fragmented, and a fresh table
+        # that glibc maps for each call costs its page faults every time;
+        # a call writes all of the table but pre[0] and lo[1], which stay 0
+        self._table = np.zeros((n + 1) * (1 + self._wraps),
+                               dtype=np.complex128)
+        block_rows = max(1, _BLOCK_SLOTS // n_radii)
+        self._buf = np.empty((2, block_rows, n_radii), dtype=np.complex128)
+        # per block of rows: where its one-sample pieces and its extra
+        # segments start and end in their lists
+        bounds = np.arange(0, rows + block_rows, block_rows) * n_radii
+        single = np.searchsorted(self._single[0], bounds).tolist()
+        extra = np.searchsorted(self._extra[0], bounds).tolist()
+        self._cuts = list(zip(single, single[1:], extra, extra[1:]))
+        self._den = np.empty((rows, n_radii))
+        for at, sums in self._blocks(np.ones(n)):
+            self._den[at] = sums
 
-    def _portion_sums(self, g: np.ndarray) -> np.ndarray:
-        """E x R table: per row and radius, the sum of g * arc_weights."""
+    def _blocks(self, g: np.ndarray):
+        """Per block of rows: its slice and its table of portion sums of
+        g * arc_weights, in a buffer that the next block overwrites."""
         x = g * self._aw
-        # compensated prefix sums: sum(x[:k]) = pre[k].real + pre[k].imag
-        pre = np.zeros(x.size + 1, dtype=np.complex128)
+        n = x.size
+        # compensated prefix sums: sum(x[:k]) = pre[k].real + pre[k].imag,
+        # followed by pre - pre[n] when some portion wraps
+        table = self._table
+        pre = table[:n + 1]
         hi, lo = pre.real, pre.imag
         np.cumsum(x, out=hi[1:])
         # TwoSum: the exact rounding error of hi[k+1] = hi[k] + x[k]
         b = hi[2:] - hi[1:-1]
         err = (hi[1:-1] - (hi[2:] - b)) + (x[1:] - b)
         np.cumsum(err, out=lo[2:])
-        sums = np.empty(self._start.shape)
-        buf = self._buf
-        rows = buf.shape[1]
-        for a in range(0, sums.shape[0], rows):
-            at = np.s_[a:a + rows]
-            t, s = buf[:, :sums[at].shape[0]]
-            # every index is in [0, n]: "clip" only skips the bounds check
-            np.take(pre, self._end[at], out=t, mode="clip")
-            np.take(pre, self._start[at], out=s, mode="clip")
-            t -= s
-            if self._wraps[at].any():
-                # (pre[n] - pre[p]) + pre[q]: the close values first
-                np.take(pre, self._head[at], out=s, mode="clip")
-                t += s
-            np.add(t.real, t.imag, out=sums[at])
-        flat = sums.reshape(-1)
-        single = self._single
-        head = pre[self._head.reshape(-1)[single]]
-        flat[single] = x[self._start.reshape(-1)[single]] + (head.real
-                                                            + head.imag)
-        np.maximum(sums, 0.0, out=sums)
-        if self._extra.size:
-            slot, start, end = self._extra
+        del b, err
+        if self._wraps:
+            np.subtract(pre, pre[n], out=table[n + 1:])
+        single_slot, sample, head = self._single
+        single = x[sample] + (hi[head] + lo[head])
+        extra_slot, start, end = self._extra
+        if extra_slot.size:
             seg = pre[end] - pre[start]
             seg = np.maximum(seg.real + seg.imag, 0.0)
             one = end - start == 1
             seg[one] = x[start[one]]
-            np.add.at(flat, slot, seg)
-        return sums
+        total, n_radii = self._p.shape
+        rows = self._buf.shape[1]
+        for a, (i, j, k, m) in zip(range(0, total, rows), self._cuts):
+            at = np.s_[a:a + rows]
+            t, s = self._buf[:, :min(rows, total - a)]
+            # every index is in [0, 2n + 1]: "clip" only skips the bounds
+            # check
+            np.take(table, self._q[at], out=t, mode="clip")
+            np.take(table, self._p[at], out=s, mode="clip")
+            t -= s
+            # the sums take the first half of s's memory
+            sums = s.reshape(-1).view(np.float64)[:t.size].reshape(t.shape)
+            np.add(t.real, t.imag, out=sums)
+            flat = sums.reshape(-1)
+            base = a * n_radii
+            flat[single_slot[i:j] - base] = single[i:j]
+            np.maximum(sums, 0.0, out=sums)
+            if m > k:
+                np.add.at(flat, extra_slot[k:m] - base, seg[k:m])
+            yield at, sums
 
-    def sup_average(self, g: np.ndarray):
+    def _radius(self, hit: np.ndarray) -> np.ndarray:
+        """Per row: the radius of grid index hit[row]."""
+        if self._exact:
+            return self._radii[np.arange(hit.size), hit]
+        return _log_radii(self._radii, hit, self._p.shape[1])
+
+    def sup_average(self, g):
         """Per evaluation point: max over radii of avg(g over the portion).
 
-        g must be a nonnegative per-sample array.  It is scaled by an exact
-        power of two so that its maximum lies in [1, 2), and the sup scaled
-        back, so that an integrand whose total overflows still gives a
-        finite sup.
+        g must be a real, finite, nonnegative array of the curve's samples;
+        PreconditionError otherwise.  It is scaled by an exact power of two
+        so that its maximum lies in [1, 2), and the sup scaled back, so that
+        an integrand whose total overflows still gives a finite sup.
         """
-        shift = math.frexp(float(np.max(g)))[1] - 1
+        g = np.asarray(g)
+        if g.shape != self._aw.shape or g.dtype.kind not in "biuf":
+            raise PreconditionError(
+                f"sup_average needs a real array of the curve's "
+                f"{self._aw.size} samples, got {g.dtype} of shape {g.shape}")
+        top = float(np.max(g))
+        if not math.isfinite(top) or np.min(g) < 0:
+            raise PreconditionError(
+                "sup_average needs a finite nonnegative integrand")
+        shift = math.frexp(top)[1] - 1
         if shift:  # the weighted path's maximum is exactly 1: no copy
             g = np.ldexp(g, -shift)
-        avg = self._portion_sums(g)
-        avg /= self._den
-        hit = np.argmax(avg, axis=1)
-        rows = np.arange(avg.shape[0])
-        return np.ldexp(avg[rows, hit], shift), self._eps[rows, hit]
+        values = np.empty(self._den.shape[0])
+        hit = np.empty(values.size, dtype=np.intp)
+        for at, avg in self._blocks(g):
+            avg /= self._den[at]
+            np.argmax(avg, axis=1, out=hit[at])
+            values[at] = avg[np.arange(avg.shape[0]), hit[at]]
+        return np.ldexp(values, shift), self._radius(hit)
 
 
 def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,

@@ -37,6 +37,25 @@ def test_config_validates_levels():
         small_config(levels=(1024, 512))
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("max_radii", True), ("max_radii", 0), ("max_radii", 2.0),
+    ("n_random", -1), ("n_random", 2.5), ("n_random", False),
+    ("eval_points", 0), ("eval_points", 1), ("eval_points", True),
+    ("seed", -1), ("seed", True), ("seed", "1"),
+])
+def test_config_rejects_bad_integer_settings(name, bad):
+    """Each used to run with a silently changed meaning or fail deep in
+    the probe: max_radii=True ran with one radius, n_random=-1 dropped the
+    random functions, eval_points=0 raised IndexError."""
+    with pytest.raises(PreconditionError, match=name):
+        small_config(**{name: bad})
+
+
+def test_config_accepts_smallest_integer_settings():
+    small_config(seed=0, n_random=0, eval_points=2, max_radii=1)
+    small_config(seed=np.int64(7), n_random=np.int32(1))
+
+
 def test_classify_trend():
     assert cl.classify_trend([1.0, 2.0, 4.0]) == "growing"
     assert cl.classify_trend([5.0, 5.1, 5.2]) == "stable"
@@ -320,6 +339,17 @@ def test_cli_probe_missing_key_exits_2(tmp_path):
                                "--gamma", "0.2"])
     assert res.exit_code == 2
     assert "requires 'delta'" in res.output
+
+
+def test_cli_probe_negative_seed_exits_2(tmp_path):
+    """It used to exit 1 with numpy's traceback after the first level."""
+    res = CliRunner().invoke(main, ["probe", "--out", str(tmp_path),
+                                    "--levels", "256,512,1024",
+                                    "--kind", "graded-circle",
+                                    "--gamma", "0.2", "--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert "seed must be an integer >= 0" in res.output
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_exit_code_3_on_numerical(tmp_path):

@@ -135,6 +135,56 @@ def test_rejects_nonpositive_max_radii(segment):
         cl.MaximalEvaluator(segment, [0, 5], max_radii=0)
 
 
+def test_rejects_bool_max_radii(segment):
+    """True is not one radius."""
+    with pytest.raises(PreconditionError, match="max_radii"):
+        cl.MaximalEvaluator(segment, [0, 5], max_radii=True)
+
+
+@pytest.fixture(scope="module")
+def circle_65():
+    curve = cl.generate_circle(1.0, 64)
+    assert curve.n_samples == 65
+    return cl.MaximalEvaluator(curve)
+
+
+def test_sup_average_rejects_negative_integrand(circle_65):
+    """g = -1 used to average to all zeros."""
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        circle_65.sup_average(-np.ones(65))
+
+
+def test_sup_average_rejects_one_negative_sample(circle_65):
+    """Ones with a final -5 used to average to 0.953, neither g nor |g|."""
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        circle_65.sup_average(np.append(np.ones(64), -5.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sup_average_rejects_non_finite_integrand(circle_65, bad):
+    """NaN and +inf used to give NaN with a RuntimeWarning."""
+    with pytest.raises(PreconditionError, match="finite"):
+        circle_65.sup_average(np.append(np.ones(64), bad))
+
+
+@pytest.mark.parametrize("size", [64, 66])
+def test_sup_average_rejects_wrong_length(circle_65, size):
+    """Used to raise a bare broadcasting ValueError."""
+    with pytest.raises(PreconditionError, match="65 samples"):
+        circle_65.sup_average(np.ones(size))
+
+
+def test_sup_average_rejects_complex_integrand(circle_65):
+    with pytest.raises(PreconditionError, match="real"):
+        circle_65.sup_average(np.ones(65, dtype=complex))
+
+
+def test_sup_average_reads_integer_and_boolean_integrands(circle_65):
+    ones, _ = circle_65.sup_average(np.ones(65))
+    for g in (np.ones(65, dtype=int), np.ones(65, dtype=bool)):
+        assert np.array_equal(circle_65.sup_average(g)[0], ones)
+
+
 @pytest.mark.parametrize("name", ["eval_indices", "max_radii"])
 def test_evaluator_is_the_only_source_of_points_and_radii(segment, name):
     """weighted_maximal and decompose take their evaluation points and

@@ -1,18 +1,23 @@
-"""The per-portion maximal engine against the kernels it replaced.
+"""The streamed per-portion maximal engine against the kernels it replaced.
 
 ``SortedCumsumEvaluator`` is the first ``MaximalEvaluator``: per
 evaluation point it sorts every distance, keeps the sort order and the
 cumulative arc weights, and answers each integrand with a gather and a
-cumulative sum.  The other two read the run-length bucket table that the
-engine stored before its per-portion intervals: ``ReduceatEvaluator`` takes
-each run sum by ``np.add.reduceat`` over every sample, as before the
-compensated prefix sums, and ``PrefixRunEvaluator`` as a difference of two
-compensated prefix sums, bucketed and accumulated over the radii.  All
-three are kept here only as test references.  ``dense_reference_table`` is
-that table's build before the block build and the closed-form bucket ids:
-every distance of every row, each row searched with ``np.searchsorted``.
+cumulative sum.  Two read the run-length bucket table that the engine
+stored before its per-portion intervals: ``ReduceatEvaluator`` takes each
+run sum by ``np.add.reduceat`` over every sample, as before the compensated
+prefix sums, and ``PrefixRunEvaluator`` as a difference of two compensated
+prefix sums, bucketed and accumulated over the radii.
+``IntervalTableEvaluator`` is the per-portion kernel before it streamed its
+table: three E x R index arrays and a whole E x R table of portion sums per
+call; the engine must match it bit for bit.  All four are kept here only as
+test references.  ``dense_reference_table`` is the run table's build before
+the block build and the closed-form bucket ids: every distance of every
+row, each row searched with ``np.searchsorted``.
 """
 
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -112,7 +117,22 @@ def dense_reference_table(curve, eval_indices, max_radii):
     return eps_table, np.concatenate(starts), np.concatenate(bins)
 
 
-class RunTableEvaluator:
+class TableEvaluator:
+    """A reference engine that holds a whole E x R table of portion sums
+    per call; subclasses give _portion_sums, _eps and _den."""
+
+    def sup_average(self, g):
+        shift = math.frexp(float(np.max(g)))[1] - 1
+        if shift:  # the weighted path's maximum is exactly 1: no copy
+            g = np.ldexp(g, -shift)
+        avg = self._portion_sums(g)
+        avg /= self._den
+        hit = np.argmax(avg, axis=1)
+        rows = np.arange(avg.shape[0])
+        return np.ldexp(avg[rows, hit], shift), self._eps[rows, hit]
+
+
+class RunTableEvaluator(TableEvaluator):
     """A reference engine on dense_reference_table's run table: each row's
     runs, then a boundary start at n whose bucket is never read."""
 
@@ -131,8 +151,6 @@ class RunTableEvaluator:
         table = np.bincount(self._bins, weights=run_sums,
                             minlength=self._shape[0] * self._shape[1])
         return np.cumsum(table.reshape(self._shape)[:, :-1], axis=1)
-
-    sup_average = cl.MaximalEvaluator.sup_average
 
 
 class ReduceatEvaluator(RunTableEvaluator):
@@ -243,16 +261,105 @@ def reference_portions(starts, bins, eval_indices, n, n_radii):
     return start, end, head, np.concatenate(extras, axis=1)
 
 
-def _assert_same_table(engine, curve, idx, max_radii):
-    """eps bit for bit, and every portion as the run table gives it."""
-    eps, starts, bins = dense_reference_table(curve, idx, max_radii)
-    assert np.array_equal(engine._eps, eps)
-    start, end, head, extra = reference_portions(
-        starts, bins, np.asarray(idx), curve.n_samples, eps.shape[1])
-    assert np.array_equal(engine._start, start)
-    assert np.array_equal(engine._end, end)
-    assert np.array_equal(engine._head, head)
-    assert np.array_equal(engine._extra, extra)
+class IntervalTableEvaluator(TableEvaluator):
+    """Reference kernel: the engine's before it streamed its table.  Each
+    portion is the interval of reference_portions in three E x R int32
+    arrays start, end and head, and a call fills the whole table of
+    portion sums, each one difference of compensated prefix sums."""
+
+    BLOCK_SLOTS = 1 << 14  # portions per prefix-sum gather
+
+    def __init__(self, curve, eval_indices, max_radii=256):
+        self._eps, starts, bins = dense_reference_table(curve, eval_indices,
+                                                        max_radii)
+        n_radii = self._eps.shape[1]
+        *interval, self._extra = reference_portions(
+            starts, bins, np.asarray(eval_indices), curve.n_samples, n_radii)
+        self._start, self._end, self._head = np.array(interval,
+                                                      dtype=np.int32)
+        self._single = np.flatnonzero(self._end - self._start == 1)
+        self._wraps = np.any(self._head, axis=1)
+        self._aw = curve.arc_weights
+        self._buf = np.empty((2, max(1, self.BLOCK_SLOTS // n_radii),
+                              n_radii), dtype=np.complex128)
+        self._den = self._portion_sums(np.ones(curve.n_samples))
+
+    def _portion_sums(self, g):
+        """E x R table: per row and radius, the sum of g * arc_weights."""
+        x = g * self._aw
+        # compensated prefix sums: sum(x[:k]) = pre[k].real + pre[k].imag
+        pre = np.zeros(x.size + 1, dtype=np.complex128)
+        hi, lo = pre.real, pre.imag
+        np.cumsum(x, out=hi[1:])
+        # TwoSum: the exact rounding error of hi[k+1] = hi[k] + x[k]
+        b = hi[2:] - hi[1:-1]
+        err = (hi[1:-1] - (hi[2:] - b)) + (x[1:] - b)
+        np.cumsum(err, out=lo[2:])
+        sums = np.empty(self._start.shape)
+        buf = self._buf
+        rows = buf.shape[1]
+        for a in range(0, sums.shape[0], rows):
+            at = np.s_[a:a + rows]
+            t, s = buf[:, :sums[at].shape[0]]
+            # every index is in [0, n]: "clip" only skips the bounds check
+            np.take(pre, self._end[at], out=t, mode="clip")
+            np.take(pre, self._start[at], out=s, mode="clip")
+            t -= s
+            if self._wraps[at].any():
+                # (pre[n] - pre[p]) + pre[q]: the close values first
+                np.take(pre, self._head[at], out=s, mode="clip")
+                t += s
+            np.add(t.real, t.imag, out=sums[at])
+        flat = sums.reshape(-1)
+        single = self._single
+        head = pre[self._head.reshape(-1)[single]]
+        flat[single] = x[self._start.reshape(-1)[single]] + (head.real
+                                                            + head.imag)
+        np.maximum(sums, 0.0, out=sums)
+        if self._extra.size:
+            slot, start, end = self._extra
+            seg = pre[end] - pre[start]
+            seg = np.maximum(seg.real + seg.imag, 0.0)
+            one = end - start == 1
+            seg[one] = x[start[one]]
+            np.add.at(flat, slot, seg)
+        return sums
+
+
+def _assert_same_table(engine, curve, idx, max_radii, integrands=()):
+    """The grid bit for bit, every portion as the run table gives it, and
+    the streamed sums bit for bit those of the whole-table kernel on it."""
+    reference = IntervalTableEvaluator(curve, idx, max_radii)
+    eps = reference._eps
+    rows, n_radii = eps.shape
+    n = curve.n_samples
+    if n <= max_radii:
+        assert np.array_equal(engine._radii, eps)
+    else:
+        # the row grid ends give linspace's grid, and the radius of a hit
+        assert np.array_equal(engine_module._log_grid(engine._radii, n_radii),
+                              eps)
+        for k in {0, 1, n_radii // 2, n_radii - 2} & set(range(n_radii)):
+            assert np.array_equal(engine._radius(np.full(rows, k)), eps[:, k])
+        hit = np.arange(rows) % n_radii
+        assert np.array_equal(engine._radius(hit), eps[np.arange(rows), hit])
+    # a wrapped interval [p, n) then [0, q) is stored as (p + n + 1, q)
+    wrap = reference._head > 0
+    assert np.array_equal(engine._p, np.where(wrap, reference._start + n + 1,
+                                              reference._start))
+    assert np.array_equal(engine._q, np.where(wrap, reference._head,
+                                              reference._end))
+    assert np.array_equal(engine._extra, reference._extra)
+    single = reference._single
+    assert np.array_equal(engine._single, [
+        single, reference._start.reshape(-1)[single],
+        reference._head.reshape(-1)[single]])
+    assert engine._den.tobytes() == reference._den.tobytes()
+    for g in integrands:
+        values, eps = engine.sup_average(g)
+        ref_values, ref_eps = reference.sup_average(g)
+        assert values.tobytes() == ref_values.tobytes()
+        assert eps.tobytes() == ref_eps.tobytes()
 
 
 def _square(n):
@@ -374,13 +481,15 @@ def test_build_matches_dense_reference(case):
     curve, idx, max_radii, chunk_entries = case
     with mock.patch.object(engine_module, "_CHUNK_ENTRIES", chunk_entries):
         engine = cl.MaximalEvaluator(curve, idx, max_radii)
-    _assert_same_table(engine, curve, idx, max_radii)
+    _assert_same_table(engine, curve, idx, max_radii,
+                       _integrands(curve, curve.n_samples))
 
 
 def test_build_matches_dense_reference_deep():
     curve = cl.generate_graded_circle(1.0, 131072)
     idx = _eval_subgrid(curve, 256)
-    _assert_same_table(cl.MaximalEvaluator(curve, idx), curve, idx, 256)
+    _assert_same_table(cl.MaximalEvaluator(curve, idx), curve, idx, 256,
+                       _integrands(curve, 3))
 
 
 @pytest.mark.parametrize("make", [
@@ -391,7 +500,8 @@ def test_full_grid_build_matches_dense_reference(make):
     """The default full grid (eval_indices=None) runs the dense scan."""
     curve = make()
     engine = cl.MaximalEvaluator(curve)
-    _assert_same_table(engine, curve, np.arange(curve.n_samples), 256)
+    _assert_same_table(engine, curve, np.arange(curve.n_samples), 256,
+                       _integrands(curve, 4))
 
 
 def test_full_grid_build_across_chunks_closed_square():
@@ -402,14 +512,15 @@ def test_full_grid_build_across_chunks_closed_square():
     n = curve.n_samples
     with mock.patch.object(engine_module, "_CHUNK_ENTRIES", 5 * n):
         engine = cl.MaximalEvaluator(curve)
-    _assert_same_table(engine, curve, np.arange(n), 256)
+    _assert_same_table(engine, curve, np.arange(n), 256,
+                       _integrands(curve, 5))
 
 
 def test_closed_form_ids_next_to_grid_points():
     """Distances exactly on grid radii and one ulp to either side, where
     the closed form alone cannot tell the bucket, get the searched one."""
-    eps = engine_module._log_grid(np.array([1e-9, 0.25]),
-                                  np.array([2.0, 3.0]), 256)
+    eps = engine_module._log_grid(engine_module._log_ends(
+        np.array([1e-9, 0.25]), np.array([2.0, 3.0])), 256)
     for row in range(2):
         grid = eps[row]
         d = np.concatenate([[0.0], grid, np.nextafter(grid, 0.0),
@@ -442,9 +553,11 @@ def test_prefix_kernel_matches_reduceat_deep():
     references = (ReduceatEvaluator(curve, idx), PrefixRunEvaluator(curve, idx))
     d = np.abs(curve.samples - 1.0)
     rng = np.random.default_rng(5)
-    for g in (d ** -0.8, d ** 0.7, rng.uniform(0.0, 1.0, curve.n_samples)):
+    integrands = (d ** -0.8, d ** 0.7, rng.uniform(0.0, 1.0, curve.n_samples))
+    for g in integrands:
         for reference in references:
             _assert_same_sup(engine, reference, g)
+    _assert_same_table(engine, curve, idx, 256, integrands)
 
 
 @pytest.mark.parametrize("name", ["tight_spiral", "closed_square"])
@@ -457,13 +570,57 @@ def test_portion_kernel_matches_run_kernels(name):
     idx = np.append(np.arange(0, n, 97), n - 1)
     engine = cl.MaximalEvaluator(curve, idx)
     assert engine._extra.shape[1] > 0 if name == "tight_spiral" \
-        else np.any(engine._head > 0)
+        else np.any(engine._p > n)
     references = (ReduceatEvaluator(curve, idx), PrefixRunEvaluator(curve, idx))
     d = np.abs(curve.samples - curve.samples[0])
     d[d == 0.0] = 1.0
-    for g in (d ** -0.8, d ** 0.7, *_integrands(curve, 7)):
+    integrands = (d ** -0.8, d ** 0.7, *_integrands(curve, 7))
+    for g in integrands:
         for reference in references:
             _assert_same_sup(engine, reference, g)
+    _assert_same_table(engine, curve, idx, 256, integrands)
+
+
+@pytest.fixture(scope="module")
+def full_grid():
+    """The default full grid at n = 4096: E = 4096 rows of R = 256 radii."""
+    curve = cl.generate_graded_circle(1.0, 4096)
+    return curve, cl.MaximalEvaluator(curve)
+
+
+def _held_arrays(engine):
+    """Every array the evaluator holds, its curve's aside."""
+    for value in vars(engine).values():
+        for a in (value if isinstance(value, tuple) else (value,)):
+            if isinstance(a, np.ndarray) and a is not engine._aw:
+                yield a
+
+
+def test_full_grid_holds_sixteen_bytes_per_slot(full_grid):
+    """Two int32 interval indices and a float64 denominator per (point,
+    radius) slot; everything else it holds is below one byte per slot."""
+    curve, engine = full_grid
+    slots = curve.n_samples * 256
+    per_slot = [a for a in _held_arrays(engine) if a.size >= slots]
+    assert sum(a.nbytes for a in per_slot) <= 16 * slots
+    assert sum(a.nbytes for a in _held_arrays(engine)
+               if a.size < slots) < slots
+
+
+def test_sup_average_streams_its_table(full_grid):
+    """A call holds one block of the table at a time: nothing of E x R
+    float64 entries (8 MB here) is allocated, nor any eighth of it."""
+    curve, engine = full_grid
+    g = np.random.default_rng(8).uniform(0.0, 1.0, curve.n_samples)
+    engine.sup_average(g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.sup_average(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < curve.n_samples * 256
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
