@@ -138,16 +138,6 @@ def equivalent(w1: Weight, w2: Weight) -> float:
     return float(np.exp(np.max(diff) + np.max(-diff)))
 
 
-def seifullayev_ratio(branch: ArgBranch) -> float:
-    """Smallest C with |arg(tau - t0)| <= C*(1 + max(0, -log|tau - t0|)).
-
-    Finite for Carleson curves; refinement-stable values are the empirical
-    face of the logarithmic argument bound.
-    """
-    bound = 1.0 + np.maximum(0.0, -branch.log_abs)
-    return float(np.max(np.abs(branch.values) / bound))
-
-
 def export_weight_csv(curve: Curve, weight: Weight, path):
     """Write arclen, re, im, weight_log rows (log-space survives round-trips)."""
     write_csv(path, ["arclen", "re", "im", "weight_log"],

@@ -3,7 +3,7 @@
 A curve is an ordered array of points in the complex plane plus cumulative
 arc length per sample.  Generators produce the curve zoo (circles, graded
 circles, log spirals, mixed-spirality spirals, segments, corners); metric
-primitives compute portions, the Carleson constant estimate and d_t.
+primitives compute the Carleson constant estimate, d_t and arcs.
 
 All Curve values are immutable after construction and every operation is a
 pure function of its inputs.
@@ -110,19 +110,6 @@ class Curve:
     def reversed(self) -> "Curve":
         cum = self.cumlen[-1] - self.cumlen[::-1]
         return Curve(self.samples[::-1].copy(), cum.copy(), self.closed)
-
-
-@dataclass(frozen=True)
-class Portion:
-    """Curve portion inside an open disk: index ranges plus arc measure.
-
-    ranges: half-open sample index ranges [start, stop); every listed sample
-    lies strictly inside the disk.  measure additionally counts the
-    interpolated fractions of boundary segments.
-    """
-
-    ranges: tuple
-    measure: float
 
 
 def from_points(points, closed: bool = False) -> Curve:
@@ -304,32 +291,6 @@ def generate_corner(turn: float, r_min: float, r_max: float, n: int) -> Curve:
 # metric primitives
 
 
-def portion(curve: Curve, t: complex, eps: float) -> Portion:
-    """Curve portion inside the open disk |tau - t| < eps.
-
-    Boundary segments contribute the interpolated chord fraction up to the
-    disk crossing (one crossing per boundary, so a segment dipping into the
-    disk with both endpoints outside is not seen).
-    """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    d = curve.distances_from(t)
-    inside = d < eps
-    if not inside.any():
-        return Portion((), 0.0)
-    padded = np.concatenate(([False], inside, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    ranges = tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
-    seg = curve.seg_lengths
-    measure = float(seg[inside[:-1] & inside[1:]].sum())
-    partial = inside[:-1] ^ inside[1:]
-    if partial.any():
-        idx = np.flatnonzero(partial)
-        frac = _inside_fractions(curve, idx, t, eps, inside[idx])
-        measure += float((frac * seg[idx]).sum())
-    return Portion(ranges, measure)
-
-
 def _inside_fractions(curve: Curve, k, t: complex, eps, first_inside):
     """Fraction of each segment k that lies in the disk |tau - t| < eps.
 
@@ -355,13 +316,16 @@ def d_t(curve: Curve, t: complex) -> float:
 
 
 def carleson_constant(curve: Curve, t_points, eps_grid) -> float:
-    """Grid maximum of |portion(t, eps)| / eps, a lower bound for C_Gamma.
+    """Grid maximum of |Gamma(t, eps)| / eps, a lower bound for C_Gamma.
 
+    |Gamma(t, eps)| is the arc length of the curve inside the open disk
+    |tau - t| < eps: the segments with both ends inside, plus the chord
+    fraction of each segment up to its one crossing of the circle.
     Nondecreasing under grid refinement.  Each t takes one distance pass for
     every eps at once: the segments with both ends inside the disk are a
     prefix of the segments sorted by their farther end, and the quadratic
-    crossing of portion() is solved only for the (eps, segment) pairs with
-    one end inside.  Cost is O(|t| * (n log n + |eps| + crossings)).
+    crossing is solved only for the (eps, segment) pairs with one end
+    inside.  Cost is O(|t| * (n log n + |eps| + crossings)).
     """
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.complex128))
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
@@ -444,12 +408,6 @@ def omega_arc(curve: Curve, t0: complex, delta: float,
     if curve.closed:
         mask[-1] = mask[0] = mask[0] or mask[-1]
     return mask
-
-
-def arc_measure(curve: Curve, mask: np.ndarray) -> float:
-    """Arc length of the segments whose both endpoints are in the mask."""
-    both = mask[:-1] & mask[1:]
-    return float(curve.seg_lengths[both].sum())
 
 
 # ---------------------------------------------------------------------------

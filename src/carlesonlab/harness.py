@@ -53,10 +53,11 @@ class ExperimentConfig:
         so that refinement levels deepen the resolved scale.
     exponent: {"kind": "constant", "value": p} or
         {"kind": "profile", "p_at": ..., "p_far": ...}.
-    spirality: optional (alpha, beta) override; measured on the top-level
-        curve when absent and gamma is not real.
-    seed, n_random, eval_points and max_radii are integers, not bools, of
-    at least 0, 0, 2 and 1; PreconditionError otherwise.
+    spirality: optional (alpha, beta) override, two finite real numbers
+        (not bools); measured on the top-level curve when absent and gamma
+        is not real.
+    seed, n_random, eval_points, max_radii and each level are integers, not
+    bools, of at least 0, 0, 2, 1 and 2; PreconditionError otherwise.
     """
 
     curve: dict
@@ -70,13 +71,21 @@ class ExperimentConfig:
     spirality: tuple | None = None
 
     def __post_init__(self):
-        for name, low in (("seed", 0), ("n_random", 0), ("eval_points", 2),
-                          ("max_radii", 1)):
-            value = getattr(self, name)
+        settings = [(name, getattr(self, name), low) for name, low in (
+            ("seed", 0), ("n_random", 0), ("eval_points", 2), ("max_radii", 1))]
+        for name, value, low in settings + [("level", n, 2)
+                                            for n in self.levels]:
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral) or value < low):
                 raise PreconditionError(
                     f"{name} must be an integer >= {low}, got {value!r}")
+        spir = self.spirality
+        if spir is not None and not (
+                isinstance(spir, (tuple, list)) and len(spir) == 2
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                        and math.isfinite(x) for x in spir)):
+            raise PreconditionError("spirality must be two finite real "
+                                    f"numbers, got {spir!r}")
         levels = tuple(int(n) for n in self.levels)
         if len(levels) == 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             raise PreconditionError("levels must be strictly increasing")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .argbranch import ArgBranch, LOG_CLAMP, clamped_exp, gamma_weight
-from .curves import Curve, omega_arc, write_csv
+from .curves import Curve, write_csv
 from .errors import PreconditionError
 from .norms import as_sampled
 
@@ -740,47 +740,6 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     values = clamped_exp(log_vals)
     values[~nonzero] = 0.0
     return MaximalResult(values, eps, evaluator.eval_indices, clipped)
-
-
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """The four arc-localized pieces of the weighted maximal operator.
-
-    pieces[0]: chi_omega   M chi_omega f      (singularity core)
-    pieces[1]: chi_complement M chi_omega f
-    pieces[2]: chi_omega   M chi_complement f
-    pieces[3]: chi_complement M chi_complement f
-    Their pointwise sum dominates the un-split operator on the shared
-    radius grid.
-    """
-
-    pieces: tuple
-    omega_mask: np.ndarray
-    eval_indices: np.ndarray
-
-
-def decompose(curve: Curve, f, t0: complex, gamma: complex, delta: float,
-              branch: ArgBranch | None = None,
-              evaluator: MaximalEvaluator | None = None,
-              join_ends: bool = False) -> Decomposition:
-    """Split the weighted maximal operator across the arc omega(t0, delta);
-    the evaluator is weighted_maximal's, built here when not given."""
-    f = as_sampled(curve, f)
-    mask = omega_arc(curve, t0, delta, join_ends=join_ends)
-    if evaluator is None:
-        evaluator = MaximalEvaluator(curve)
-    f_in = np.where(mask, f, 0.0)
-    f_out = np.where(mask, 0.0, f)
-    m_in = weighted_maximal(curve, f_in, t0, gamma, branch=branch,
-                            evaluator=evaluator)
-    m_out = weighted_maximal(curve, f_out, t0, gamma, branch=branch,
-                             evaluator=evaluator)
-    at_eval = mask[evaluator.eval_indices]
-    pieces = (np.where(at_eval, m_in.values, 0.0),
-              np.where(at_eval, 0.0, m_in.values),
-              np.where(at_eval, m_out.values, 0.0),
-              np.where(at_eval, 0.0, m_out.values))
-    return Decomposition(pieces, mask, evaluator.eval_indices)
 
 
 def export_maximal_csv(curve: Curve, result: MaximalResult, path):

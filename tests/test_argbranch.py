@@ -145,13 +145,6 @@ def test_exponent_rescaled_weights_equivalent(spiral1, spiral1_branch):
     assert v == pytest.approx(1.1495, abs=0.02)  # frozen baseline
 
 
-def test_seifullayev_bound_stable():
-    cs = [cl.seifullayev_ratio(cl.unwrap_arg(
-        cl.generate_log_spiral(1.0, 1e-4, 1.0, n), 0j)) for n in (4096, 8192)]
-    assert cs[0] > 0
-    assert abs(cs[1] - cs[0]) / cs[0] < 0.05
-
-
 def test_weight_csv_roundtrip(tmp_path, spiral1, spiral1_branch):
     w = cl.phi(spiral1_branch, 1j)
     path = tmp_path / "w.csv"
@@ -211,14 +204,12 @@ def test_gamma_weight_rejects_a_branch_around_another_point():
     ev = cl.MaximalEvaluator(c, [0, 100, 500])
     with pytest.raises(PreconditionError, match="branch is around"):
         cl.weighted_maximal(c, 1.0, 0.5, 0.3j, branch=branch, evaluator=ev)
-    with pytest.raises(PreconditionError, match="branch is around"):
-        cl.decompose(c, 1.0, 0.5, 0.3j, 1.0, branch=branch, evaluator=ev)
     # the same point in another numeric type is the same t0
     same = cl.gamma_weight(c, 0, 0.3j, branch=branch)
     assert np.array_equal(same.log_values, cl.phi(branch, 0.3j).log_values)
 
 
 def test_branch_needs_its_log_abs(spiral1):
-    """phi and seifullayev_ratio read log_abs; it has no default."""
+    """phi reads log_abs; it has no default."""
     with pytest.raises(TypeError):
         cl.ArgBranch(0j, np.zeros(spiral1.n_samples))

@@ -1,9 +1,53 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
+from carlesonlab.curves import Curve, _inside_fractions
 from carlesonlab.errors import EmptyArc, PreconditionError
+
+
+# The disk portion that carleson_constant's one-pass sweep replaced, kept as
+# its reference.
+@dataclass(frozen=True)
+class Portion:
+    """Curve portion inside an open disk: index ranges plus arc measure.
+
+    ranges: half-open sample index ranges [start, stop); every listed sample
+    lies strictly inside the disk.  measure additionally counts the
+    interpolated fractions of boundary segments.
+    """
+
+    ranges: tuple
+    measure: float
+
+
+def portion(curve: Curve, t: complex, eps: float) -> Portion:
+    """Curve portion inside the open disk |tau - t| < eps.
+
+    Boundary segments contribute the interpolated chord fraction up to the
+    disk crossing (one crossing per boundary, so a segment dipping into the
+    disk with both endpoints outside is not seen).
+    """
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
+    d = curve.distances_from(t)
+    inside = d < eps
+    if not inside.any():
+        return Portion((), 0.0)
+    padded = np.concatenate(([False], inside, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    ranges = tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+    seg = curve.seg_lengths
+    measure = float(seg[inside[:-1] & inside[1:]].sum())
+    partial = inside[:-1] ^ inside[1:]
+    if partial.any():
+        idx = np.flatnonzero(partial)
+        frac = _inside_fractions(curve, idx, t, eps, inside[idx])
+        measure += float((frac * seg[idx]).sum())
+    return Portion(ranges, measure)
 
 
 def brute_portion_measure(curve, t, eps):
@@ -100,20 +144,20 @@ def test_curve_validation():
 
 
 def test_portion_whole_circle(unit_circle):
-    p = cl.portion(unit_circle, 1.0 + 0j, 2.1)
+    p = portion(unit_circle, 1.0 + 0j, 2.1)
     assert len(p.ranges) == 1
     assert p.measure == pytest.approx(2 * np.pi, rel=1e-6)
 
 
 def test_portion_empty(unit_circle):
-    p = cl.portion(unit_circle, 0j, 0.5)
+    p = portion(unit_circle, 0j, 0.5)
     assert p.ranges == ()
     assert p.measure == 0.0
 
 
 def test_portion_against_brute_force(spiral1):
     for eps in (0.1, 0.01, 0.37):
-        p = cl.portion(spiral1, 0j, eps)
+        p = portion(spiral1, 0j, eps)
         oracle = brute_portion_measure(spiral1, 0j, eps)
         assert p.measure == pytest.approx(oracle, rel=1e-9)
         d = np.abs(spiral1.samples)
@@ -123,13 +167,13 @@ def test_portion_against_brute_force(spiral1):
 
 def test_portion_monotone_in_eps(spiral1):
     eps_grid = np.geomspace(1e-3, 2.0, 24)
-    measures = [cl.portion(spiral1, 0j, e).measure for e in eps_grid]
+    measures = [portion(spiral1, 0j, e).measure for e in eps_grid]
     assert all(a <= b + 1e-12 for a, b in zip(measures, measures[1:]))
 
 
 def test_portion_rejects_bad_eps(unit_circle):
     with pytest.raises(PreconditionError):
-        cl.portion(unit_circle, 0j, 0.0)
+        portion(unit_circle, 0j, 0.0)
 
 
 # --- carleson constant and d_t ------------------------------------------
@@ -199,7 +243,7 @@ def test_carleson_equals_portion_grid_max(name):
     t_pts, eps = cl.default_carleson_grids(curve)
     t_pts = np.concatenate((t_pts, [0j, 0.3 + 0.2j]))
     v = cl.carleson_constant(curve, t_pts, eps[::-1])
-    ref = max(cl.portion(curve, t, e).measure / e
+    ref = max(portion(curve, t, e).measure / e
               for t in t_pts for e in eps)
     assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -214,8 +258,8 @@ def test_reversal_invariance(spiral1):
     rev = spiral1.reversed()
     assert rev.total_length == pytest.approx(spiral1.total_length, rel=1e-12)
     for eps in (0.05, 0.5):
-        a = cl.portion(spiral1, 0j, eps).measure
-        b = cl.portion(rev, 0j, eps).measure
+        a = portion(spiral1, 0j, eps).measure
+        b = portion(rev, 0j, eps).measure
         assert a == pytest.approx(b, rel=1e-9)
     assert cl.d_t(rev, 0j) == cl.d_t(spiral1, 0j)
 
@@ -228,13 +272,13 @@ def test_omega_arc_subset_of_portion(spiral1):
     mask = cl.omega_arc(spiral1, 0j, delta)
     d = np.abs(spiral1.samples)
     assert np.all(d[mask] < delta)
-    p = cl.portion(spiral1, 0j, delta)
+    p = portion(spiral1, 0j, delta)
     in_portion = np.zeros(spiral1.n_samples, dtype=bool)
     for lo, hi in p.ranges:
         in_portion[lo:hi] = True
     assert np.all(~mask | in_portion)
     # spirals re-enter the disk: the portion is strictly larger
-    assert cl.arc_measure(spiral1, mask) < p.measure
+    assert spiral1.seg_lengths[mask[:-1] & mask[1:]].sum() < p.measure
 
 
 def test_omega_arc_joins_slit_ends(graded_circle):
@@ -402,8 +446,6 @@ def test_array_dataclasses_compare_by_identity():
         "Weight": lambda: cl.power_weight(curve, 0j, 0.3),
         "MaximalResult": lambda: cl.weighted_maximal(
             curve, f, 0j, 0.0, evaluator=evaluator),
-        "Decomposition": lambda: cl.decompose(curve, f, 1.0, 0.0, 0.5,
-                                              evaluator=evaluator),
         "SubmultSamples": lambda: cl.compute_W(spiral, 0j,
                                                cl.phi(branch, 0.2j)),
     }

@@ -31,10 +31,12 @@ def small_config(**overrides):
 
 
 def test_config_validates_levels():
-    with pytest.raises(PreconditionError):
-        small_config(levels=(512, 512))
-    with pytest.raises(PreconditionError):
-        small_config(levels=(1024, 512))
+    """(256.9, 512, 1024) used to run level 256, (True, 512, 1024) level 1,
+    and levels below 2 were accepted."""
+    for levels in ((512, 512), (1024, 512), (256.9, 512, 1024),
+                   (True, 512, 1024), (1, 2, 3), (-5, 2, 3), ("256",)):
+        with pytest.raises(PreconditionError):
+            small_config(levels=levels)
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -42,11 +44,16 @@ def test_config_validates_levels():
     ("n_random", -1), ("n_random", 2.5), ("n_random", False),
     ("eval_points", 0), ("eval_points", 1), ("eval_points", True),
     ("seed", -1), ("seed", True), ("seed", "1"),
+    ("spirality", (1.0,)), ("spirality", (1.0, "a")),
+    ("spirality", (True, 1.0)), ("spirality", (1.0, np.nan)),
+    ("spirality", (-np.inf, 1.0)), ("spirality", (1.0, 2.0, 3.0)),
+    ("spirality", 1.0),
 ])
 def test_config_rejects_bad_integer_settings(name, bad):
     """Each used to run with a silently changed meaning or fail deep in
     the probe: max_radii=True ran with one radius, n_random=-1 dropped the
-    random functions, eval_points=0 raised IndexError."""
+    random functions, eval_points=0 raised IndexError, and spirality=(1.0,)
+    raised IndexError in run_probe."""
     with pytest.raises(PreconditionError, match=name):
         small_config(**{name: bad})
 
@@ -54,6 +61,7 @@ def test_config_rejects_bad_integer_settings(name, bad):
 def test_config_accepts_smallest_integer_settings():
     small_config(seed=0, n_random=0, eval_points=2, max_radii=1)
     small_config(seed=np.int64(7), n_random=np.int32(1))
+    small_config(levels=(np.int64(2), 3, 4), spirality=[np.float64(-1.0), 1])
 
 
 def test_classify_trend():

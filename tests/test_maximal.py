@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
 from carlesonlab import argbranch
-from carlesonlab.errors import EmptyArc, PreconditionError
+from carlesonlab.errors import PreconditionError
 
 
 def brute_force_maximal_at(curve, f, i):
@@ -86,16 +86,20 @@ def test_positive_homogeneity(spiral1):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_sublinearity(segment, seed):
+def test_sublinearity(segment, spiral1, spiral1_branch, seed):
     rng = np.random.default_rng(seed)
-    f = rng.uniform(0, 1, segment.n_samples)
-    g = rng.uniform(0, 1, segment.n_samples)
-    idx = np.arange(0, segment.n_samples, 64)
-    ev = cl.MaximalEvaluator(segment, idx)
-    both = cl.weighted_maximal(segment, f + g, 0j, 0, evaluator=ev).values
-    split = cl.weighted_maximal(segment, f, 0j, 0, evaluator=ev).values \
-        + cl.weighted_maximal(segment, g, 0j, 0, evaluator=ev).values
-    assert np.all(both <= split + 1e-12)
+    for curve, gamma, branch in ((segment, 0, None),
+                                 (spiral1, 0.3 + 0.2j, spiral1_branch)):
+        f = rng.uniform(0, 1, curve.n_samples)
+        g = rng.uniform(0, 1, curve.n_samples)
+        idx = np.arange(0, curve.n_samples, 64)
+        ev = cl.MaximalEvaluator(curve, idx)
+
+        def m(h):
+            return cl.weighted_maximal(curve, h, 0j, gamma, branch=branch,
+                                       evaluator=ev).values
+
+        assert np.all(m(f + g) <= m(f) + m(g) + 1e-12)
 
 
 # --- rejected inputs ----------------------------------------------------------
@@ -187,12 +191,10 @@ def test_sup_average_reads_integer_and_boolean_integrands(circle_65):
 
 @pytest.mark.parametrize("name", ["eval_indices", "max_radii"])
 def test_evaluator_is_the_only_source_of_points_and_radii(segment, name):
-    """weighted_maximal and decompose take their evaluation points and
-    radii from the evaluator alone, which keeps neither as a second copy."""
+    """weighted_maximal takes its evaluation points and radii from the
+    evaluator alone, which keeps neither as a second copy."""
     with pytest.raises(TypeError):
         cl.weighted_maximal(segment, 1.0, 0j, 0, **{name: 1})
-    with pytest.raises(TypeError):
-        cl.decompose(segment, 1.0, 0j, 0.1, 0.5, **{name: 1})
     assert not hasattr(cl.MaximalEvaluator(segment, [0, 5]), "max_radii")
 
 
@@ -301,48 +303,6 @@ def test_power_dominance_outside_arc(spiral1, spiral1_branch):
                               evaluator=ev)
     inside = mask[ev.eval_indices]
     assert np.all(mw2.values[inside] <= c2 * mp2.values[inside] + 1e-10)
-
-
-# --- decomposition -----------------------------------------------------------
-
-
-def test_decompose_support_inside(spiral1, spiral1_branch):
-    delta = cl.d_t(spiral1, 0j) / 8
-    mask = cl.omega_arc(spiral1, 0j, delta)
-    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 64))
-    dec = cl.decompose(spiral1, mask.astype(float), 0j, 0.3 + 0.2j, delta,
-                       branch=spiral1_branch, evaluator=ev)
-    assert np.max(dec.pieces[2]) == 0.0
-    assert np.max(dec.pieces[3]) == 0.0
-    assert np.max(dec.pieces[0]) > 0.0
-
-
-def test_decompose_support_outside(spiral1, spiral1_branch):
-    delta = cl.d_t(spiral1, 0j) / 8
-    mask = cl.omega_arc(spiral1, 0j, delta)
-    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 64))
-    dec = cl.decompose(spiral1, (~mask).astype(float), 0j, 0.3 + 0.2j, delta,
-                       branch=spiral1_branch, evaluator=ev)
-    assert np.max(dec.pieces[0]) == 0.0
-    assert np.max(dec.pieces[1]) == 0.0
-
-
-def test_decompose_dominates(spiral1, spiral1_branch):
-    rng = np.random.default_rng(7)
-    f = rng.uniform(0, 1, spiral1.n_samples)
-    delta = cl.d_t(spiral1, 0j) / 8
-    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 64))
-    dec = cl.decompose(spiral1, f, 0j, 0.3 + 0.2j, delta,
-                       branch=spiral1_branch, evaluator=ev)
-    total = sum(dec.pieces)
-    mf = cl.weighted_maximal(spiral1, f, 0j, 0.3 + 0.2j,
-                             branch=spiral1_branch, evaluator=ev)
-    assert np.all(mf.values <= total + 1e-10)
-
-
-def test_decompose_empty_arc(spiral1):
-    with pytest.raises(EmptyArc):
-        cl.decompose(spiral1, 1.0, 0j, 0.1, 1e-7)
 
 
 def test_csv_export(tmp_path, unit_circle):
