@@ -305,6 +305,23 @@ def test_power_dominance_outside_arc(spiral1, spiral1_branch):
     assert np.all(mw2.values[inside] <= c2 * mp2.values[inside] + 1e-10)
 
 
+def test_decompose_dominates(spiral1, spiral1_branch):
+    """Splitting f across the arc omega(0, delta) never lowers the maximal
+    function: M f <= M(f on the arc) + M(f off the arc)."""
+    rng = np.random.default_rng(7)
+    f = rng.uniform(0, 1, spiral1.n_samples)
+    delta = cl.d_t(spiral1, 0j) / 8
+    mask = cl.omega_arc(spiral1, 0j, delta)
+    ev = cl.MaximalEvaluator(spiral1, np.arange(0, spiral1.n_samples, 64))
+
+    def m(h):
+        return cl.weighted_maximal(spiral1, h, 0j, 0.3 + 0.2j,
+                                   branch=spiral1_branch, evaluator=ev).values
+
+    total = m(np.where(mask, f, 0.0)) + m(np.where(mask, 0.0, f))
+    assert np.all(m(f) <= total + 1e-10)
+
+
 def test_csv_export(tmp_path, unit_circle):
     ev = cl.MaximalEvaluator(unit_circle, np.arange(0, 4096, 512))
     res = cl.weighted_maximal(unit_circle, 1.0, 0j, 0, evaluator=ev)
