@@ -5,6 +5,7 @@ Exit codes: 0 on success, 2 on precondition errors, 3 on numerical failures.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 from pathlib import Path
@@ -42,9 +43,12 @@ class _Main(click.Group):
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        value = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError as exc:
         raise PreconditionError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise PreconditionError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _out_path(out: Path, name: str) -> Path:

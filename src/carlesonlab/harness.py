@@ -16,6 +16,7 @@ ratios grow like a power of the resolved scale.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -53,11 +54,13 @@ class ExperimentConfig:
         so that refinement levels deepen the resolved scale.
     exponent: {"kind": "constant", "value": p} or
         {"kind": "profile", "p_at": ..., "p_far": ...}.
+    gamma: a finite number, not a bool or a string.
     spirality: optional (alpha, beta) override, two finite real numbers
         (not bools); measured on the top-level curve when absent and gamma
         is not real.
-    seed, n_random, eval_points, max_radii and each level are integers, not
-    bools, of at least 0, 0, 2, 1 and 2; PreconditionError otherwise.
+    levels is a sequence; seed, n_random, eval_points, max_radii and each
+    level are integers, not bools, of at least 0, 0, 2, 1 and 2;
+    PreconditionError otherwise.
     """
 
     curve: dict
@@ -71,10 +74,14 @@ class ExperimentConfig:
     spirality: tuple | None = None
 
     def __post_init__(self):
+        try:
+            levels = tuple(self.levels)
+        except TypeError:
+            raise PreconditionError("levels must be a sequence of integers, "
+                                    f"got {self.levels!r}") from None
         settings = [(name, getattr(self, name), low) for name, low in (
             ("seed", 0), ("n_random", 0), ("eval_points", 2), ("max_radii", 1))]
-        for name, value, low in settings + [("level", n, 2)
-                                            for n in self.levels]:
+        for name, value, low in settings + [("level", n, 2) for n in levels]:
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral) or value < low):
                 raise PreconditionError(
@@ -86,11 +93,21 @@ class ExperimentConfig:
                         and math.isfinite(x) for x in spir)):
             raise PreconditionError("spirality must be two finite real "
                                     f"numbers, got {spir!r}")
-        levels = tuple(int(n) for n in self.levels)
+        levels = tuple(int(n) for n in levels)
         if len(levels) == 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             raise PreconditionError("levels must be strictly increasing")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "gamma", complex(self.gamma))
+        object.__setattr__(self, "gamma", _finite_gamma(self.gamma, "gamma"))
+
+
+def _finite_gamma(value, name: str) -> complex:
+    """value as a complex gamma; PreconditionError naming it unless it is a
+    finite number, not a bool or a string."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Complex)
+            or not cmath.isfinite(value)):
+        raise PreconditionError(
+            f"{name} must be a finite number, got {value!r}")
+    return complex(value)
 
 
 @dataclass(frozen=True)
@@ -413,7 +430,7 @@ def run_probe(config: ExperimentConfig) -> ProbeReport:
 
 def run_sweep(config: ExperimentConfig, gammas) -> list[ProbeReport]:
     """Run probes for several gammas sharing curves and evaluators per level."""
-    gammas = [complex(g) for g in gammas]
+    gammas = [_finite_gamma(g, "each of gammas") for g in gammas]
     verdicts, per_gamma = _probe_levels(config, gammas)
     reports = []
     for gamma in gammas:
@@ -431,6 +448,11 @@ def run_sweep(config: ExperimentConfig, gammas) -> list[ProbeReport]:
 def gamma_rectangle(re_min: float, re_max: float, im_min: float,
                     im_max: float, step: float) -> list[complex]:
     """Row-major complex grid over a rectangle with the given step."""
+    for name, value in (("re_min", re_min), ("re_max", re_max),
+                        ("im_min", im_min), ("im_max", im_max),
+                        ("step", step)):
+        if not math.isfinite(value):
+            raise PreconditionError(f"{name} must be finite, got {value!r}")
     if step <= 0:
         raise PreconditionError("step must be positive")
     if re_max < re_min or im_max < im_min:

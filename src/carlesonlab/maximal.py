@@ -1,10 +1,10 @@
 """Discrete Hardy-Littlewood maximal operator on curves, weighted by phi.
 
-At each evaluation point the supremum over radii is restricted to realized
-inter-sample distances, capped at a fixed number of log-spaced
-representatives: the portion average is piecewise constant in the radius
-between realized distances, so the scan is exact whenever the cap exceeds
-the number of distinct distances.
+At each evaluation point the supremum over radii is taken on a grid.  The
+portion average is piecewise constant in the radius between realized
+distances, so the scan is exact on the grid of every realized distance,
+which it uses when the curve has at most max_radii samples; a larger curve
+gets max_radii log-spaced radii, and its sup is a lower bound.
 
 The engine stores each portion as an interval of samples.  For an
 evaluation point with radius grid eps_0 <= ... <= eps_{R-1}, sample j gets
@@ -321,21 +321,6 @@ def _block_runs(samples, eval_indices, ends_out, n_radii: int, block: int):
         yield lo, m, row, piece_start[heads], piece_id[heads]
 
 
-def _nearest_block(side, prev, row, key, width: int, out: np.ndarray):
-    """Per row and radius r: the key of the nearest run on one side whose
-    cyclic running maximum side exceeds r, 2n (the keys' bound) if none.
-
-    side rises over prev at a blocking run, which blocks the radii from
-    prev up to its id; the keys grow with the distance from the point, so
-    the smallest key over the rises above r is the nearest block.  out
-    holds the rows' R + 1 columns; column 0 is scratch.
-    """
-    rise = np.flatnonzero(side > prev)
-    out.reshape(-1)[row[rise] * width + side[rise]] = key[rise]
-    flip = out[:, ::-1]
-    np.minimum.accumulate(flip, axis=1, out=flip)
-
-
 def _portions(row, col, bucket, centres, n: int, p, q):
     """Fill one chunk's rows of the interval indices p and q from their
     run heads, and return their extra segments; see MaximalEvaluator.
@@ -356,57 +341,40 @@ def _portions(row, col, bucket, centres, n: int, p, q):
     # the eval run holds the row's own sample
     own = np.searchsorted(row * n + col, np.arange(m) * n + centres,
                           side="right") - 1
-    # stretch 2 * row + 1 holds a row's runs after the eval run, 2 * row
-    # the others; offsets by stretch keep each stretch's running maximum of
-    # the ids to itself, forward and backward, in one pass each
-    has_after = own < last
-    step = np.zeros(runs, dtype=np.intp)
-    step[first[1:]] = 2 - has_after[:-1]
-    step[own[has_after] + 1] = 1
-    stretch = np.cumsum(step)
-    odd = (stretch & 1).astype(bool)
-    even = ~odd
-    off = stretch * width
-    right = np.maximum.accumulate(b + off)
-    right -= off
-    off -= (2 * m - 1) * width
-    left = np.maximum.accumulate((b - off)[::-1])[::-1]
-    left += off
-    del off, step, stretch
-    # cyclic: a side that runs off the array goes on at its other end, so
-    # it holds the whole other stretch's maximum there
-    top_right = np.where(has_after, right[last], 0)
-    top_left = left[first]
-    np.maximum(right, top_right[row], out=right, where=even)
-    np.maximum(left, top_left[row], out=left, where=odd)
-    right[own] = 0
-    left[own] = 0
-    # the interval ends at the nearest right block's first sample and
-    # starts at the nearest left block's end; keys run from the point
-    # around the cycle, col + n past the array's end to the right, and
-    # n - stop, 2n - stop past it to the left
-    ends = np.full((m, width), 2 * n, dtype=np.intp)
-    prev = np.empty_like(right)
-    prev[1:] = right[:-1]
-    prev[first] = top_right
-    _nearest_block(right, prev, row, col + n * even, width, ends)
-    starts = np.full((m, width), 2 * n, dtype=np.intp)
-    prev[:-1] = left[1:]
-    prev[last] = top_left
-    _nearest_block(left, prev, row, n + n * odd - stop, width, starts)
-    del prev
-    q[:] = ends[:, 1:]
-    np.subtract(q, n, out=q, where=q > n)  # a block at 0: end n
-    np.subtract(n, starts[:, 1:], out=p)
-    np.add(p, n, out=p, where=p < 0)  # a block ending at n: 0
-    del ends, starts
+    # each row's walks from its eval run around the cycle of its runs, two
+    # ranges each: own up to last, then first up to own - 1, to the right;
+    # own down to first, then last down to own + 1, to the left
+    size, o, back = last + 1 - first, own - first, own + first
+    pos = np.arange(runs)
+    right = pos + np.repeat(np.column_stack([o, o - size]).ravel(),
+                            np.column_stack([size - o, o]).ravel())
+    left = np.repeat(np.column_stack([back, back + size]).ravel(),
+                     np.column_stack([o + 1, size - o - 1]).ravel()) - pos
+    off = row * width
+    reach = []
+    for walk, bound, out, none in ((right, col, q, n), (left, stop, p, 0)):
+        # running maxima of the ids, kept to each row by its offset
+        top = np.maximum.accumulate(b[walk] + off)
+        # per slot: the count of places whose maximum is at most r, in its
+        # row and the rows before, which is the place of the run blocking r
+        at = np.cumsum(np.bincount(top, minlength=m * width))
+        # a block ends the interval at its first sample on the right and
+        # starts it at its end on the left, n and 0 at the array's far end;
+        # a row with no block reads the eval run (which never blocks) of
+        # the next row's walk, or the end: [0, n)
+        edge = np.append(bound[walk], none)
+        edge[edge == n - none] = none
+        edge[first] = none
+        out[:] = edge[at.reshape(m, width)[:, :n_radii]]
+        reach.append(np.empty_like(top))
+        reach[-1][walk] = top - off
     # a wrapped interval, [p, n) then [0, q), is read from the second half
     # of the prefix table: (p + n + 1, q)
     np.add(p, n + 1, out=p, where=p > q)
     # a run outside the interval at radius r, below its reach (the radius
     # from which the interval holds it), starts an extra segment when its
     # left neighbour is above r and ends one when its right neighbour is
-    reach = np.minimum(right, left)
+    reach = np.minimum(*reach)
     outside = np.flatnonzero(reach > b)
     reach = reach[outside]
     segs = []
@@ -454,18 +422,19 @@ class MaximalEvaluator:
     The intervals come from the runs of equal bucket ids, chunk by chunk as
     the build yields them.  Going right from the point's own run (the eval
     run, id 0) and on from the array's start past its end, the portion at
-    radius r stops at the first run whose id exceeds r; so the running
-    maximum of the ids along that way rises exactly at the blocking runs,
-    and a run where it rises to v blocks the radii from the previous rise
-    up to v - 1.  One ``np.maximum.accumulate`` per direction gives both
-    stretches of every row: row and side offsets keep each stretch's
-    maximum to itself, and the stretch past the array's end then takes the
-    maximum of the whole other one.  Each rise is written at its row and
-    id with a key that grows with its distance from the point around the
-    cycle, and a running minimum down the radii gives every slot its
-    nearest block.  A run with id b that neither direction reaches before
-    radius m > b lies outside the interval for the radii in [b, m); where
-    its neighbour's id is above r it starts or ends an extra segment.
+    radius r stops at the first run whose id exceeds r, its right block,
+    whose first sample ends the interval; going left, the left block's end
+    starts it.  Each row so walks its runs twice from the eval run around
+    the cycle, once per direction, each walk two ranges of run indices.
+    One ``np.maximum.accumulate`` of the ids along a direction's walks,
+    offset by row so that each row's maximum stays its own, gives their
+    running maxima; the maximum is at most r exactly at the places before
+    the block of r, so one ``np.bincount`` of the maxima and its
+    ``np.cumsum`` give every slot the place of its block.  A row with no
+    block reads the place after its walk, which holds [0, n).  A run with
+    id b that neither walk reaches before radius m > b (the smaller of its
+    two running maxima) lies outside the interval for the radii in [b, m);
+    where its neighbour's id is above r it starts or ends an extra segment.
 
     One evaluation takes the prefix sums hi of x = g * arc_weights by one
     sequential ``cumsum`` and the exact rounding error of each of its steps

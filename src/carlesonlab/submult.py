@@ -16,6 +16,7 @@ moderate x are biased by the bounded prefactors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,9 @@ class IndexPair:
     diagnostics: dict
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise PreconditionError("index pair needs finite alpha and beta, "
+                                    f"got ({self.alpha!r}, {self.beta!r})")
         if self.alpha > self.beta:
             raise PreconditionError("index pair needs alpha <= beta")
 
@@ -96,7 +100,8 @@ def _band_extrema(log_d: np.ndarray, log_psi: np.ndarray, queries: np.ndarray):
     Band half-width is half the log-spacing of the gap containing the query
     (times BAND_WIDEN), so any query inside the sampled radius
     range finds at least one sample.  log_psi carries one padding entry past
-    log_d, so that a band may end at the last sample.
+    log_d, so that a band may end at the last sample.  The results take the
+    queries' shape; an empty band reads -inf (max) and +inf (min).
     """
     m = log_d.size
     j = np.searchsorted(log_d, queries)
@@ -105,14 +110,14 @@ def _band_extrema(log_d: np.ndarray, log_psi: np.ndarray, queries: np.ndarray):
     lo = np.searchsorted(log_d, queries - hw, side="left")
     hi = np.searchsorted(log_d, queries + hw, side="right")
     ok = hi > lo
-    bmax = np.full(queries.size, -np.inf)
-    bmin = np.full(queries.size, np.inf)
+    bmax = np.full(queries.shape, -np.inf)
+    bmin = np.full(queries.shape, np.inf)
     if ok.any():
         # even cuts open the bands [lo, hi); odd ones the gaps, dropped
         cuts = np.column_stack((lo[ok], hi[ok])).ravel()
         bmax[ok] = np.maximum.reduceat(log_psi, cuts)[0::2]
         bmin[ok] = np.minimum.reduceat(log_psi, cuts)[0::2]
-    return bmax, bmin, ok
+    return bmax, bmin
 
 
 def compute_W(curve: Curve, t0: complex, psi: Weight,
@@ -143,21 +148,17 @@ def compute_W(curve: Curve, t0: complex, psi: Weight,
     log_psi = np.append(psi.log_values[order], 0.0)  # _band_extrema's pad
     log_R = np.log(R_grid)
 
-    log_vals = np.empty(x_grid.size)
-    for i, x in enumerate(x_grid):
-        lx = np.log(x)
-        if x <= 1.0:
-            num_q, den_q = log_R + lx, log_R
-        else:
-            num_q, den_q = log_R, log_R - lx
-        nmax, _, n_ok = _band_extrema(log_d, log_psi, num_q)
-        _, dmin, d_ok = _band_extrema(log_d, log_psi, den_q)
-        ok = n_ok & d_ok
-        if not ok.any():
-            raise AllAnnuliEmpty(
-                f"no admissible radius for x={x:.6g}; widen the radius grid "
-                "or deepen the curve")
-        log_vals[i] = float(np.max(nmax[ok] - dmin[ok]))
+    # per x (rows) and R: the circles R * min(x, 1) over R / max(x, 1); a
+    # pair with an empty band reads -inf, so the row maxima skip it
+    lx = np.log(x_grid)[:, None]
+    nmax, _ = _band_extrema(log_d, log_psi, log_R + np.minimum(lx, 0.0))
+    _, dmin = _band_extrema(log_d, log_psi, log_R - np.maximum(lx, 0.0))
+    log_vals = np.max(nmax - dmin, axis=1, initial=-np.inf)
+    empty = np.flatnonzero(log_vals == -np.inf)
+    if empty.size:
+        raise AllAnnuliEmpty(
+            f"no admissible radius for x={x_grid[empty[0]]:.6g}; widen the "
+            "radius grid or deepen the curve")
 
     # band quantization floor: estimates carry +-(halfwidth * local slope)
     max_hw = 0.5 * BAND_WIDEN * float(np.max(np.diff(log_d)))

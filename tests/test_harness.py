@@ -32,9 +32,9 @@ def small_config(**overrides):
 
 def test_config_validates_levels():
     """(256.9, 512, 1024) used to run level 256, (True, 512, 1024) level 1,
-    and levels below 2 were accepted."""
+    levels below 2 were accepted, and levels=5 raised TypeError."""
     for levels in ((512, 512), (1024, 512), (256.9, 512, 1024),
-                   (True, 512, 1024), (1, 2, 3), (-5, 2, 3), ("256",)):
+                   (True, 512, 1024), (1, 2, 3), (-5, 2, 3), ("256",), 5):
         with pytest.raises(PreconditionError):
             small_config(levels=levels)
 
@@ -48,14 +48,25 @@ def test_config_validates_levels():
     ("spirality", (True, 1.0)), ("spirality", (1.0, np.nan)),
     ("spirality", (-np.inf, 1.0)), ("spirality", (1.0, 2.0, 3.0)),
     ("spirality", 1.0),
+    ("gamma", True), ("gamma", "0.3"), ("gamma", np.nan),
+    ("gamma", complex(0.2, np.inf)), ("levels", 5),
 ])
 def test_config_rejects_bad_integer_settings(name, bad):
     """Each used to run with a silently changed meaning or fail deep in
     the probe: max_radii=True ran with one radius, n_random=-1 dropped the
-    random functions, eval_points=0 raised IndexError, and spirality=(1.0,)
-    raised IndexError in run_probe."""
+    random functions, eval_points=0 raised IndexError, spirality=(1.0,)
+    raised IndexError in run_probe, gamma=True ran gamma = 1, "0.3" ran
+    0.3, a NaN gamma failed in run_probe on a non-finite sampled function,
+    and levels=5 raised TypeError."""
     with pytest.raises(PreconditionError, match=name):
         small_config(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [True, "0.3", np.nan, complex(np.inf, 0.0)])
+def test_run_sweep_rejects_bad_gammas(bad):
+    """Checked before any level runs, as the config checks its gamma."""
+    with pytest.raises(PreconditionError, match="each of gammas"):
+        cl.run_sweep(small_config(), [0.1, bad])
 
 
 def test_config_accepts_smallest_integer_settings():
@@ -605,6 +616,33 @@ def test_cli_malformed_probe_input_exits_2(tmp_path, args, message):
     --p-far without the other, and --p beside either are precondition
     errors, not a traceback with exit 1 or a silent constant p."""
     res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "precondition error" in res.output and message in res.output
+    assert not any(tmp_path.iterdir())
+
+
+APCHECK = ["apcheck", "--kind", "graded-circle", "--n", "256", "--gamma",
+           "0.3"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ([*APCHECK, "--t0", "nan"], "complex number 'nan' is not finite"),
+    ([*APCHECK, "--gamma", "nan"], "complex number 'nan' is not finite"),
+    ([*APCHECK, "--gamma", "1e400"], "complex number '1e400' is not finite"),
+    ([*PROBE, "--gamma", "nan"], "complex number 'nan' is not finite"),
+    ([*SWEEP, "--step", "nan"], "step must be finite, got nan"),
+    ([*SWEEP, "--re-min", "nan"], "re_min must be finite, got nan"),
+    (["verdict", "--p-at", "2", "--gamma", "0.1j", "--delta-minus", "nan",
+      "--delta-plus", "1"], "finite alpha and beta, got (nan, 1.0)"),
+])
+def test_cli_rejects_non_finite_numbers(tmp_path, args, message):
+    """A NaN or overflowing --t0 or --gamma gave apcheck an A_2 estimate
+    of 0 with exit 0, and probe a misleading error; a NaN --step or bound
+    made sweep raise ValueError with exit 1; a NaN index made verdict
+    write NaN, which is not JSON, into verdict.json."""
+    if args[0] != "apcheck":
+        args = [*args, "--out", str(tmp_path)]
+    res = CliRunner().invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "precondition error" in res.output and message in res.output
     assert not any(tmp_path.iterdir())

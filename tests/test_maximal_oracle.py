@@ -13,7 +13,11 @@ table: three E x R index arrays and a whole E x R table of portion sums per
 call; the engine must match it bit for bit.  All four are kept here only as
 test references.  ``dense_reference_table`` is the run table's build before
 the block build and the closed-form bucket ids: every distance of every
-row, each row searched with ``np.searchsorted``.
+row, each row searched with ``np.searchsorted``.  ``stretch_portions`` is
+the engine's interval kernel before its walks: it split each row's runs
+into the stretches after and before the eval run and found each radius's
+nearest block by keyed running minima (``nearest_block``); the engine's
+kernel must give its p, q and extra segments on every build chunk.
 """
 
 import math
@@ -26,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
 from carlesonlab import maximal as engine_module
+from carlesonlab.maximal import _gap_samples
 from carlesonlab.harness import _eval_subgrid
 
 
@@ -326,6 +331,110 @@ class IntervalTableEvaluator(TableEvaluator):
         return sums
 
 
+def nearest_block(side, prev, row, key, width: int, out: np.ndarray):
+    """Per row and radius r: the key of the nearest run on one side whose
+    cyclic running maximum side exceeds r, 2n (the keys' bound) if none.
+
+    side rises over prev at a blocking run, which blocks the radii from
+    prev up to its id; the keys grow with the distance from the point, so
+    the smallest key over the rises above r is the nearest block.  out
+    holds the rows' R + 1 columns; column 0 is scratch.
+    """
+    rise = np.flatnonzero(side > prev)
+    out.reshape(-1)[row[rise] * width + side[rise]] = key[rise]
+    flip = out[:, ::-1]
+    np.minimum.accumulate(flip, axis=1, out=flip)
+
+
+def stretch_portions(row, col, bucket, centres, n: int, p, q):
+    """Fill one chunk's rows of the interval indices p and q from their
+    run heads, and return their extra segments; see MaximalEvaluator.
+
+    row, col and bucket give each run's row (ascending from 0), first sample
+    and bucket id, and centres each row's own sample.  The extra segments
+    come as (row * R + radius, start, end), ordered by slot.
+    """
+    m, n_radii = p.shape
+    width = n_radii + 1
+    runs = bucket.size
+    b = bucket.astype(np.intp)
+    first = np.searchsorted(row, np.arange(m))
+    last = np.append(first[1:], runs) - 1
+    stop = np.empty_like(col)
+    stop[:-1] = col[1:]
+    stop[last] = n
+    # the eval run holds the row's own sample
+    own = np.searchsorted(row * n + col, np.arange(m) * n + centres,
+                          side="right") - 1
+    # stretch 2 * row + 1 holds a row's runs after the eval run, 2 * row
+    # the others; offsets by stretch keep each stretch's running maximum of
+    # the ids to itself, forward and backward, in one pass each
+    has_after = own < last
+    step = np.zeros(runs, dtype=np.intp)
+    step[first[1:]] = 2 - has_after[:-1]
+    step[own[has_after] + 1] = 1
+    stretch = np.cumsum(step)
+    odd = (stretch & 1).astype(bool)
+    even = ~odd
+    off = stretch * width
+    right = np.maximum.accumulate(b + off)
+    right -= off
+    off -= (2 * m - 1) * width
+    left = np.maximum.accumulate((b - off)[::-1])[::-1]
+    left += off
+    del off, step, stretch
+    # cyclic: a side that runs off the array goes on at its other end, so
+    # it holds the whole other stretch's maximum there
+    top_right = np.where(has_after, right[last], 0)
+    top_left = left[first]
+    np.maximum(right, top_right[row], out=right, where=even)
+    np.maximum(left, top_left[row], out=left, where=odd)
+    right[own] = 0
+    left[own] = 0
+    # the interval ends at the nearest right block's first sample and
+    # starts at the nearest left block's end; keys run from the point
+    # around the cycle, col + n past the array's end to the right, and
+    # n - stop, 2n - stop past it to the left
+    ends = np.full((m, width), 2 * n, dtype=np.intp)
+    prev = np.empty_like(right)
+    prev[1:] = right[:-1]
+    prev[first] = top_right
+    nearest_block(right, prev, row, col + n * even, width, ends)
+    starts = np.full((m, width), 2 * n, dtype=np.intp)
+    prev[:-1] = left[1:]
+    prev[last] = top_left
+    nearest_block(left, prev, row, n + n * odd - stop, width, starts)
+    del prev
+    q[:] = ends[:, 1:]
+    np.subtract(q, n, out=q, where=q > n)  # a block at 0: end n
+    np.subtract(n, starts[:, 1:], out=p)
+    np.add(p, n, out=p, where=p < 0)  # a block ending at n: 0
+    del ends, starts
+    # a wrapped interval, [p, n) then [0, q), is read from the second half
+    # of the prefix table: (p + n + 1, q)
+    np.add(p, n + 1, out=p, where=p > q)
+    # a run outside the interval at radius r, below its reach (the radius
+    # from which the interval holds it), starts an extra segment when its
+    # left neighbour is above r and ends one when its right neighbour is
+    reach = np.minimum(right, left)
+    outside = np.flatnonzero(reach > b)
+    reach = reach[outside]
+    segs = []
+    for nb, edge in ((outside - 1, first), (outside + 1, last)):
+        # the neighbour's id, or R past the row's end
+        nb_id = np.where(outside == edge[row[outside]], n_radii,
+                         b[np.clip(nb, 0, runs - 1)])
+        count = np.minimum(nb_id, reach) - b[outside]
+        at = np.flatnonzero(count > 0)
+        radius, j = _gap_samples(b[outside[at]], count[at])
+        at = outside[at[j]]
+        slot = row[at] * n_radii + radius
+        order = np.argsort(slot, kind="stable")
+        segs.append((slot[order], at[order]))
+    (slot, seg_first), (_, seg_last) = segs
+    return slot, col[seg_first], stop[seg_last]
+
+
 def _assert_same_table(engine, curve, idx, max_radii, integrands=()):
     """The grid bit for bit, every portion as the run table gives it, and
     the streamed sums bit for bit those of the whole-table kernel on it."""
@@ -483,6 +592,48 @@ def test_build_matches_dense_reference(case):
         engine = cl.MaximalEvaluator(curve, idx, max_radii)
     _assert_same_table(engine, curve, idx, max_radii,
                        _integrands(curve, curve.n_samples))
+
+
+def _assert_same_portions(curve, idx, max_radii, chunk_entries):
+    """Every build chunk's p, q and extra segments from the engine's walk
+    kernel and from stretch_portions, at chunk_entries distances a chunk."""
+    walk_portions = engine_module._portions
+    chunks = []
+
+    def both(row, col, bucket, centres, n, p, q):
+        ref_p, ref_q = np.empty_like(p), np.empty_like(q)
+        ref = stretch_portions(row, col, bucket, centres, n, ref_p, ref_q)
+        out = walk_portions(row, col, bucket, centres, n, p, q)
+        assert np.array_equal(p, ref_p) and np.array_equal(q, ref_q)
+        for got, want in zip(out, ref):
+            assert np.array_equal(got, want)
+        chunks.append(p.shape[0])
+        return out
+
+    with mock.patch.object(engine_module, "_portions", both), \
+            mock.patch.object(engine_module, "_CHUNK_ENTRIES", chunk_entries):
+        cl.MaximalEvaluator(curve, idx, max_radii)
+    assert sum(chunks) == len(idx)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=build_cases())
+def test_walk_portions_match_stretch_portions(case):
+    _assert_same_portions(*case)
+
+
+@pytest.mark.parametrize("name, n, stride", [
+    ("graded_circle", 4096, 1), ("spiral", 4096, 1),
+    ("closed_square", 1024, 1), ("tight_spiral", 16384, 97),
+    ("closed_square", 16384, 97),
+])
+def test_walk_portions_match_stretch_portions_full_grids(name, n, stride):
+    """The full grids (every sample a row, the dense scan) and the block
+    build's curves of many segments and of wrapped portions."""
+    curve = CURVES[name](n)
+    n = curve.n_samples
+    idx = np.append(np.arange(0, n - 1, stride), n - 1)
+    _assert_same_portions(curve, idx, 256, engine_module._CHUNK_ENTRIES)
 
 
 def test_build_matches_dense_reference_deep():

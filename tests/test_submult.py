@@ -4,6 +4,7 @@ import pytest
 import carlesonlab as cl
 from carlesonlab.errors import (AllAnnuliEmpty, GridTooNarrow,
                                 PreconditionError)
+from carlesonlab.submult import _band_extrema
 from conftest import ZOO_SPECS, moved
 
 
@@ -68,6 +69,40 @@ def test_compute_W_against_brute_force(spiral1, spiral1_branch):
     assert np.max(np.abs(np.log(oracle) - s.log_vals)) < 1e-12
 
 
+def loop_log_W(curve, t0, psi, x_grid, R_grid):
+    """compute_W's log rho before its one pass: one x at a time, the radius
+    pairs kept where both bands hold a sample.  The same arithmetic, so the
+    one pass must match it bit for bit."""
+    d = curve.distances_from(t0)
+    order = np.argsort(d)
+    log_d = np.log(d[order])
+    log_psi = np.append(psi.log_values[order], 0.0)
+    log_R = np.log(R_grid)
+    out = np.empty(x_grid.size)
+    for i, x in enumerate(x_grid):
+        lx = np.log(x)
+        if x <= 1.0:
+            num_q, den_q = log_R + lx, log_R
+        else:
+            num_q, den_q = log_R, log_R - lx
+        nmax, _ = _band_extrema(log_d, log_psi, num_q)
+        _, dmin = _band_extrema(log_d, log_psi, den_q)
+        ok = np.isfinite(nmax) & np.isfinite(dmin)
+        out[i] = np.max(nmax[ok] - dmin[ok])
+    return out
+
+
+def test_compute_W_matches_loop(zoo):
+    xs = cl.default_x_grid()
+    for curve, t0 in zoo.values():
+        R = cl.default_radius_grid(curve, t0)
+        for gamma in (1j, 0.3 - 0.2j):
+            w = cl.gamma_weight(curve, t0, gamma)
+            loop = loop_log_W(curve, t0, w, xs, R)
+            assert np.array_equal(cl.compute_W(curve, t0, w).vals,
+                                  np.exp(loop))
+
+
 def test_W_of_eta_on_spiral_is_power(spiral1, spiral1_branch):
     s = cl.compute_W(spiral1, 0j, cl.phi(spiral1_branch, 1j))
     mask = (s.xs >= 1e-2) & (s.xs <= 1e2)
@@ -130,6 +165,16 @@ def test_estimate_narrow_grid_rejected():
 def test_index_pair_ordering():
     with pytest.raises(PreconditionError):
         cl.IndexPair(1.0, 0.0, {})
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (np.nan, 1.0), (0.0, np.nan), (-np.inf, 0.0), (0.0, np.inf),
+])
+def test_index_pair_rejects_non_finite(alpha, beta):
+    """A NaN index compared false against the other and was kept, so a
+    verdict read lower = upper = nan."""
+    with pytest.raises(PreconditionError, match="finite alpha and beta"):
+        cl.IndexPair(alpha, beta, {})
 
 
 # --- spirality -------------------------------------------------------------
