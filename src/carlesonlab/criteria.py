@@ -14,7 +14,9 @@ unbounded (carried by a flag so the boundary stays distinguishable).
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +72,8 @@ def check_main(p_at_t0: float, gamma: complex, spirality: IndexPair) -> Verdict:
     """Sufficient condition for general Carleson curves and complex gamma."""
     if not (1.0 < p_at_t0 < np.inf):
         raise PreconditionError("p(t0) must lie in (1, inf)")
+    if not cmath.isfinite(gamma):
+        raise PreconditionError(f"gamma must be finite, got {gamma}")
     idx = phi_indices_closed_form(gamma, spirality)
     lower = 1.0 / p_at_t0 + idx.alpha
     upper = 1.0 / p_at_t0 + idx.beta
@@ -84,6 +88,8 @@ def check_kps(p_at_t0: float, lam: float) -> Verdict:
     """
     if not (1.0 < p_at_t0 < np.inf):
         raise PreconditionError("p(t0) must lie in (1, inf)")
+    if not math.isfinite(lam):
+        raise PreconditionError(f"lam must be finite, got {lam}")
     v = 1.0 / p_at_t0 + lam
     cls = _classify(v, v, KPS_BOUNDED)
     return Verdict(v, v, cls, iff_unbounded=not (0.0 < v < 1.0))

@@ -331,8 +331,10 @@ def carleson_constant(curve: Curve, t_points, eps_grid) -> float:
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
     if t_points.size == 0 or eps_grid.size == 0:
         raise PreconditionError("grids must be nonempty")
-    if np.any(eps_grid <= 0):
-        raise PreconditionError("eps grid must be positive")
+    if not np.all(np.isfinite(t_points)):
+        raise PreconditionError("t_points must be finite")
+    if not np.all(np.isfinite(eps_grid) & (eps_grid > 0)):
+        raise PreconditionError("eps_grid must be finite and positive")
     eps = np.sort(eps_grid)
     seg = curve.seg_lengths
     best = 0.0

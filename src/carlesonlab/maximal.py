@@ -28,7 +28,7 @@ places nodes every B ~ sqrt(n / R) samples; a polyline bound from the node
 distances and the gap's length confines each gap's distances, and a gap
 confined to one bucket takes it whole, so a point costs about n / B + B *
 runs distances instead of n.  Bucket ids of log-spaced grids come in closed
-form from the log of the distance, with an exact search only next to a
+form from the log of the distance, with an exact count only next to a
 grid point.  The runs are bit for bit the ones of the full scan.
 
 Portion integrals use per-sample arc weights (trapezoid in disguise), and
@@ -145,35 +145,21 @@ def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
     return fix
 
 
-def _count_le(eps: np.ndarray, row: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """searchsorted(eps[row[k]], d[k], side="right") for every k at once."""
-    n_radii = eps.shape[1]
-    flat = eps.ravel()
-    base = row * n_radii
-    lo = np.zeros(d.size, dtype=np.intp)
-    hi = np.full(d.size, n_radii, dtype=np.intp)
-    for _ in range(n_radii.bit_length()):
-        mid = (lo + hi) >> 1
-        le = flat[base + np.minimum(mid, n_radii - 1)] <= d
-        le &= mid < hi
-        lo = np.where(le, mid + 1, lo)
-        hi = np.where(le, hi, mid)
-    return lo
-
-
 def _bucket_ids(buf, eps, row, col, samples, centres):
     """Overwrite the distances buf = |samples[col] - centres[row]| with
     their bucket ids on the grids eps; row and col broadcast against buf.
 
-    The closed form of _grid_position, with an exact search for the few
-    entries next to a grid point, whose distances are recomputed from the
-    samples because buf no longer holds them.
+    The closed form of _grid_position, with an exact count of the grid
+    points at or below d for the few entries next to a grid point, whose
+    distances are recomputed from the samples because buf no longer holds
+    them.  On an increasing grid that count is searchsorted(side="right").
     """
     at = np.unravel_index(np.flatnonzero(_grid_position(buf, eps, row)),
                           buf.shape)
     r = np.broadcast_to(row, buf.shape)[at]
     c = np.broadcast_to(col, buf.shape)[at]
-    buf[at] = _count_le(eps, r, np.abs(samples[c] - centres[r]))
+    d = np.abs(samples[c] - centres[r])
+    buf[at] = np.count_nonzero(eps[r] <= d[:, None], axis=1)
 
 
 def _dense_runs(samples, eval_indices, radii, n_radii: int, exact: bool):
@@ -327,7 +313,7 @@ def _portions(row, col, bucket, centres, n: int, p, q):
 
     row, col and bucket give each run's row (ascending from 0), first sample
     and bucket id, and centres each row's own sample.  The extra segments
-    come as (row * R + radius, start, end), ordered by slot.
+    come as the rows (row * R + radius, start, end), ordered by slot.
     """
     m, n_radii = p.shape
     width = n_radii + 1
@@ -390,7 +376,7 @@ def _portions(row, col, bucket, centres, n: int, p, q):
         order = np.argsort(slot, kind="stable")
         segs.append((slot[order], at[order]))
     (slot, seg_first), (_, seg_last) = segs
-    return slot, col[seg_first], stop[seg_last]
+    return np.stack([slot, col[seg_first], stop[seg_last]])
 
 
 class MaximalEvaluator:
@@ -400,10 +386,12 @@ class MaximalEvaluator:
     radius (slot), the portion's interval around the point as two int32
     indices into the prefix table (see below): a plain interval
     [p, q) as (p, q), a wrapped one, [p, n) then [0, q), as (p + n + 1, q).
-    A portion whose other samples lie elsewhere keeps each further stretch
-    as an extra segment (slot, start, end) in one short list, ordered by
-    slot, and the slots whose first piece is one sample are listed as
-    (slot, sample, head), with head q on a wrap and 0 otherwise.
+    Every other piece of a portion is an extra segment (slot, start, end)
+    in one short list, ordered by slot: each further stretch of a portion
+    whose other samples lie elsewhere, and a first piece of one sample,
+    [j, j + 1) or the [n - 1, n) of a wrap, listed ahead of the slot's
+    other segments.  The interval then keeps what is left, the empty
+    (q, q), or the plain (0, q) after a wrap.
 
     The grid is every realized distance (R = n entries) when the curve has
     at most max_radii samples; otherwise R = max_radii log-spaced radii, of
@@ -444,18 +432,20 @@ class MaximalEvaluator:
     its stored pair (p', q), its pieces of hi and of lo differenced apart
     before they are joined.  On a wrap that is pre[q] - (pre[p] - pre[n]),
     exactly (pre[n] - pre[p]) + pre[q], the two close values first, since
-    negation is exact.  A first piece of one sample is that sample's x,
-    plus pre[q] on a wrap, so a one-sample portion is exact; extra segments
-    are summed the same way and added after.  Every sum is clamped at 0.
+    negation is exact.  Every sum is clamped at 0.  Extra segments are
+    summed the same way, and one of one sample as that sample's x, so a
+    one-sample portion is exact: its empty interval sums to exactly 0, and
+    a wrap's pre[q] + x[n - 1] is the same addition as x[n - 1] + pre[q].
+    They are added after the clamp, in list order.
 
     One kernel streams the table in blocks of rows of at most _BLOCK_SLOTS
-    slots: gather both ends, join hi and lo, set the one-sample pieces,
-    clamp at 0 and add the extra segments.  The build stores its blocks for
-    g = 1 as the denominators, so a constant averages to exactly 1; a call
-    divides each block by its rows of them and keeps each row's maximum and
-    its index, so it writes E values and E indices.  The prefix table and
-    the block buffers belong to the evaluator, which so serves one call at
-    a time; each call rewrites them.
+    slots: gather both ends, join hi and lo, clamp at 0 and add the extra
+    segments.  The build stores its blocks for g = 1 as the denominators,
+    so a constant averages to exactly 1; a call divides each block by its
+    rows of them and keeps each row's maximum and its index, so it writes
+    E values and E indices.  The prefix table and the block buffers belong
+    to the evaluator, which so serves one call at a time; each call
+    rewrites them.
 
     Error: hi + lo is the prefix sum up to an absolute error of about
     n * u^2 * sum(x) (u the unit roundoff), against u * sum(x) for hi alone,
@@ -482,12 +472,12 @@ class MaximalEvaluator:
     lies within 2^-30 * (R - 1) * (|log eps_0| + |log eps_{R-1}| + 1) /
     (log eps_{R-1} - log eps_0) of an integer (2^18 times u's rounding
     error; 2.4e-7 to 3.1e-7 on the probe curves; one margin, the largest
-    of the chunk's rows, serves the whole chunk), is searched exactly
-    instead.  That is about three entries per row: the point itself
-    (d = 0) and the d_lo and d_hi samples.  u is computed in place over
-    the distance buffer, the searched entries are found by
-    ``np.flatnonzero`` on it, and their distances are recomputed from the
-    samples.
+    of the chunk's rows, serves the whole chunk), takes instead the exact
+    count of its row's radii at or below d, by ``np.count_nonzero``.  That
+    is about three entries per row: the point itself (d = 0) and the d_lo
+    and d_hi samples.  u is computed in place over the distance buffer,
+    the counted entries are found by ``np.flatnonzero`` on it, and their
+    distances are recomputed from the samples.
 
     The dense scan works on each chunk's row-major distance buffer as one
     flat array.  d_lo is a plain row minimum with each row's own zero set
@@ -547,23 +537,24 @@ class MaximalEvaluator:
         # memory, at half the table's size
         self._p, self._q = np.empty((2, rows, n_radii), dtype=np.int32)
         extras = [np.empty((3, 0), dtype=np.intp)]  # no rows: none
-        singles = [np.empty((3, 0), dtype=np.intp)]
         self._wraps = False
         for lo, m, row, col, bucket in chunks:
             at = np.s_[lo:lo + m]
             p, q = self._p[at], self._q[at]
-            slot, seg_start, seg_end = _portions(
-                row, col, bucket, self.eval_indices[at], n, p, q)
-            extras.append(np.stack([slot + lo * n_radii, seg_start, seg_end]))
-            # one-sample first pieces, [p, p + 1) or [n - 1, n) then [0, q):
-            # that sample's x, with no prefix cancellation
+            segs = _portions(row, col, bucket, self.eval_indices[at], n, p, q)
+            # a first piece of one sample, [j, j + 1) or [n - 1, n) then
+            # [0, q), becomes the slot's first extra segment; the interval
+            # keeps the empty [q, q), or [0, q) after a wrap
             slot = np.flatnonzero((q - p == 1) | (p == 2 * n))
-            first, head = p.reshape(-1)[slot], q.reshape(-1)[slot]
-            singles.append(np.stack([slot + lo * n_radii, first % (n + 1),
-                                     head * (first > n)]))
+            first = p.reshape(-1)[slot]
+            np.put(p, slot, np.where(first > n, 0, q.reshape(-1)[slot]))
+            j = first % (n + 1)
+            segs = np.concatenate([np.stack([slot, j, j + 1]), segs], axis=1)
+            segs = segs[:, np.argsort(segs[0], kind="stable")]
+            segs[0] += lo * n_radii
+            extras.append(segs)
             self._wraps |= bool(np.any(p > n))
         self._extra = np.concatenate(extras, axis=1)
-        self._single = np.concatenate(singles, axis=1)
         self._aw = curve.arc_weights
         # the prefix table and the block buffers live with the evaluator,
         # which so serves one call at a time: taking and freeing them on
@@ -574,12 +565,10 @@ class MaximalEvaluator:
                                dtype=np.complex128)
         block_rows = max(1, _BLOCK_SLOTS // n_radii)
         self._buf = np.empty((2, block_rows, n_radii), dtype=np.complex128)
-        # per block of rows: where its one-sample pieces and its extra
-        # segments start and end in their lists
+        # per block of rows: where its extra segments start and end
         bounds = np.arange(0, rows + block_rows, block_rows) * n_radii
-        single = np.searchsorted(self._single[0], bounds).tolist()
-        extra = np.searchsorted(self._extra[0], bounds).tolist()
-        self._cuts = list(zip(single, single[1:], extra, extra[1:]))
+        cuts = np.searchsorted(self._extra[0], bounds).tolist()
+        self._cuts = list(zip(cuts, cuts[1:]))
         self._den = np.empty((rows, n_radii))
         for at, sums in self._blocks(np.ones(n)):
             self._den[at] = sums
@@ -602,8 +591,6 @@ class MaximalEvaluator:
         del b, err
         if self._wraps:
             np.subtract(pre, pre[n], out=table[n + 1:])
-        single_slot, sample, head = self._single
-        single = x[sample] + (hi[head] + lo[head])
         extra_slot, start, end = self._extra
         if extra_slot.size:
             seg = pre[end] - pre[start]
@@ -612,7 +599,7 @@ class MaximalEvaluator:
             seg[one] = x[start[one]]
         total, n_radii = self._p.shape
         rows = self._buf.shape[1]
-        for a, (i, j, k, m) in zip(range(0, total, rows), self._cuts):
+        for a, (k, m) in zip(range(0, total, rows), self._cuts):
             at = np.s_[a:a + rows]
             t, s = self._buf[:, :min(rows, total - a)]
             # every index is in [0, 2n + 1]: "clip" only skips the bounds
@@ -623,12 +610,10 @@ class MaximalEvaluator:
             # the sums take the first half of s's memory
             sums = s.reshape(-1).view(np.float64)[:t.size].reshape(t.shape)
             np.add(t.real, t.imag, out=sums)
-            flat = sums.reshape(-1)
-            base = a * n_radii
-            flat[single_slot[i:j] - base] = single[i:j]
             np.maximum(sums, 0.0, out=sums)
             if m > k:
-                np.add.at(flat, extra_slot[k:m] - base, seg[k:m])
+                np.add.at(sums.reshape(-1), extra_slot[k:m] - a * n_radii,
+                          seg[k:m])
             yield at, sums
 
     def _radius(self, hit: np.ndarray) -> np.ndarray:

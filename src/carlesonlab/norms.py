@@ -249,6 +249,8 @@ def muckenhoupt_ap(curve: Curve, w: Weight, p: float,
         t_points = curve.samples[strided_indices(curve.n_samples,
                                                  AP_T_POINTS)]
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.complex128))
+    if not np.all(np.isfinite(t_points)):
+        raise PreconditionError("t_points must be finite")
     log_aw = curve.log_arc_weights
     best = 0.0
     for t in t_points:

@@ -140,8 +140,9 @@ def compute_W(curve: Curve, t0: complex, psi: Weight,
         R_grid = default_radius_grid(curve, t0)
     x_grid = np.asarray(x_grid, dtype=np.float64)
     R_grid = np.asarray(R_grid, dtype=np.float64)
-    if np.any(x_grid <= 0) or np.any(R_grid <= 0):
-        raise PreconditionError("grids must be positive")
+    for name, grid in (("x_grid", x_grid), ("R_grid", R_grid)):
+        if not np.all(np.isfinite(grid) & (grid > 0)):
+            raise PreconditionError(f"{name} must be finite and positive")
 
     order = np.argsort(d)
     log_d = np.log(d[order])
@@ -233,8 +234,8 @@ def power_sandwich(curve: Curve, t0: complex, w: Weight, eps: float,
     factorizes as max(g) / min(g) with g = w / |tau-t0|^exponent, so both
     constants are exact maxima over all sample pairs at O(n) cost.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise PreconditionError(f"eps must be finite and positive, got {eps}")
     if not (0 < delta < d_t(curve, t0)):
         raise PreconditionError("need 0 < delta < d_t")
     if indices is None:

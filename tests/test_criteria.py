@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +33,23 @@ def test_check_main_small_imaginary():
 def test_check_main_boundary_indeterminate():
     v = cl.check_main(2.0, 0.5, cl.IndexPair(0.0, 0.0, {}))
     assert v.classification == cl.INDETERMINATE
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_check_kps_rejects_non_finite_lambda(lam):
+    """A NaN lam gave an INDETERMINATE verdict with NaN brackets, which
+    verdict_to_json wrote as NaN, not valid JSON."""
+    with pytest.raises(PreconditionError, match="lam must be finite"):
+        cl.check_kps(2.0, lam)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, complex(0.3, math.nan),
+                                   complex(math.inf, 0.0)])
+def test_check_main_rejects_non_finite_gamma(gamma):
+    """A NaN gamma failed in the index pair, whose message named alpha and
+    beta, not gamma."""
+    with pytest.raises(PreconditionError, match="gamma must be finite"):
+        cl.check_main(2.0, gamma, cl.IndexPair(-1.0, 1.0, {}))
 
 
 def test_kps_matches_main_for_real_gamma():

@@ -196,6 +196,19 @@ def test_carleson_circle_brute_force_pairs():
     assert fast == pytest.approx(oracle, rel=1e-9)
 
 
+@pytest.mark.parametrize("t_points, eps_grid, name", [
+    ([0.5 + 0j], [np.nan, 0.1], "eps_grid"),
+    ([0.5 + 0j], [0.1, np.inf], "eps_grid"),
+    ([complex(np.nan, 0.0)], [0.1], "t_points"),
+    ([complex(0.5, np.inf)], [0.1], "t_points"),
+])
+def test_carleson_rejects_non_finite_grids(segment, t_points, eps_grid,
+                                           name):
+    """Python's max dropped a NaN ratio, so a NaN eps or t read 0.0."""
+    with pytest.raises(PreconditionError, match=f"{name} must be finite"):
+        cl.carleson_constant(segment, t_points, eps_grid)
+
+
 def test_carleson_segment_is_two(segment):
     # a line meets every disk in one chord of length up to 2*eps: around an
     # interior point both half-chords count, so the ratio tops out at 2

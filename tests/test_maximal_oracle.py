@@ -452,17 +452,21 @@ def _assert_same_table(engine, curve, idx, max_radii, integrands=()):
             assert np.array_equal(engine._radius(np.full(rows, k)), eps[:, k])
         hit = np.arange(rows) % n_radii
         assert np.array_equal(engine._radius(hit), eps[np.arange(rows), hit])
-    # a wrapped interval [p, n) then [0, q) is stored as (p + n + 1, q)
+    # a wrapped interval [p, n) then [0, q) is stored as (p + n + 1, q); a
+    # first piece of one sample is the slot's first extra segment, leaving
+    # the empty (q, q), or (0, q) after a wrap
     wrap = reference._head > 0
-    assert np.array_equal(engine._p, np.where(wrap, reference._start + n + 1,
-                                              reference._start))
-    assert np.array_equal(engine._q, np.where(wrap, reference._head,
-                                              reference._end))
-    assert np.array_equal(engine._extra, reference._extra)
-    single = reference._single
-    assert np.array_equal(engine._single, [
-        single, reference._start.reshape(-1)[single],
-        reference._head.reshape(-1)[single]])
+    single = reference._end - reference._start == 1
+    q = np.where(wrap, reference._head, reference._end)
+    p = np.where(wrap, reference._start + n + 1, reference._start)
+    assert np.array_equal(engine._p, np.where(single, q * ~wrap, p))
+    assert np.array_equal(engine._q, q)
+    slot = reference._single
+    start = reference._start.reshape(-1)[slot]
+    extra = np.concatenate([[slot, start, start + 1], reference._extra],
+                           axis=1)
+    assert np.array_equal(engine._extra,
+                          extra[:, np.argsort(extra[0], kind="stable")])
     assert engine._den.tobytes() == reference._den.tobytes()
     for g in integrands:
         values, eps = engine.sup_average(g)

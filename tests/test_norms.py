@@ -301,6 +301,14 @@ def test_ap_requires_constant_p(unit_circle):
         cl.muckenhoupt_ap(unit_circle, cl.unit_weight(unit_circle), 1.0)
 
 
+@pytest.mark.parametrize("t", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_ap_rejects_non_finite_points(unit_circle, t):
+    """A NaN t gave all-NaN distances and read 0.0."""
+    with pytest.raises(PreconditionError, match="t_points must be finite"):
+        cl.muckenhoupt_ap(unit_circle, cl.unit_weight(unit_circle), 2.0,
+                          t_points=[1.0 + 0j, t])
+
+
 def test_as_sampled_keeps_real_input_real(segment):
     n = segment.n_samples
     real = np.linspace(0.0, 1.0, n)

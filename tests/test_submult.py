@@ -128,6 +128,20 @@ def test_W_degenerate_grid_raises(spiral1, spiral1_branch):
                      R_grid=np.array([1e-4]))
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("x_grid", np.nan), ("x_grid", np.inf),
+    ("R_grid", np.nan), ("R_grid", np.inf),
+])
+def test_compute_W_rejects_non_finite_grids(spiral1, name, bad):
+    """A NaN passed the positivity test: a non-finite x read as a
+    numerical failure (AllAnnuliEmpty), a non-finite radius was skipped."""
+    grids = {"x_grid": cl.default_x_grid(),
+             "R_grid": cl.default_radius_grid(spiral1, 0j)}
+    grids[name][3] = bad
+    with pytest.raises(PreconditionError, match=f"{name} must be finite"):
+        cl.compute_W(spiral1, 0j, cl.unit_weight(spiral1), **grids)
+
+
 # --- index estimation -----------------------------------------------------
 
 
@@ -310,6 +324,15 @@ def test_sandwich_power_weight_close_to_one(spiral1):
                                cl.d_t(spiral1, 0j) / 8, indices=idx)
     assert 0.9 <= c1 <= 1.1
     assert 0.9 <= c2 <= 1.1
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
+def test_sandwich_rejects_bad_eps(spiral1, eps):
+    """A NaN eps passed the positivity test and gave (nan, nan)."""
+    w = cl.power_weight(spiral1, 0j, 0.5)
+    with pytest.raises(PreconditionError, match="eps must be finite"):
+        cl.power_sandwich(spiral1, 0j, w, eps, cl.d_t(spiral1, 0j) / 8,
+                          indices=cl.IndexPair(0.5, 0.5, {}))
 
 
 def test_sandwich_rejects_bad_delta(spiral1, spiral1_branch):
