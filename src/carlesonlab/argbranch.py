@@ -13,11 +13,13 @@ the representable range with a diagnostic flag.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import Curve, write_csv
+from .curves import Curve, t0_distances, write_csv
 from .errors import BranchJump, PreconditionError
 
 # exp() clamp keeping values finite and strictly positive in float64.
@@ -67,9 +69,8 @@ def unwrap_arg(curve: Curve, t0: complex) -> ArgBranch:
     Raises BranchJump when a consecutive angular increment of size >= pi is
     detected, which signals under-sampling near t0.
     """
+    dist = t0_distances(curve, t0)
     d = curve.samples - t0
-    if np.any(d == 0):
-        raise PreconditionError("t0 coincides with a curve sample")
     inc = np.angle(d[1:] * np.conj(d[:-1]))
     # wrapped increments this close to pi are indistinguishable from >= pi
     if np.any(np.abs(inc) >= np.pi - 1e-6):
@@ -80,7 +81,7 @@ def unwrap_arg(curve: Curve, t0: complex) -> ArgBranch:
     values = np.empty(curve.n_samples)
     values[0] = np.angle(d[0])
     values[1:] = values[0] + np.cumsum(inc)
-    return ArgBranch(t0, values, np.log(np.abs(d)))
+    return ArgBranch(t0, values, np.log(dist))
 
 
 def phi(branch: ArgBranch, gamma: complex) -> Weight:
@@ -94,10 +95,9 @@ def phi(branch: ArgBranch, gamma: complex) -> Weight:
 
 def power_weight(curve: Curve, t0: complex, lam: float) -> Weight:
     """phi at real gamma = lam, |tau - t0|^lam, without unwrapping a branch."""
-    d = curve.distances_from(t0)
-    if np.any(d == 0):
-        raise PreconditionError("t0 coincides with a curve sample")
-    return Weight(lam * np.log(d))
+    if not math.isfinite(lam):
+        raise PreconditionError(f"lam must be finite, got {lam}")
+    return Weight(lam * np.log(t0_distances(curve, t0)))
 
 
 def tabulated_weight(log_values) -> Weight:
@@ -116,6 +116,8 @@ def gamma_weight(curve: Curve, t0: complex, gamma: complex,
     otherwise phi on the given branch, which must be around t0, or on one
     unwrapped here."""
     gamma = complex(gamma)
+    if not cmath.isfinite(gamma):
+        raise PreconditionError(f"gamma must be finite, got {gamma}")
     if gamma == 0:
         return unit_weight(curve)
     if branch is not None and branch.t0 != complex(t0):

@@ -145,11 +145,15 @@ def select_delta_and_eps(curve: Curve, p: ExponentField, t0: complex,
         "no arc radius satisfies 1 + beta*p(t0) < p_*; the margin is too thin")
 
 
-def verdict_to_json(verdict: Verdict) -> str:
-    doc = {
+def verdict_doc(verdict: Verdict) -> dict:
+    """The verdict's JSON document: brackets, classification, margins."""
+    return {
         "lower": verdict.lower,
         "upper": verdict.upper,
         "classification": verdict.classification,
         "margins": list(verdict.margins),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def verdict_to_json(verdict: Verdict) -> str:
+    return json.dumps(verdict_doc(verdict), indent=2, sort_keys=True)

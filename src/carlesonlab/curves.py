@@ -11,6 +11,7 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
@@ -51,7 +52,7 @@ class Curve:
             raise PreconditionError("a curve needs at least two samples")
         if cumlen.shape != samples.shape:
             raise PreconditionError("cumlen must align with samples")
-        if not np.all(np.isfinite(samples.view(np.float64))):
+        if not np.all(np.isfinite(samples)):
             raise PreconditionError("curve samples must be finite")
         if cumlen[0] != 0.0:
             raise PreconditionError("cumlen must start at 0")
@@ -310,8 +311,23 @@ def _inside_fractions(curve: Curve, k, t: complex, eps, first_inside):
     return np.where(first_inside, s, 1.0 - s)
 
 
+def t0_distances(curve: Curve, t0: complex) -> np.ndarray:
+    """|tau - t0| per sample, for a singular point t0 of the weights.
+
+    PreconditionError unless t0 is finite and off the curve samples.
+    """
+    if not cmath.isfinite(t0):
+        raise PreconditionError(f"t0 must be finite, got {t0!r}")
+    d = curve.distances_from(t0)
+    if np.any(d == 0):
+        raise PreconditionError("t0 coincides with a curve sample")
+    return d
+
+
 def d_t(curve: Curve, t: complex) -> float:
-    """Largest distance from t to the curve samples."""
+    """Largest distance from t to the curve samples; t must be finite."""
+    if not cmath.isfinite(t):
+        raise PreconditionError(f"t must be finite, got {t!r}")
     return float(np.max(curve.distances_from(t)))
 
 

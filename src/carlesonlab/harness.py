@@ -17,7 +17,6 @@ ratios grow like a power of the resolved scale.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import numbers
@@ -26,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as _curves
-from .argbranch import clamped_exp, phi, unit_weight, unwrap_arg
-from .criteria import Verdict, check_kps, check_main
+from .argbranch import (ArgBranch, clamped_exp, phi, unit_weight,
+                        unwrap_arg)
+from .criteria import Verdict, check_kps, check_main, verdict_doc
 from .curves import Curve, csv_text, d_t, omega_arc, strided_indices
 from .errors import EmptyArc, NotLocallyIntegrable, PreconditionError
 from .maximal import MAX_RADII, MaximalEvaluator, weighted_maximal
@@ -284,45 +284,33 @@ def _extremal_profile(curve: Curve, t0: complex, p: ExponentField,
     return f
 
 
-def _level_functions(curve: Curve, t0: complex, config: ExperimentConfig,
-                     level_n: int, join_ends: bool):
-    """The gamma-independent test functions of one level.
+def build_family(config: ExperimentConfig, n: int, curve: Curve,
+                 t0: complex, join_ends: bool, p: ExponentField,
+                 branch: ArgBranch, gammas: tuple):
+    """The level's test functions, each built once and yielded as (tag,
+    values, the gammas it serves).
 
-    Returns (arcs, randoms): the nested arc indicators as a (tag, mask)
-    list, and a generator function of the seeded nonnegative random
-    functions.  Each call of randoms() reseeds and draws the same (tag,
-    values) pairs in the same order, one at a time, so no random function
-    outlives its use.
+    The nested arc indicators and the seeded nonnegative random functions
+    serve every gamma; each gamma alone gets its weight-inverted arcs
+    phi^-1 * chi (the classical two-sided witnesses, which blow up at the
+    full rate when the conditions fail) and one near-critical profile, so
+    each gamma sees arcs, weighted arcs, profile, randoms, in that order.
+    Members are built as the consumer asks for them, so a level holds one
+    full-length member at a time whatever its number of arcs.
     """
     arcs = _nested_arc_indicators(curve, t0, join_ends)
-
-    def randoms():
-        rng = np.random.default_rng([config.seed, level_n])
-        for k in range(config.n_random):
-            yield f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples)
-
-    return arcs, randoms
-
-
-def build_family(curve: Curve, t0: complex, p: ExponentField,
-                 log_phi: np.ndarray, arcs, randoms):
-    """The probe's test functions, yielded one (tag, values) at a time.
-
-    The level's nested arc indicators and their weight-inverted companions
-    phi^-1 * chi (the classical two-sided witnesses, which blow up at the
-    full rate when the conditions fail), one near-critical profile, and the
-    level's seeded nonnegative random functions; arcs and randoms come from
-    _level_functions.  Each companion and the profile are built only when
-    the consumer asks for them, so a level holds one full-length member at
-    a time whatever its number of arcs.
-    """
-    yield from arcs
-    inv_phi = clamped_exp(-log_phi)
     for tag, mask in arcs:
-        yield tag.replace("arc", "warc"), mask * inv_phi
-    del inv_phi
-    yield "extremal", _extremal_profile(curve, t0, p, log_phi)
-    yield from randoms()
+        yield tag, mask, gammas
+    for gamma in gammas:
+        log_phi = phi(branch, gamma).log_values
+        inv_phi = clamped_exp(-log_phi)
+        for tag, mask in arcs:
+            yield tag.replace("arc", "warc"), mask * inv_phi, (gamma,)
+        del inv_phi
+        yield "extremal", _extremal_profile(curve, t0, p, log_phi), (gamma,)
+    rng = np.random.default_rng([config.seed, n])
+    for k in range(config.n_random):
+        yield f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples), gammas
 
 
 def _denominator(curve: Curve, f: np.ndarray, one, p: ExponentField):
@@ -366,17 +354,18 @@ def _probe_levels(config: ExperimentConfig, gammas):
 
     Returns the verdicts, taken before the first level runs, so that a
     top-level curve too shallow for the spirality fit fails at once, and
-    {gamma: [(level, rows, max_ratio, skipped), ...]}.
+    {gamma: (rows, skipped, max_ratios)}, lists over all levels with one
+    max ratio per level.
     """
     verdicts = _verdicts(config, gammas)
-    per_gamma = {g: [] for g in gammas}
+    cells = {g: ([], [], []) for g in gammas}
     for n in config.levels:
-        _probe_level(config, n, gammas, per_gamma)
-    return verdicts, per_gamma
+        _probe_level(config, n, cells)
+    return verdicts, cells
 
 
-def _probe_level(config: ExperimentConfig, n: int, gammas, per_gamma):
-    """One refinement level: appends each gamma's entry to per_gamma.
+def _probe_level(config: ExperimentConfig, n: int, cells):
+    """One refinement level: extends each gamma's cell in cells.
 
     Everything the level builds dies with the call, before the next level
     builds its own.
@@ -390,16 +379,12 @@ def _probe_level(config: ExperimentConfig, n: int, gammas, per_gamma):
     sub_p = tabulated_exponent(sub, p.values[eval_idx])
     sub_one = unit_weight(sub)
     one = unit_weight(curve)
-    # the norms of the arcs and random functions do not depend on gamma
-    arcs, randoms = _level_functions(curve, t0, config, n, join_ends)
-    dens = {tag: _denominator(curve, f, one, p)
-            for tag, f in itertools.chain(arcs, randoms())}
-    for gamma in gammas:
-        log_phi = phi(branch, gamma).log_values
-        rows, skipped = [], []
-        for tag, f in build_family(curve, t0, p, log_phi, arcs, randoms):
-            den, reason = dens[tag] if tag in dens \
-                else _denominator(curve, f, one, p)
+    level_rows = {g: [] for g in cells}
+    for tag, f, served in build_family(config, n, curve, t0, join_ends, p,
+                                       branch, tuple(cells)):
+        den, skip = _denominator(curve, f, one, p)
+        for gamma in served:
+            reason = skip
             if reason is None:
                 try:
                     res = weighted_maximal(curve, f, t0, gamma,
@@ -411,38 +396,38 @@ def _probe_level(config: ExperimentConfig, n: int, gammas, per_gamma):
             if reason is None and not math.isfinite(num / den):
                 reason = "non-finite ratio"
             if reason is not None:
-                skipped.append((n, tag, reason))
+                cells[gamma][1].append((n, tag, reason))
                 continue
-            rows.append({"level": n, "function": tag,
-                         "ratio": num / den, "num": num, "den": den})
+            level_rows[gamma].append({"level": n, "function": tag,
+                                      "ratio": num / den, "num": num,
+                                      "den": den})
+    for gamma, rows in level_rows.items():
         if not rows:
             raise PreconditionError(
                 f"every test function was skipped at level {n}")
-        best = max(r["ratio"] for r in rows)
-        per_gamma[gamma].append((n, rows, best, skipped))
+        cells[gamma][0].extend(rows)
+        cells[gamma][2].append(max(r["ratio"] for r in rows))
 
 
 def run_probe(config: ExperimentConfig) -> ProbeReport:
     """Run the full refinement ladder for one gamma and classify the trend."""
-    reports = run_sweep(config, [config.gamma])
-    return reports[0]
+    return run_sweep(config, [config.gamma])[0]
 
 
 def run_sweep(config: ExperimentConfig, gammas) -> list[ProbeReport]:
-    """Run probes for several gammas sharing curves and evaluators per level."""
+    """Run probes for several gammas sharing curves, evaluators and test
+    functions per level.  The gammas must differ as complex numbers (0.7
+    and 0.7+0j repeat each other, as do 0.0 and -0.0); PreconditionError
+    names a repeat."""
     gammas = [_finite_gamma(g, "each of gammas") for g in gammas]
-    verdicts, per_gamma = _probe_levels(config, gammas)
-    reports = []
-    for gamma in gammas:
-        entries = per_gamma[gamma]
-        levels = tuple(e[0] for e in entries)
-        ratios = tuple(e[2] for e in entries)
-        rows = tuple(r for e in entries for r in e[1])
-        skipped = tuple(s for e in entries for s in e[3])
-        reports.append(ProbeReport(gamma, levels, ratios,
-                                   classify_trend(ratios), verdicts[gamma],
-                                   rows, skipped))
-    return reports
+    for k, gamma in enumerate(gammas):
+        if gamma in gammas[:k]:
+            raise PreconditionError(f"gamma {gamma} is repeated in gammas")
+    verdicts, cells = _probe_levels(config, gammas)
+    return [ProbeReport(gamma, config.levels, tuple(ratios),
+                        classify_trend(ratios), verdicts[gamma],
+                        tuple(rows), tuple(skipped))
+            for gamma, (rows, skipped, ratios) in cells.items()]
 
 
 def gamma_rectangle(re_min: float, re_max: float, im_min: float,
@@ -477,12 +462,7 @@ def probe_report_json(report: ProbeReport) -> str:
         "levels": list(report.levels),
         "max_ratios": list(report.max_ratios),
         "trend": report.trend,
-        "verdict": {
-            "lower": report.verdict.lower,
-            "upper": report.verdict.upper,
-            "classification": report.verdict.classification,
-            "margins": list(report.verdict.margins),
-        },
+        "verdict": verdict_doc(report.verdict),
         "skipped": [list(s) for s in report.skipped],
     }
     return json.dumps(doc, indent=2, sort_keys=True)

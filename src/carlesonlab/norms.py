@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .argbranch import LOG_CLAMP, Weight
-from .curves import Curve, strided_indices
+from .curves import Curve, strided_indices, t0_distances
 from .errors import NotLocallyIntegrable, NumericalError, PreconditionError
 
 LUXEMBURG_RTOL = 1e-10
@@ -98,9 +98,7 @@ def profile_exponent(curve: Curve, t0: complex, p_at: float,
     """
     if not (1.0 < p_at < np.inf and 1.0 < p_far < np.inf):
         raise PreconditionError("exponents must lie in (1, inf)")
-    d = curve.distances_from(t0)
-    if np.any(d == 0):
-        raise PreconditionError("t0 coincides with a curve sample")
+    d = t0_distances(curve, t0)
     values = p_at + (p_far - p_at) / np.maximum(1.0, -np.log(d))
     return ExponentField(values, curve)
 
@@ -111,8 +109,8 @@ def tabulated_exponent(curve: Curve, values) -> ExponentField:
 
 
 def exponent_at(curve: Curve, p: ExponentField, t0: complex) -> float:
-    """p at the sample nearest to t0 (t0 itself is never a sample)."""
-    return float(p.values[int(np.argmin(curve.distances_from(t0)))])
+    """p at the sample nearest to t0, a finite point off the samples."""
+    return float(p.values[int(np.argmin(t0_distances(curve, t0)))])
 
 
 def as_sampled(curve: Curve, f) -> np.ndarray:
@@ -249,6 +247,8 @@ def muckenhoupt_ap(curve: Curve, w: Weight, p: float,
         t_points = curve.samples[strided_indices(curve.n_samples,
                                                  AP_T_POINTS)]
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.complex128))
+    if t_points.size == 0:
+        raise PreconditionError("t_points must be nonempty")
     if not np.all(np.isfinite(t_points)):
         raise PreconditionError("t_points must be finite")
     log_aw = curve.log_arc_weights

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .argbranch import Weight, gamma_weight
-from .curves import Curve, d_t, omega_arc, write_csv
+from .curves import Curve, d_t, omega_arc, t0_distances, write_csv
 from .errors import AllAnnuliEmpty, GridTooNarrow, PreconditionError
 
 X_DECADES = 3
@@ -129,9 +129,7 @@ def compute_W(curve: Curve, t0: complex, psi: Weight,
     an empty annulus on either side are skipped.  Raises AllAnnuliEmpty when
     some x admits no radius at all, which signals a degenerate grid.
     """
-    d = curve.distances_from(t0)
-    if np.any(d == 0):
-        raise PreconditionError("t0 coincides with a curve sample")
+    d = t0_distances(curve, t0)
     if psi.log_values.shape != d.shape:
         raise PreconditionError("psi must be tabulated on the curve")
     if x_grid is None:

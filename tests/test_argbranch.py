@@ -194,6 +194,20 @@ def test_gamma_weight_complex_is_phi_on_the_branch(spiral1, spiral1_branch):
         assert np.array_equal(given.log_values, expected)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda c: cl.power_weight(c, 0j, np.nan), "lam"),
+    (lambda c: cl.power_weight(c, 0j, -np.inf), "lam"),
+    (lambda c: cl.gamma_weight(c, 0j, np.nan), "gamma"),
+    (lambda c: cl.gamma_weight(c, 0j, complex(np.nan, 1.0)), "gamma"),
+    (lambda c: cl.gamma_weight(c, 0j, complex(0.0, np.inf)), "gamma"),
+], ids=["lam-nan", "lam-inf", "gamma-nan", "gamma-nan-real", "gamma-inf-imag"])
+def test_weights_reject_non_finite_exponents(make, name):
+    """Each gave an all-NaN or infinite log weight."""
+    c = cl.generate_log_spiral(1.0, 1e-4, 1.0, 1024)
+    with pytest.raises(PreconditionError, match=f"{name} must be finite"):
+        make(c)
+
+
 def test_gamma_weight_rejects_a_branch_around_another_point():
     """A branch carries its own t0; around 0 it gave a t0 = 0.5 weight and
     maximal operator that silently used 0 (log-weights off by up to 2.29)."""

@@ -140,6 +140,18 @@ def test_curve_validation():
         cl.Curve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), True)
 
 
+def test_curve_takes_strided_samples(spiral1):
+    """A reversed view used to fail with numpy's raw ValueError from the
+    finiteness check's float view of a non-contiguous array."""
+    cum = spiral1.cumlen[-1] - spiral1.cumlen[::-1]
+    rev = cl.Curve(spiral1.samples[::-1], cum, False)
+    assert np.array_equal(rev.samples, spiral1.reversed().samples)
+    bad = spiral1.samples.copy()
+    bad[5] = complex(np.nan, 0.0)
+    with pytest.raises(PreconditionError, match="finite"):
+        cl.Curve(bad[::-1], cum, False)
+
+
 # --- portions -----------------------------------------------------------
 
 
@@ -265,6 +277,48 @@ def test_d_t(unit_circle, spiral1):
     assert cl.d_t(unit_circle, 1.0 + 0j) == pytest.approx(2.0, rel=1e-6)
     assert cl.d_t(unit_circle, 0j) == pytest.approx(1.0, rel=1e-12)
     assert cl.d_t(spiral1, 0j) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_d_t_rejects_non_finite_point(t):
+    """A NaN t read nan."""
+    curve = cl.generate_log_spiral(1.0, 1e-4, 1.0, 1024)
+    with pytest.raises(PreconditionError, match="t must be finite"):
+        cl.d_t(curve, t)
+
+
+# every entry point that reads distances to a singular point t0
+T0_ENTRY_POINTS = {
+    "unwrap_arg": cl.unwrap_arg,
+    "power_weight": lambda c, t0: cl.power_weight(c, t0, 0.3),
+    "gamma_weight": lambda c, t0: cl.gamma_weight(c, t0, 0.3j),
+    "profile_exponent": lambda c, t0: cl.profile_exponent(c, t0, 1.8, 2.2),
+    "exponent_at": lambda c, t0: cl.exponent_at(
+        c, cl.constant_exponent(c, 2.0), t0),
+    "compute_W": lambda c, t0: cl.compute_W(
+        c, t0, cl.tabulated_weight(np.zeros(c.n_samples))),
+    "spirality_indices": cl.spirality_indices,
+}
+
+
+@pytest.mark.parametrize("t0", [complex(np.nan, 0.0), complex(0.0, np.inf)],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(T0_ENTRY_POINTS))
+def test_t0_entry_points_reject_non_finite_t0(entry, t0):
+    """A NaN t0 gave an all-NaN branch or weight, p at sample 0 from
+    exponent_at, and "R_grid must be finite and positive" from the
+    spirality fit, which named the wrong input."""
+    curve = cl.generate_log_spiral(1.0, 1e-4, 1.0, 1024)
+    with pytest.raises(PreconditionError, match="t0 must be finite"):
+        T0_ENTRY_POINTS[entry](curve, t0)
+
+
+def test_exponent_at_rejects_t0_on_a_sample():
+    """It read p at that sample; every other t0 entry point rejects it."""
+    curve = cl.generate_log_spiral(1.0, 1e-4, 1.0, 1024)
+    p = cl.profile_exponent(curve, 0j, 1.8, 2.2)
+    with pytest.raises(PreconditionError, match="t0 coincides"):
+        cl.exponent_at(curve, p, curve.samples[7])
 
 
 def test_reversal_invariance(spiral1):

@@ -1,10 +1,12 @@
-"""The streamed probe family against the list-building family it replaced.
+"""The shared, streamed probe family against the list-building family it
+replaced.
 
 ``reference_nested_arc_indicators``, ``reference_level_functions`` and
 ``reference_build_family`` are the previous harness functions: they hold
 float64 copies of every arc indicator, the level's random functions for
-all gammas, and every weight-inverted companion at once.  They are kept
-here only as test references.
+all gammas, and every weight-inverted companion at once, and build the
+whole family again for each gamma.  They are kept here only as test
+references.
 """
 
 import dataclasses
@@ -19,8 +21,8 @@ from carlesonlab import harness
 from carlesonlab.argbranch import unwrap_arg
 from carlesonlab.curves import d_t, omega_arc
 from carlesonlab.errors import EmptyArc
-from carlesonlab.harness import (_extremal_profile, _level_functions,
-                                 build_curve, build_exponent, build_family,
+from carlesonlab.harness import (_extremal_profile, build_curve,
+                                 build_exponent, build_family,
                                  probe_report_csv, probe_report_json)
 from carlesonlab.norms import as_sampled
 
@@ -84,18 +86,26 @@ MIXED = cl.ExperimentConfig(
     gamma=0.2 + 0.1j, levels=(2048, 8192), seed=5, spirality=(-1.0, 1.0))
 
 
-def _families(config, n):
-    """(reference, streamed) family of one level at config.gamma."""
+def _level(config, n):
+    """(curve, t0, join_ends, p, branch) of one level."""
     curve, t0, join_ends = build_curve(config.curve, n)
     p = build_exponent(curve, config.exponent, t0)
-    branch = unwrap_arg(curve, t0)
-    gamma = config.gamma
-    log_phi = gamma.real * branch.log_abs - gamma.imag * branch.values
+    return curve, t0, join_ends, p, unwrap_arg(curve, t0)
+
+
+def _log_phi(branch, gamma):
+    return gamma.real * branch.log_abs - gamma.imag * branch.values
+
+
+def _families(config, n):
+    """(reference, streamed) family of one level at config.gamma; the
+    streamed one as (tag, values, gammas served)."""
+    curve, t0, join_ends, p, branch = _level(config, n)
     ref = reference_build_family(
-        curve, t0, p, log_phi,
+        curve, t0, p, _log_phi(branch, config.gamma),
         *reference_level_functions(curve, t0, config, n, join_ends))
-    new = build_family(curve, t0, p, log_phi,
-                       *_level_functions(curve, t0, config, n, join_ends))
+    new = build_family(config, n, curve, t0, join_ends, p, branch,
+                       (config.gamma,))
     return curve, ref, list(new)
 
 
@@ -103,42 +113,53 @@ def _families(config, n):
 @pytest.mark.parametrize("level", [0, 1])
 def test_streamed_family_matches_reference(config, level):
     curve, ref, new = _families(config, config.levels[level])
-    assert [tag for tag, _ in new] == [tag for tag, _ in ref]
-    assert any(tag.startswith("warc") for tag, _ in new)
-    for (tag, f_ref), (_, f_new) in zip(ref, new):
+    assert [tag for tag, _, _ in new] == [tag for tag, _ in ref]
+    assert all(served == (config.gamma,) for _, _, served in new)
+    assert any(tag.startswith("warc") for tag, _, _ in new)
+    for (tag, f_ref), (_, f_new, _) in zip(ref, new):
         a, b = as_sampled(curve, f_ref), as_sampled(curve, f_new)
         assert a.dtype == b.dtype, tag
         assert a.tobytes() == b.tobytes(), tag
 
 
 def test_arc_indicators_are_masks():
-    curve, t0, join_ends = build_curve(GRADED.curve, 2048)
-    arcs, _ = _level_functions(curve, t0, GRADED, 2048, join_ends)
-    assert arcs and all(mask.dtype == bool for _, mask in arcs)
+    _, _, new = _families(GRADED, 2048)
+    arcs = [f for tag, f, _ in new if tag.startswith("arc")]
+    assert arcs and all(mask.dtype == bool for mask in arcs)
 
 
-def test_randoms_redraw_on_every_pass():
-    curve, t0, join_ends = build_curve(GRADED.curve, 2048)
-    _, randoms = _level_functions(curve, t0, GRADED, 2048, join_ends)
-    first, second = list(randoms()), list(randoms())
-    assert len(first) == GRADED.n_random
-    for (t1, f1), (t2, f2) in zip(first, second):
-        assert t1 == t2 and f1 is not f2
-        assert f1.tobytes() == f2.tobytes()
+def test_stream_builds_shared_members_once_for_all_gammas():
+    """A G-gamma stream yields each arc and each random function once,
+    serving all G gammas, and each gamma reads its single-gamma family."""
+    gammas = (0.1j, 0.2 + 0.1j, 1j)
+    level = _level(MIXED, 2048)
+    stream = list(build_family(MIXED, 2048, *level, gammas))
+    shared = [tag for tag, _, served in stream if served == gammas]
+    n_arcs = sum(tag.startswith("arc") for tag in shared)
+    assert n_arcs > 0
+    assert shared == [f"arc_j{j}" for j in range(n_arcs)] + [
+        f"random_{k}" for k in range(MIXED.n_random)]
+    for gamma in gammas:
+        own = [tag for tag, _, served in stream if served == (gamma,)]
+        assert own == [f"warc_j{j}" for j in range(n_arcs)] + ["extremal"]
+        single = build_family(MIXED, 2048, *level, (gamma,))
+        mine = [(tag, f) for tag, f, served in stream if gamma in served]
+        for (tag, f), (tag1, f1, _) in zip(mine, single, strict=True):
+            assert tag == tag1 and f.tobytes() == f1.tobytes(), tag
+    assert len(stream) == len(shared) + len(gammas) * (n_arcs + 1)
 
 
 def _reference_patch(monkeypatch):
-    """Run the harness on the reference family."""
-    def level_functions(curve, t0, config, level_n, join_ends):
-        arcs, randoms = reference_level_functions(curve, t0, config,
-                                                  level_n, join_ends)
-        return arcs, lambda: iter(randoms)
+    """Run the harness on the reference family, built again for each gamma,
+    each drawing its own random functions."""
+    def family(config, n, curve, t0, join_ends, p, branch, gammas):
+        for gamma in gammas:
+            arcs, randoms = reference_level_functions(curve, t0, config, n,
+                                                      join_ends)
+            for tag, f in reference_build_family(
+                    curve, t0, p, _log_phi(branch, gamma), arcs, randoms):
+                yield tag, f, (gamma,)
 
-    def family(curve, t0, p, log_phi, arcs, randoms):
-        return reference_build_family(curve, t0, p, log_phi, arcs,
-                                      list(randoms()))
-
-    monkeypatch.setattr(harness, "_level_functions", level_functions)
     monkeypatch.setattr(harness, "build_family", family)
 
 

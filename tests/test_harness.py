@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ def test_run_sweep_rejects_bad_gammas(bad):
     """Checked before any level runs, as the config checks its gamma."""
     with pytest.raises(PreconditionError, match="each of gammas"):
         cl.run_sweep(small_config(), [0.1, bad])
+
+
+@pytest.mark.parametrize("gammas", [[0.7, 0.7 + 0j], [0.0, -0.0],
+                                    [0.1j, 0.3, complex(-0.0, 0.1)]])
+def test_run_sweep_rejects_repeated_gamma(monkeypatch, gammas):
+    """A repeat used to run twice and land in both cells: each read every
+    level and row twice and the trend indeterminate.  Checked before any
+    level runs."""
+    monkeypatch.setattr(harness, "build_curve", None)
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"gamma {complex(gammas[-1])} is "
+                                       "repeated")):
+        cl.run_sweep(small_config(), gammas)
 
 
 def test_config_accepts_smallest_integer_settings():

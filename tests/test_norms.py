@@ -309,6 +309,13 @@ def test_ap_rejects_non_finite_points(unit_circle, t):
                           t_points=[1.0 + 0j, t])
 
 
+def test_ap_rejects_empty_points(unit_circle):
+    """It read 0.0, though [w]_Ap >= 1."""
+    with pytest.raises(PreconditionError, match="t_points must be nonempty"):
+        cl.muckenhoupt_ap(unit_circle, cl.unit_weight(unit_circle), 2.0,
+                          t_points=[])
+
+
 def test_as_sampled_keeps_real_input_real(segment):
     n = segment.n_samples
     real = np.linspace(0.0, 1.0, n)
