@@ -31,8 +31,8 @@ from .criteria import Verdict, check_kps, check_main, verdict_doc
 from .curves import Curve, csv_text, d_t, omega_arc, strided_indices
 from .errors import EmptyArc, NotLocallyIntegrable, PreconditionError
 from .maximal import MAX_RADII, MaximalEvaluator, weighted_maximal
-from .norms import (ExponentField, constant_exponent, exponent_at,
-                    luxemburg_norm, profile_exponent, tabulated_exponent)
+from .norms import (ExponentField, constant_exponent, luxemburg_norm,
+                    profile_exponent, tabulated_exponent)
 from .submult import IndexPair, spirality_indices
 
 TREND_STABLE = "stable"
@@ -42,6 +42,8 @@ TREND_INDETERMINATE = "indeterminate"
 GROWING_FACTOR = 1.5
 STABLE_FACTOR = 1.35
 EXTREMAL_MARGIN = 0.1  # the extremal profile's exponent above -1/p
+N_RANDOM = 8  # seeded random test functions per level
+EVAL_POINTS = 256  # points of a level's evaluation subgrid
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,8 @@ class ExperimentConfig:
     spirality: optional (alpha, beta) override, two finite real numbers
         (not bools); measured on the top-level curve when absent and gamma
         is not real.
-    levels is a sequence; seed, n_random, eval_points, max_radii and each
-    level are integers, not bools, of at least 0, 0, 2, 1 and 2;
-    PreconditionError otherwise.
+    levels is a sequence; seed and each level are integers, not bools, of
+    at least 0 and 2; PreconditionError otherwise.
     """
 
     curve: dict
@@ -68,9 +69,6 @@ class ExperimentConfig:
     gamma: complex
     levels: tuple
     seed: int = 0
-    n_random: int = 8
-    eval_points: int = 256
-    max_radii: int = MAX_RADII
     spirality: tuple | None = None
 
     def __post_init__(self):
@@ -79,9 +77,8 @@ class ExperimentConfig:
         except TypeError:
             raise PreconditionError("levels must be a sequence of integers, "
                                     f"got {self.levels!r}") from None
-        settings = [(name, getattr(self, name), low) for name, low in (
-            ("seed", 0), ("n_random", 0), ("eval_points", 2), ("max_radii", 1))]
-        for name, value, low in settings + [("level", n, 2) for n in levels]:
+        for name, value, low in [("seed", self.seed, 0)] + [
+                ("level", n, 2) for n in levels]:
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral) or value < low):
                 raise PreconditionError(
@@ -166,7 +163,7 @@ EXPONENT_KEYS = {"constant": ("value",), "profile": ("p_at", "p_far")}
 def _spec_kind(what: str, spec: dict, keys: dict, required: dict) -> str:
     """spec's kind; PreconditionError unless keys lists it and spec sets
     only keys the kind reads, every key of required[kind], and each to a
-    real number (not a bool)."""
+    finite real number (not a bool)."""
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in keys:
         raise PreconditionError(f"unknown {what} kind: {kind!r}")
@@ -181,10 +178,14 @@ def _spec_kind(what: str, spec: dict, keys: dict, required: dict) -> str:
         raise PreconditionError(
             f"{what} kind {kind!r} requires {', '.join(map(repr, missing))}")
     for key, value in spec.items():
-        if key != "kind" and (isinstance(value, bool)
-                              or not isinstance(value, numbers.Real)):
+        if key == "kind":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise PreconditionError(
                 f"{what} key {key!r} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise PreconditionError(
+                f"{what} key {key!r} must be finite, got {value!r}")
     return kind
 
 
@@ -232,18 +233,6 @@ def build_exponent(curve: Curve, spec: dict, t0: complex) -> ExponentField:
     if kind == "constant":
         return constant_exponent(curve, spec["value"])
     return profile_exponent(curve, t0, spec["p_at"], spec["p_far"])
-
-
-def _eval_subgrid(curve: Curve, count: int) -> np.ndarray:
-    """Deterministic evaluation subgrid: an index stride.
-
-    Generated curves are log-graded near the singularity, so an index stride
-    is a log stride in scale there.  Both array ends are always included.
-    """
-    m = curve.n_samples
-    if curve.closed:
-        m -= 1  # skip the duplicate closure sample
-    return strided_indices(m, count)
 
 
 def _nested_arc_indicators(curve: Curve, t0: complex, join_ends: bool):
@@ -309,7 +298,7 @@ def build_family(config: ExperimentConfig, n: int, curve: Curve,
         del inv_phi
         yield "extremal", _extremal_profile(curve, t0, p, log_phi), (gamma,)
     rng = np.random.default_rng([config.seed, n])
-    for k in range(config.n_random):
+    for k in range(N_RANDOM):
         yield f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples), gammas
 
 
@@ -330,32 +319,38 @@ def _subcurve(curve: Curve, idx: np.ndarray) -> Curve:
 
 
 def _verdicts(config: ExperimentConfig, gammas) -> dict:
-    """{gamma: predicted verdict}, from one build of the top-level curve and
-    exponent and at most one spirality fit; the curve dies with the call."""
-    curve, t0, _ = build_curve(config.curve, config.levels[-1])
-    p_t0 = exponent_at(curve, build_exponent(curve, config.exponent, t0), t0)
+    """{gamma: predicted verdict}, from the specs' p(t0) and at most one
+    spirality fit on the top-level curve, built only for that fit.
+
+    p(t0) is the constant's value or the profile's p_at, its limit at t0.
+    PreconditionError for a circle: it is not refined toward t0, so its
+    ladder resolves no finer scale there (graded_circle is).
+    """
+    if _spec_kind("curve", config.curve, CURVE_KEYS,
+                  REQUIRED_CURVE_KEYS) == "circle":
+        raise PreconditionError("a probe needs a curve refined toward t0; "
+                                "use graded_circle, not circle")
+    constant = _spec_kind("exponent", config.exponent, EXPONENT_KEYS,
+                          EXPONENT_KEYS) == "constant"
+    p_t0 = float(config.exponent["value" if constant else "p_at"])
     spir = None
     if config.spirality is not None:
         spir = IndexPair(config.spirality[0], config.spirality[1],
                          {"source": "config"})
-    verdicts = {}
-    for gamma in gammas:
-        if gamma.imag == 0.0:
-            verdicts[gamma] = check_kps(p_t0, gamma.real)
-            continue
-        if spir is None:
-            spir = spirality_indices(curve, t0)
-        verdicts[gamma] = check_main(p_t0, gamma, spir)
-    return verdicts
+    elif any(gamma.imag != 0.0 for gamma in gammas):
+        curve, t0, _ = build_curve(config.curve, config.levels[-1])
+        spir = spirality_indices(curve, t0)
+    return {gamma: check_kps(p_t0, gamma.real) if gamma.imag == 0.0
+            else check_main(p_t0, gamma, spir) for gamma in gammas}
 
 
 def _probe_levels(config: ExperimentConfig, gammas):
     """Shared level loop for probes and sweeps.
 
     Returns the verdicts, taken before the first level runs, so that a
-    top-level curve too shallow for the spirality fit fails at once, and
-    {gamma: (rows, skipped, max_ratios)}, lists over all levels with one
-    max ratio per level.
+    bad spec or a top-level curve too shallow for the spirality fit fails
+    at once, and {gamma: (rows, skipped, max_ratios)}, lists over all
+    levels with one max ratio per level.
     """
     verdicts = _verdicts(config, gammas)
     cells = {g: ([], [], []) for g in gammas}
@@ -373,8 +368,10 @@ def _probe_level(config: ExperimentConfig, n: int, cells):
     curve, t0, join_ends = build_curve(config.curve, n)
     p = build_exponent(curve, config.exponent, t0)
     branch = unwrap_arg(curve, t0)
-    eval_idx = _eval_subgrid(curve, config.eval_points)
-    evaluator = MaximalEvaluator(curve, eval_idx, config.max_radii)
+    # an index stride: generated curves are log-graded near t0, so it is
+    # a log stride in scale there; both array ends are included
+    eval_idx = strided_indices(curve.n_samples, EVAL_POINTS)
+    evaluator = MaximalEvaluator(curve, eval_idx, MAX_RADII)
     sub = _subcurve(curve, eval_idx)
     sub_p = tabulated_exponent(sub, p.values[eval_idx])
     sub_one = unit_weight(sub)
@@ -418,7 +415,7 @@ def run_sweep(config: ExperimentConfig, gammas) -> list[ProbeReport]:
     """Run probes for several gammas sharing curves, evaluators and test
     functions per level.  The gammas must differ as complex numbers (0.7
     and 0.7+0j repeat each other, as do 0.0 and -0.0); PreconditionError
-    names a repeat."""
+    names a repeat, and a circle curve, before any level runs."""
     gammas = [_finite_gamma(g, "each of gammas") for g in gammas]
     for k, gamma in enumerate(gammas):
         if gamma in gammas[:k]:

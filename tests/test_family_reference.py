@@ -54,7 +54,7 @@ def reference_level_functions(curve, t0, config, level_n, join_ends):
     arcs = reference_nested_arc_indicators(curve, t0, join_ends)
     rng = np.random.default_rng([config.seed, level_n])
     randoms = [(f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples))
-               for k in range(config.n_random)]
+               for k in range(harness.N_RANDOM)]
     return arcs, randoms
 
 
@@ -138,7 +138,7 @@ def test_stream_builds_shared_members_once_for_all_gammas():
     n_arcs = sum(tag.startswith("arc") for tag in shared)
     assert n_arcs > 0
     assert shared == [f"arc_j{j}" for j in range(n_arcs)] + [
-        f"random_{k}" for k in range(MIXED.n_random)]
+        f"random_{k}" for k in range(harness.N_RANDOM)]
     for gamma in gammas:
         own = [tag for tag, _, served in stream if served == (gamma,)]
         assert own == [f"warc_j{j}" for j in range(n_arcs)] + ["extremal"]

@@ -23,9 +23,6 @@ def small_config(**overrides):
         gamma=0.0,
         levels=(256, 512, 1024),
         seed=13,
-        eval_points=96,
-        max_radii=96,
-        n_random=3,
     )
     base.update(overrides)
     return cl.ExperimentConfig(**base)
@@ -41,24 +38,21 @@ def test_config_validates_levels():
 
 
 @pytest.mark.parametrize("name, bad", [
-    ("max_radii", True), ("max_radii", 0), ("max_radii", 2.0),
-    ("n_random", -1), ("n_random", 2.5), ("n_random", False),
-    ("eval_points", 0), ("eval_points", 1), ("eval_points", True),
     ("seed", -1), ("seed", True), ("seed", "1"),
-    ("spirality", (1.0,)), ("spirality", (1.0, "a")),
-    ("spirality", (True, 1.0)), ("spirality", (1.0, np.nan)),
-    ("spirality", (-np.inf, 1.0)), ("spirality", (1.0, 2.0, 3.0)),
+    # fixed ids, so that a case keeps its name when the list changes
+    *(pytest.param("spirality", bad, id=f"spirality-bad{k}")
+      for k, bad in enumerate([(1.0,), (1.0, "a"), (True, 1.0), (1.0, np.nan),
+                               (-np.inf, 1.0), (1.0, 2.0, 3.0)], start=12)),
     ("spirality", 1.0),
     ("gamma", True), ("gamma", "0.3"), ("gamma", np.nan),
     ("gamma", complex(0.2, np.inf)), ("levels", 5),
 ])
 def test_config_rejects_bad_integer_settings(name, bad):
     """Each used to run with a silently changed meaning or fail deep in
-    the probe: max_radii=True ran with one radius, n_random=-1 dropped the
-    random functions, eval_points=0 raised IndexError, spirality=(1.0,)
-    raised IndexError in run_probe, gamma=True ran gamma = 1, "0.3" ran
-    0.3, a NaN gamma failed in run_probe on a non-finite sampled function,
-    and levels=5 raised TypeError."""
+    the probe: spirality=(1.0,) raised IndexError in run_probe,
+    gamma=True ran gamma = 1, "0.3" ran 0.3, a NaN gamma failed in
+    run_probe on a non-finite sampled function, and levels=5 raised
+    TypeError."""
     with pytest.raises(PreconditionError, match=name):
         small_config(**{name: bad})
 
@@ -84,8 +78,8 @@ def test_run_sweep_rejects_repeated_gamma(monkeypatch, gammas):
 
 
 def test_config_accepts_smallest_integer_settings():
-    small_config(seed=0, n_random=0, eval_points=2, max_radii=1)
-    small_config(seed=np.int64(7), n_random=np.int32(1))
+    small_config(seed=0)
+    small_config(seed=np.int64(7))
     small_config(levels=(np.int64(2), 3, 4), spirality=[np.float64(-1.0), 1])
 
 
@@ -187,11 +181,25 @@ def test_build_curve_rejects_r_min_with_r_min_scale():
     ({"kind": ["x"]}, "unknown curve kind: \\['x'\\]"),
     ({"kind": "log_spiral", "delta": None}, "'delta' must be a real number"),
     ({"kind": "circle", "radius": True}, "'radius' must be a real number"),
-], ids=["str", "list-kind", "none", "bool"])
+    ({"kind": "graded_circle", "grade": np.inf}, "'grade' must be finite"),
+    ({"kind": "graded_circle", "grade": np.nan}, "'grade' must be finite"),
+    ({"kind": "graded_circle", "radius": np.nan}, "'radius' must be finite"),
+    ({"kind": "circle", "radius": np.inf}, "'radius' must be finite"),
+    ({"kind": "graded_circle", "t0_angle": np.inf},
+     "'t0_angle' must be finite"),
+    ({"kind": "segment", "r_max": np.nan}, "'r_max' must be finite"),
+    ({"kind": "mixed_spirality", "alpha": np.inf, "beta": 1.0},
+     "'alpha' must be finite"),
+], ids=["str", "list-kind", "none", "bool", "inf-grade", "nan-grade",
+        "nan-radius", "inf-radius", "inf-t0_angle", "nan-r_max",
+        "inf-alpha"])
 def test_build_curve_rejects_values_of_the_wrong_type(spec, message):
-    """A kind is a string and every other value a real number: a string
-    radius and a list kind raised TypeError, a None delta too, and a True
-    radius built the unit circle."""
+    """A kind is a string and every other value a finite real number: a
+    string radius and a list kind raised TypeError, a None delta too, a
+    True radius built the unit circle, an infinite grade was accepted with
+    theta_min at the float floor, a NaN one failed naming theta_min, and
+    the other non-finite values failed as non-finite samples after numpy
+    RuntimeWarnings, naming no key."""
     with pytest.raises(PreconditionError, match=message):
         build_curve(spec, 64)
 
@@ -213,6 +221,11 @@ def test_build_curve_reads_numpy_reals_not_numpy_bools():
      "'constant' does not read 'p_far'; it accepts value"),
     ({"kind": "table", "values": [2.0] * 256},
      "unknown exponent kind: 'table'"),
+    ({"kind": "constant", "value": np.inf}, "'value' must be finite"),
+    ({"kind": "profile", "p_at": np.nan, "p_far": 2.2},
+     "'p_at' must be finite"),
+    ({"kind": "profile", "p_at": 1.8, "p_far": np.inf},
+     "'p_far' must be finite"),
 ])
 def test_build_exponent_rejects_bad_spec(spec, message):
     """Exponent specs are checked like curve specs: PreconditionError, not
@@ -332,6 +345,52 @@ def test_verdicts_come_before_the_ladder(monkeypatch):
         gamma=1j, levels=(2048, 4096, 8192))
     with pytest.raises(AllAnnuliEmpty):
         cl.run_sweep(config, [0.1j, 0.2 + 0.1j, 1j])
+
+
+@pytest.mark.parametrize("levels", [(256, 512, 1024), (1024, 2048, 4096)])
+def test_verdict_reads_p_at_t0_from_the_profile(levels):
+    """p(t0) is the profile's p_at, its limit at t0: lambda = 0.45 with
+    p_at = 1.8 has the bracket 1/1.8 + 0.45 > 1 at every depth.  Read with
+    p at the top-level sample nearest t0, the bracket was 0.954 at 1024
+    and 0.973 at 4096, both KPS_BOUNDED."""
+    report = cl.run_probe(cl.ExperimentConfig(
+        curve={"kind": "mixed_spirality", "alpha": -1.0, "beta": 1.0,
+               "r_min_scale": 118.0, "r_max": math.e ** 2},
+        exponent={"kind": "profile", "p_at": 1.8, "p_far": 2.2},
+        gamma=0.45, levels=levels))
+    assert report.verdict.lower == pytest.approx(1.0 / 1.8 + 0.45)
+    assert report.verdict.classification == cl.NECESSARY_VIOLATED
+
+
+def test_real_gamma_verdicts_build_no_curve(monkeypatch):
+    """A real-gamma sweep reads p(t0) from the spec and fits no
+    spirality, so it builds only its levels' curves."""
+    built = []
+
+    def counted(spec, n):
+        built.append(n)
+        return build_curve(spec, n)
+
+    monkeypatch.setattr(harness, "build_curve", counted)
+    cl.run_sweep(small_config(), [0.0, 0.3])
+    assert built == [256, 512, 1024]
+
+
+@pytest.mark.parametrize("curve, message", [
+    ({"kind": "log_spiral", "delta": 1.0, "radius": 1.0},
+     "does not read 'radius'"),
+    ({"kind": "log_spiral", "delta": np.inf}, "'delta' must be finite"),
+    ({"kind": "circle"}, "use graded_circle"),
+    ({"kind": "circle", "t0_angle": 0.3}, "use graded_circle"),
+], ids=["unknown-key", "inf-delta", "circle", "circle-off-sample"])
+def test_run_sweep_checks_the_curve_spec_first(monkeypatch, curve, message):
+    """A bad curve spec fails before any curve is built.  A circle is not
+    refined toward t0, so its ladder resolves no finer scale there: its
+    default t0 fell on sample 0 and failed naming that, and t0_angle 0.3
+    read gamma = 0.7 as indeterminate, where the theory says unbounded."""
+    monkeypatch.setattr(harness, "build_curve", None)
+    with pytest.raises(PreconditionError, match=message):
+        cl.run_sweep(small_config(curve=curve), [0.7, 0.2j])
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -659,6 +718,32 @@ def test_cli_rejects_non_finite_numbers(tmp_path, args, message):
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "precondition error" in res.output and message in res.output
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_gen_curve_rejects_an_infinite_grade(tmp_path):
+    """It used to write {"grade": Infinity, ...}, which --curve refused."""
+    res = CliRunner().invoke(main, ["gen-curve", "--out", str(tmp_path),
+                                    "--kind", "graded-circle", "--grade",
+                                    "inf", "--n", "256"])
+    assert res.exit_code == 2, res.output
+    assert "curve key 'grade' must be finite, got inf" in res.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["probe", "--levels", "256,512,1024", "--gamma", "0.7"],
+    ["sweep", "--levels", "256,512,1024", "--re-min", "0.7", "--re-max",
+     "0.7", "--im-min", "0", "--im-max", "0", "--step", "0.1"],
+], ids=["probe", "sweep"])
+@pytest.mark.parametrize("angle", [[], ["--t0-angle", "0.3"]],
+                         ids=["default", "off-sample"])
+def test_cli_probes_reject_the_circle(tmp_path, command, angle):
+    """probe and sweep name graded_circle and write nothing."""
+    res = CliRunner().invoke(main, [*command, "--kind", "circle", *angle,
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "use graded_circle, not circle" in res.output
     assert not any(tmp_path.iterdir())
 
 

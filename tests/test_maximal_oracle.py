@@ -30,8 +30,8 @@ from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
 from carlesonlab import maximal as engine_module
+from carlesonlab.curves import strided_indices
 from carlesonlab.maximal import _gap_samples
-from carlesonlab.harness import _eval_subgrid
 
 
 class SortedCumsumEvaluator:
@@ -642,7 +642,7 @@ def test_walk_portions_match_stretch_portions_full_grids(name, n, stride):
 
 def test_build_matches_dense_reference_deep():
     curve = cl.generate_graded_circle(1.0, 131072)
-    idx = _eval_subgrid(curve, 256)
+    idx = strided_indices(curve.n_samples, 256)
     _assert_same_table(cl.MaximalEvaluator(curve, idx), curve, idx, 256,
                        _integrands(curve, 3))
 
@@ -703,7 +703,7 @@ def test_prefix_kernel_matches_reduceat_deep():
     whole length: a plain prefix difference is off by up to a few percent
     here, the compensated one is not."""
     curve = cl.generate_graded_circle(1.0, 32768)
-    idx = _eval_subgrid(curve, 256)
+    idx = strided_indices(curve.n_samples, 256)
     engine = cl.MaximalEvaluator(curve, idx)
     references = (ReduceatEvaluator(curve, idx), PrefixRunEvaluator(curve, idx))
     d = np.abs(curve.samples - 1.0)

@@ -10,19 +10,20 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
+def _load(name):
+    """perfbench/<name>.py, loaded from the checkout."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    tracing = _tracing()
+    tracing = _load("tracing")
     missing = []
     for _, mod_name, attr in tracing.FUNCTION_SPANS + tracing.COUNTERS:
         if not callable(getattr(importlib.import_module(mod_name), attr,
@@ -33,3 +34,12 @@ def test_traced_names_resolve():
         if cls is None or not callable(vars(cls).get(attr)):
             missing.append(f"{mod_name}.{cls_name}.{attr}")
     assert not missing
+
+
+def test_workloads_build_their_inputs():
+    """Every workload's set-up runs against the package: a config keyword
+    or a package name the benchmark passes that has gone fails here, not
+    only in a benchmark run.  No pass runs."""
+    workloads = _load("workloads")
+    for name in workloads.WORKLOADS:
+        assert workloads.make(name, 0, None) is not None
