@@ -28,8 +28,8 @@ places nodes every B ~ sqrt(n / R) samples; a polyline bound from the node
 distances and the gap's length confines each gap's distances, and a gap
 confined to one bucket takes it whole, so a point costs about n / B + B *
 runs distances instead of n.  Bucket ids of log-spaced grids come in closed
-form from the log of the distance, with an exact count only next to a
-grid point.  The runs are bit for bit the ones of the full scan.
+form from the log of the distance, and next to a grid point from one
+comparison with it.  The runs are bit for bit the ones of the full scan.
 
 Portion integrals use per-sample arc weights (trapezoid in disguise), and
 averages over empty portions never arise because evaluation points are curve
@@ -54,6 +54,7 @@ _CHUNK_ENTRIES = 1 << 18  # distances per build chunk: bounds its memory
 _MIN_BLOCK = 8  # smallest node spacing at which the block build pays
 _SLACK = 1e-12  # relative widening of a gap's polyline distance bound
 _BLOCK_SLOTS = 1 << 14  # portions per prefix-sum gather
+_ROW_BLOCK = 256  # rows per evaluator that weighted_maximal builds itself
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,15 +110,15 @@ def _log_grid(ends, n_radii: int) -> np.ndarray:
 
 
 def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
-    """Overwrite the distances buf with their closed-form bucket ids.
+    """Overwrite the distances buf with u + 1, their place on the grid.
 
     A distance d of row r sits at u = (log d - log eps_0) * (R - 1) /
     (log eps_{R-1} - log eps_0) on the row's log grid, and its bucket id
     #{k : eps_k <= d} is floor(u) + 1 unless u lies so close to an integer
     that the float grid point may fall on either side.  Returns the mask of
     those entries and of the entries whose u is not finite (d = 0, or a
-    single radius); their ids in buf are not valid.  row gives each entry's
-    row of eps and broadcasts against buf.
+    single radius); the floor of buf is the id of every other entry.  row
+    gives each entry's row of eps and broadcasts against buf.
     """
     n_radii = eps.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,7 +131,7 @@ def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
         # taken at the largest over the rows so that one scalar serves all
         tol = np.max(2.0 ** -30 * scale * (np.abs(log0) + np.abs(log_top)
                                            + 1.0))
-        # u + 1 = log d * scale - (log0 * scale - 1): floor gives the id
+        # u + 1 = log d * scale - (log0 * scale - 1)
         shift = log0 * scale - 1.0
         np.log(buf, out=buf)
         np.multiply(buf, scale[row], out=buf)
@@ -141,7 +142,6 @@ def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
         fix = np.greater_equal(off, tol)
     del off
     np.logical_not(fix, out=fix)  # NaN compares false: fixed up too
-    np.floor(buf, out=buf)
     return fix
 
 
@@ -149,17 +149,23 @@ def _bucket_ids(buf, eps, row, col, samples, centres):
     """Overwrite the distances buf = |samples[col] - centres[row]| with
     their bucket ids on the grids eps; row and col broadcast against buf.
 
-    The closed form of _grid_position, with an exact count of the grid
-    points at or below d for the few entries next to a grid point, whose
-    distances are recomputed from the samples because buf no longer holds
-    them.  On an increasing grid that count is searchsorted(side="right").
+    The closed form of _grid_position, with one comparison for the entries
+    next to a grid point, whose distances are recomputed from the samples
+    because buf no longer holds them.  There u lies within the margin of
+    an integer K, far less than 1 away, so eps_{K-1} <= d < eps_{K+1} and
+    the id is K + [eps_K <= d], with K clipped to [0, R - 1]; an entry
+    whose u is not finite takes K = 0.
     """
     at = np.unravel_index(np.flatnonzero(_grid_position(buf, eps, row)),
                           buf.shape)
+    k = np.rint(buf[at]) - 1.0
+    np.floor(buf, out=buf)
+    k = np.where(np.isfinite(k), np.clip(k, 0, eps.shape[1] - 1), 0)
+    k = k.astype(np.intp)
     r = np.broadcast_to(row, buf.shape)[at]
     c = np.broadcast_to(col, buf.shape)[at]
     d = np.abs(samples[c] - centres[r])
-    buf[at] = np.count_nonzero(eps[r] <= d[:, None], axis=1)
+    buf[at] = k + (eps[r, k] <= d)
 
 
 def _dense_runs(samples, eval_indices, radii, n_radii: int, exact: bool):
@@ -276,7 +282,8 @@ def _block_runs(samples, eval_indices, ends_out, n_radii: int, block: int):
         uniform |= _grid_position(d_max, eps, rows)
         uniform |= forced
         np.logical_not(uniform, out=uniform)
-        uniform &= d_min == d_max
+        # the bound's ends in one bucket: the floors of u + 1 agree
+        uniform &= np.floor(d_min, out=d_min) == np.floor(d_max, out=d_max)
         del d_max, forced
         # one piece per uniform gap and one per sample of the other gaps,
         # in sample order
@@ -405,7 +412,10 @@ class MaximalEvaluator:
     Memory: two indices and a denominator are 16 bytes per slot, 16 MB for
     the full grid at n = 4096 (E = 4096, R = 256); the slot lists, the row
     ends and the prefix table are O(E + n), and a call allocates O(n)
-    beside the evaluator's buffers.
+    beside the evaluator's buffers.  weighted_maximal with no evaluator
+    builds and evaluates 256 rows at a time (1 MB of slots at R = 256),
+    each block's evaluator freed before the next, so that its memory does
+    not grow with n * R.
 
     The intervals come from the runs of equal bucket ids, chunk by chunk as
     the build yields them.  Going right from the point's own run (the eval
@@ -472,12 +482,16 @@ class MaximalEvaluator:
     lies within 2^-30 * (R - 1) * (|log eps_0| + |log eps_{R-1}| + 1) /
     (log eps_{R-1} - log eps_0) of an integer (2^18 times u's rounding
     error; 2.4e-7 to 3.1e-7 on the probe curves; one margin, the largest
-    of the chunk's rows, serves the whole chunk), takes instead the exact
-    count of its row's radii at or below d, by ``np.count_nonzero``.  That
-    is about three entries per row: the point itself (d = 0) and the d_lo
-    and d_hi samples.  u is computed in place over the distance buffer,
-    the counted entries are found by ``np.flatnonzero`` on it, and their
-    distances are recomputed from the samples.
+    of the chunk's rows, serves the whole chunk), lies next to the grid
+    index K = rint(u), so that eps_{K-1} <= d < eps_{K+1}, and takes the id
+    K + [eps_K <= d] (K clipped to [0, R - 1]; K = 0 where u is not
+    finite).  Most rows have about three such entries: the point itself
+    (d = 0) and the d_lo and d_hi samples.  Rows opposite a graded
+    circle's t0 have thousands, the dense cluster of samples around t0
+    within the margin of their top radius, and one comparison each keeps
+    them cheap.  u is computed in place over the distance buffer, those
+    entries are found by ``np.flatnonzero`` on it, and their distances are
+    recomputed from the samples.
 
     The dense scan works on each chunk's row-major distance buffer as one
     flat array.  d_lo is a plain row minimum with each row's own zero set
@@ -651,6 +665,21 @@ class MaximalEvaluator:
         return np.ldexp(values, shift), self._radius(hit)
 
 
+def _sup_average(curve: Curve, g, evaluator):
+    """The evaluator's sup_average of g and its evaluation points; with no
+    evaluator, every sample of the curve at MAX_RADII, each block of
+    _ROW_BLOCK consecutive rows built, evaluated and freed in turn.  Every
+    row's grid and portions depend on that row alone, so the blocks give
+    the full grid's values and radii bit for bit."""
+    if evaluator is not None:
+        return (*evaluator.sup_average(g), evaluator.eval_indices)
+    n = curve.n_samples
+    blocks = [MaximalEvaluator(curve, np.arange(a, min(a + _ROW_BLOCK, n)))
+              .sup_average(g) for a in range(0, n, _ROW_BLOCK)]
+    values, eps = map(np.concatenate, zip(*blocks))
+    return values, eps, np.arange(n)
+
+
 def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
                      branch: ArgBranch | None = None,
                      evaluator: MaximalEvaluator | None = None
@@ -661,39 +690,38 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     gamma = 0 is the plain maximal operator, the sup of portion averages of
     |f| bit for bit, and reads neither t0 nor branch; any other gamma takes
     its weight from gamma_weight.  The evaluator, built on this curve, sets
-    the evaluation points and radii; by default every sample, at MAX_RADII.
+    the evaluation points and radii.  With none, every sample is evaluated
+    at MAX_RADII, 256 rows at a time: each block's evaluator is built,
+    used once and freed before the next, so the call holds one block's
+    slots (1 MB), not the full grid's 16 bytes per sample and radius, and
+    returns what one full-grid evaluator gives, bit for bit.
     """
     if evaluator is not None and evaluator.curve is not curve:
         raise PreconditionError("the evaluator was built on another curve")
     gamma = complex(gamma)
     log_phi = (None if gamma == 0
                else gamma_weight(curve, t0, gamma, branch).log_values)
-    if evaluator is None:
-        evaluator = MaximalEvaluator(curve)
     absf = np.abs(as_sampled(curve, f))
     if log_phi is None:
-        values, eps = evaluator.sup_average(absf)
-        return MaximalResult(values, eps, evaluator.eval_indices)
-    # log g, its shifted form and g itself share absf's buffer
+        return MaximalResult(*_sup_average(curve, absf, evaluator))
+    # log g, its shifted form and g itself share absf's buffer; the logs
+    # that are not finite, log 0 = -inf, stay -inf, and an f that is 0
+    # everywhere gives shift = -inf and g = 0
     with np.errstate(divide="ignore"):
         log_g = np.log(absf, out=absf)
     log_g -= log_phi
     finite = np.isfinite(log_g)
     shift = float(np.max(log_g, where=finite, initial=-np.inf))
-    if shift == -np.inf:
-        values = np.zeros(evaluator.eval_indices.size)
-        return MaximalResult(values, values.copy(), evaluator.eval_indices)
-    log_g -= shift
-    log_g[~finite] = -np.inf
+    np.subtract(log_g, shift, out=log_g, where=finite)
     g = np.exp(log_g, out=log_g)
-    avg, eps = evaluator.sup_average(g)
+    avg, eps, eval_indices = _sup_average(curve, g, evaluator)
     with np.errstate(divide="ignore"):
-        log_vals = log_phi[evaluator.eval_indices] + shift + np.log(avg)
+        log_vals = log_phi[eval_indices] + shift + np.log(avg)
     nonzero = avg > 0.0
     clipped = bool(np.any(np.abs(log_vals[nonzero]) > LOG_CLAMP))
     values = clamped_exp(log_vals)
     values[~nonzero] = 0.0
-    return MaximalResult(values, eps, evaluator.eval_indices, clipped)
+    return MaximalResult(values, eps, eval_indices, clipped)
 
 
 def export_maximal_csv(curve: Curve, result: MaximalResult, path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import carlesonlab as cl
 from carlesonlab import argbranch
 from carlesonlab.errors import PreconditionError
+from carlesonlab.harness import build_curve
 
 
 def brute_force_maximal_at(curve, f, i):
@@ -359,3 +361,71 @@ def test_weighted_invariant_under_reversal(make, t0):
         bwd = cl.weighted_maximal(rev, f[::-1], t0, gamma, evaluator=bwd_ev)
         np.testing.assert_allclose(bwd.values, fwd.values, rtol=1e-12,
                                    atol=0.0)
+
+
+# --- the one-use full grid ---------------------------------------------------
+
+# (spec, n): open, slit at t0 (wrapped intervals), closed with a duplicate
+# closure sample, an exact grid (n <= 256: R = n) and sample counts that
+# are not multiples of the 256-row block
+ONE_USE_CASES = {
+    "log_spiral": ({"kind": "log_spiral", "delta": 1.0, "r_min": 1e-3}, 1024),
+    "graded_circle": ({"kind": "graded_circle", "radius": 1.0}, 1024),
+    "circle": ({"kind": "circle", "t0_angle": 0.3}, 600),
+    "exact_grid": ({"kind": "circle", "t0_angle": 0.3}, 200),
+    "odd_spiral": ({"kind": "log_spiral", "delta": 2.0, "r_min": 1e-4}, 1300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_USE_CASES))
+def test_one_use_grid_equals_full_grid_evaluator(name):
+    """With no evaluator every sample is evaluated in row blocks, each
+    built and freed in turn; the result is one full-grid evaluator's, bit
+    for bit."""
+    spec, n = ONE_USE_CASES[name]
+    curve, t0, _ = build_curve(spec, n)
+    rng = np.random.default_rng(9)
+    f = rng.uniform(0.0, 1.0, curve.n_samples)
+    f[rng.uniform(size=f.size) < 0.3] = 0.0
+    full = cl.MaximalEvaluator(curve)
+    for gamma in (0, 0.3, 0.2 + 0.1j):
+        res = cl.weighted_maximal(curve, f, t0, gamma)
+        ref = cl.weighted_maximal(curve, f, t0, gamma, evaluator=full)
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.argmax_eps, ref.argmax_eps)
+        assert np.array_equal(res.eval_indices, ref.eval_indices)
+        assert res.clipped == ref.clipped
+
+
+@pytest.mark.parametrize("spec, gamma", [
+    ({"kind": "log_spiral", "delta": 1.0, "r_min": 1e-3}, 0.2 + 0.1j),
+    ({"kind": "graded_circle", "radius": 1.0}, 0.3),
+], ids=["spiral_1", "graded_circle"])
+def test_one_use_grid_holds_one_row_block(spec, gamma):
+    """At n = 4096 one full-grid evaluator holds 16 MB of slots; the row
+    blocks hold 1 MB each, one at a time."""
+    curve, t0, join_ends = build_curve(spec, 4096)
+    f = cl.omega_arc(curve, t0, 0.05, join_ends=join_ends).astype(float)
+    tracemalloc.start()
+    try:
+        cl.weighted_maximal(curve, f, t0, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_zero_integrand_reads_the_grid_for_every_gamma():
+    """f = 0 gives Mf = 0 at the grid's first radius for every gamma, with
+    and without an evaluator, and clips nothing."""
+    curve = cl.generate_log_spiral(1.0, 1e-4, 1.0, 300)
+    rows = np.array([0, 100, 200])
+    ev = cl.MaximalEvaluator(curve, rows)
+    first = ev._radius(np.zeros(rows.size, dtype=np.intp))
+    for gamma in (0, 0.3):
+        for res, at in ((cl.weighted_maximal(curve, 0.0, 0j, gamma,
+                                             evaluator=ev), np.s_[:]),
+                        (cl.weighted_maximal(curve, 0.0, 0j, gamma), rows)):
+            assert np.all(res.values[at] == 0.0)
+            assert np.array_equal(res.argmax_eps[at], first)
+            assert not res.clipped

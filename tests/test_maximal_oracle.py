@@ -687,6 +687,24 @@ def test_closed_form_ids_next_to_grid_points():
         assert np.array_equal(buf, np.searchsorted(grid, d, side="right"))
 
 
+def test_antipodal_block_compares_one_radius_per_entry():
+    """Rows opposite a graded circle's t0 see its dense cluster of samples
+    within the margin of their top radius, about 10^4 entries next to a
+    grid point in one chunk; each is settled by one comparison, so the
+    build holds no (entries x radii) table, and its ids are the searched
+    ones."""
+    curve = cl.generate_graded_circle(1.0, 16384)
+    idx = np.arange(7936, 8192)
+    tracemalloc.start()
+    try:
+        engine = cl.MaximalEvaluator(curve, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    _assert_same_table(engine, curve, idx, 256, _integrands(curve, 12))
+
+
 def _assert_same_sup(engine, reference, g):
     """Values to 1e-12; a different radius only where averages tie."""
     values, eps = engine.sup_average(g)

@@ -203,6 +203,10 @@ def cli_outputs(tmp: Path):
         "maximal-default-t0": ["maximal", "--kind", "graded-circle", "--n",
                                "1024", "--gamma", "0.3", "--arc-radius",
                                "0.05"],
+        # 201 samples: an exact grid and a duplicate closure sample
+        "maximal-circle": ["maximal", "--kind", "circle", "--n", "200"],
+        "maximal-plain": ["maximal", "--kind", "graded-circle", "--n",
+                          "1024", "--gamma", "0", "--arc-radius", "0.05"],
         "verdict": ["verdict", "--p-at", "2.0", "--gamma", "0.1j",
                     "--delta-minus", "-1", "--delta-plus", "1"],
         "probe": ["probe", "--levels", "256,512,1024", "--kind",
