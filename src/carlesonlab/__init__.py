@@ -8,8 +8,8 @@ operator, decision predicates, and a reproducible experiment harness.
 """
 
 from .argbranch import (ArgBranch, Weight, equivalent, export_weight_csv,
-                        gamma_weight, phi, power_weight, tabulated_weight,
-                        unit_weight, unwrap_arg)
+                        gamma_weight, phi, power_weight, unit_weight,
+                        unwrap_arg)
 from .criteria import (ERSATZ_BOUNDED, INDETERMINATE, KPS_BOUNDED,
                        MAIN_THM_BOUNDED, NECESSARY_VIOLATED, Verdict,
                        check_ersatz, check_kps, check_main,
@@ -17,7 +17,7 @@ from .criteria import (ERSATZ_BOUNDED, INDETERMINATE, KPS_BOUNDED,
 from .curves import (Curve, carleson_constant, d_t, default_carleson_grids,
                      from_points, generate_circle, generate_corner,
                      generate_graded_circle, generate_log_spiral,
-                     generate_mixed_spirality, generate_segment, omega_arc)
+                     generate_mixed_spirality, omega_arc)
 from .errors import (AllAnnuliEmpty, BranchJump, CarlesonLabError, EmptyArc,
                      GridTooNarrow, NoAdmissibleDelta, NotLocallyIntegrable,
                      NumericalError, PreconditionError)
@@ -25,9 +25,8 @@ from .harness import (ExperimentConfig, ProbeReport, classify_trend,
                       gamma_rectangle, run_probe, run_sweep)
 from .maximal import (MaximalEvaluator, MaximalResult, export_maximal_csv,
                       weighted_maximal)
-from .norms import (ExponentField, constant_exponent, exponent_at,
-                    luxemburg_norm, modular, muckenhoupt_ap, profile_exponent,
-                    tabulated_exponent)
+from .norms import (ExponentField, constant_exponent, luxemburg_norm, modular,
+                    muckenhoupt_ap, profile_exponent, tabulated_exponent)
 from .submult import (IndexPair, SubmultSamples, compute_W, default_x_grid,
                       default_radius_grid, estimate_indices,
                       export_submult_csv, phi_indices_closed_form,

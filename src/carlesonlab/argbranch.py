@@ -100,11 +100,6 @@ def power_weight(curve: Curve, t0: complex, lam: float) -> Weight:
     return Weight(lam * np.log(t0_distances(curve, t0)))
 
 
-def tabulated_weight(log_values) -> Weight:
-    """Wrap explicit per-sample log values as a Weight."""
-    return Weight(np.asarray(log_values, dtype=np.float64))
-
-
 def unit_weight(curve: Curve) -> Weight:
     return Weight(np.zeros(curve.n_samples))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import Curve, d_t, omega_arc, strided_indices
 from .errors import NoAdmissibleDelta, PreconditionError
-from .norms import ExponentField, exponent_at
+from .norms import ExponentField
 from .submult import IndexPair, phi_indices_closed_form
 
 MAIN_THM_BOUNDED = "MAIN_THM_BOUNDED"
@@ -95,39 +95,39 @@ def check_kps(p_at_t0: float, lam: float) -> Verdict:
     return Verdict(v, v, cls, iff_unbounded=not (0.0 < v < 1.0))
 
 
-def check_ersatz(curve: Curve, p: ExponentField, t0: complex, gamma: complex,
+def check_ersatz(p_at_t0: float, p_min: float, gamma: complex,
                  spirality: IndexPair) -> Verdict:
     """Exponent-minimum sufficient condition over the whole curve.
 
-    The upper bracket is compared against p_*/p(t0) with p_* = p.p_min,
-    the minimum of p over the curve.  For constant p this coincides with
-    the main condition.
+    The upper bracket is compared against p_*/p(t0) with p_* =
+    min(p_min, p(t0)), since t0 lies in the closure of the curve, so the
+    limit never exceeds 1.  For constant p this is the main condition.
     """
-    p_t0 = exponent_at(curve, p, t0)
-    v = check_main(p_t0, gamma, spirality)
-    limit = p.p_min / p_t0
+    if not (1.0 < p_min < np.inf):
+        raise PreconditionError("p_min must lie in (1, inf)")
+    v = check_main(p_at_t0, gamma, spirality)
+    limit = min(p_min, p_at_t0) / p_at_t0
     cls = _classify(v.lower, v.upper, ERSATZ_BOUNDED, limit)
     return replace(v, classification=cls, upper_limit=limit)
 
 
-def select_delta_and_eps(curve: Curve, p: ExponentField, t0: complex,
-                         gamma: complex, spirality: IndexPair,
+def select_delta_and_eps(curve: Curve, p: ExponentField, p_at_t0: float,
+                         t0: complex, gamma: complex, spirality: IndexPair,
                          join_ends: bool = False,
                          max_candidates: int = 64) -> tuple[float, float]:
-    """Choose the arc radius and exponent margin used by the probe machinery.
+    """Choose the arc radius and the exponent margin.
 
     eps is half the minimum margin of the main condition to {0, 1}.  delta is
     the largest candidate radius (d_t/4 and realized sample radii below it)
-    whose arc-restricted exponent minimum satisfies 1 + beta*p(t0) < p_*
-    strictly.  Constant exponents accept the default d_t/4 immediately.
+    whose arc satisfies 1 + beta*p(t0) < p_* strictly, p_* = min(p on the
+    arc, p(t0)).  Constant exponents accept the default d_t/4 immediately.
     """
-    p_t0 = exponent_at(curve, p, t0)
-    verdict = check_main(p_t0, gamma, spirality)
+    verdict = check_main(p_at_t0, gamma, spirality)
     if verdict.classification != MAIN_THM_BOUNDED:
         raise PreconditionError(
             f"main condition does not hold ({verdict.classification})")
     eps = 0.5 * verdict.margin
-    beta = verdict.upper - 1.0 / p_t0
+    beta = verdict.upper - 1.0 / p_at_t0
     dt = d_t(curve, t0)
     dists = curve.distances_from(t0)
     # nudge above the realized radii so each candidate arc holds its sample
@@ -138,8 +138,8 @@ def select_delta_and_eps(curve: Curve, p: ExponentField, t0: complex,
             mask = omega_arc(curve, t0, delta, join_ends=join_ends)
         except PreconditionError:
             continue
-        p_star = float(p.values[mask].min())
-        if 1.0 + beta * p_t0 < p_star:
+        p_star = min(float(p.values[mask].min()), p_at_t0)
+        if 1.0 + beta * p_at_t0 < p_star:
             return float(delta), float(eps)
     raise NoAdmissibleDelta(
         "no arc radius satisfies 1 + beta*p(t0) < p_*; the margin is too thin")

@@ -256,16 +256,6 @@ def generate_mixed_spirality(alpha: float, beta: float, r_min: float,
     return Curve(samples, cumlen, False)
 
 
-def generate_segment(r_min: float, r_max: float, n: int) -> Curve:
-    """Straight ray segment on log-spaced radii; t0 = 0 off the near end."""
-    if not (0 < r_min < r_max):
-        raise PreconditionError("need 0 < r_min < r_max")
-    if n < 2:
-        raise PreconditionError("need at least two samples")
-    r = np.geomspace(r_min, r_max, n)
-    return Curve(r.astype(np.complex128), r - r_min, False)
-
-
 def generate_corner(turn: float, r_min: float, r_max: float, n: int) -> Curve:
     """Two-ray polyline with a corner at the (unsampled) origin.
 

@@ -29,7 +29,7 @@ from .argbranch import (ArgBranch, clamped_exp, phi, unit_weight,
                         unwrap_arg)
 from .criteria import Verdict, check_kps, check_main, verdict_doc
 from .curves import Curve, csv_text, d_t, omega_arc, strided_indices
-from .errors import EmptyArc, NotLocallyIntegrable, PreconditionError
+from .errors import NotLocallyIntegrable, PreconditionError
 from .maximal import MAX_RADII, MaximalEvaluator, weighted_maximal
 from .norms import (ExponentField, constant_exponent, luxemburg_norm,
                     profile_exponent, tabulated_exponent)
@@ -221,7 +221,7 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
         curve = _curves.generate_mixed_spirality(spec["alpha"], spec["beta"],
                                                  r_min, r_max, n)
     elif kind == "segment":
-        curve = _curves.generate_segment(r_min, r_max, n)
+        curve = _curves.generate_log_spiral(0.0, r_min, r_max, n)
     else:  # the last kind: corner
         curve = _curves.generate_corner(spec.get("turn", np.pi / 2), r_min,
                                         r_max, n)
@@ -247,10 +247,7 @@ def _nested_arc_indicators(curve: Curve, t0: complex, join_ends: bool):
     j = 0
     delta = delta0
     while delta >= 2.0 * d_min and j < 60:
-        try:
-            mask = omega_arc(curve, t0, delta, join_ends=join_ends)
-        except EmptyArc:
-            break
+        mask = omega_arc(curve, t0, delta, join_ends=join_ends)
         out.append((f"arc_j{j}", mask))
         delta *= 0.5
         j += 1

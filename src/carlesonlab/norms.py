@@ -108,11 +108,6 @@ def tabulated_exponent(curve: Curve, values) -> ExponentField:
     return ExponentField(values, curve)
 
 
-def exponent_at(curve: Curve, p: ExponentField, t0: complex) -> float:
-    """p at the sample nearest to t0, a finite point off the samples."""
-    return float(p.values[int(np.argmin(t0_distances(curve, t0)))])
-
-
 def as_sampled(curve: Curve, f) -> np.ndarray:
     """Coerce f to a finite per-sample array; scalars broadcast.
 

@@ -42,7 +42,7 @@ def corner():
 
 @pytest.fixture(scope="session")
 def segment():
-    return cl.generate_segment(1e-4, 1.0, 2048)
+    return cl.generate_log_spiral(0.0, 1e-4, 1.0, 2048)
 
 
 @pytest.fixture(scope="session")

@@ -201,9 +201,9 @@ def test_criterion_8_weight_equivalence():
         branch = cl.unwrap_arg(curve, 0j)
         p = cl.profile_exponent(curve, 0j, 1.8, 2.2)
         ph = cl.phi(branch, gamma)
-        p_t0 = cl.exponent_at(curve, p, 0j)
-        w1 = cl.tabulated_weight(
-            log_values=(p.values / p.p_min) * ph.log_values)
+        # p at the sample nearest t0
+        p_t0 = float(p.values[np.argmin(curve.distances_from(0j))])
+        w1 = cl.Weight(log_values=(p.values / p.p_min) * ph.log_values)
         w2 = cl.phi(branch, gamma * p_t0 / p.p_min)
         vals[n] = cl.equivalent(w1, w2)
     change = abs(vals[16384] - vals[8192]) / vals[8192]
@@ -219,7 +219,7 @@ def test_criterion_8_weight_equivalence():
 
 def _zoo():
     yield "graded circle", cl.generate_graded_circle(1.0, 8192), 1.0 + 0j
-    yield "segment", cl.generate_segment(1e-4, 1.0, 4096), 0j
+    yield "segment", cl.generate_log_spiral(0.0, 1e-4, 1.0, 4096), 0j
     yield "corner", cl.generate_corner(np.pi / 2, 1e-5, 1.0, 8192), 0j
     for d in (-1.0, 0.5, 1.0, 2.0):
         yield (f"spiral {d}", cl.generate_log_spiral(d, 1e-4, 1.0, 8192), 0j)

@@ -257,7 +257,7 @@ ZOO = {
     "spiral_2": lambda n: cl.generate_log_spiral(2.0, 1e-2, 1.0, 4 * n),
     "mixed": lambda n: cl.generate_mixed_spirality(-1.0, 1.0, 1e-3, 1.0,
                                                    4 * n),
-    "segment": lambda n: cl.generate_segment(1e-3, 1.0, n),
+    "segment": lambda n: cl.generate_log_spiral(0.0, 1e-3, 1.0, n),
     "corner": lambda n: cl.generate_corner(np.pi / 2, 1e-3, 1.0, n),
 }
 
@@ -293,10 +293,8 @@ T0_ENTRY_POINTS = {
     "power_weight": lambda c, t0: cl.power_weight(c, t0, 0.3),
     "gamma_weight": lambda c, t0: cl.gamma_weight(c, t0, 0.3j),
     "profile_exponent": lambda c, t0: cl.profile_exponent(c, t0, 1.8, 2.2),
-    "exponent_at": lambda c, t0: cl.exponent_at(
-        c, cl.constant_exponent(c, 2.0), t0),
     "compute_W": lambda c, t0: cl.compute_W(
-        c, t0, cl.tabulated_weight(np.zeros(c.n_samples))),
+        c, t0, cl.Weight(np.zeros(c.n_samples))),
     "spirality_indices": cl.spirality_indices,
 }
 
@@ -305,20 +303,12 @@ T0_ENTRY_POINTS = {
                          ids=["nan", "inf"])
 @pytest.mark.parametrize("entry", sorted(T0_ENTRY_POINTS))
 def test_t0_entry_points_reject_non_finite_t0(entry, t0):
-    """A NaN t0 gave an all-NaN branch or weight, p at sample 0 from
-    exponent_at, and "R_grid must be finite and positive" from the
-    spirality fit, which named the wrong input."""
+    """A NaN t0 gave an all-NaN branch or weight, and "R_grid must be
+    finite and positive" from the spirality fit, which named the wrong
+    input."""
     curve = cl.generate_log_spiral(1.0, 1e-4, 1.0, 1024)
     with pytest.raises(PreconditionError, match="t0 must be finite"):
         T0_ENTRY_POINTS[entry](curve, t0)
-
-
-def test_exponent_at_rejects_t0_on_a_sample():
-    """It read p at that sample; every other t0 entry point rejects it."""
-    curve = cl.generate_log_spiral(1.0, 1e-4, 1.0, 1024)
-    p = cl.profile_exponent(curve, 0j, 1.8, 2.2)
-    with pytest.raises(PreconditionError, match="t0 coincides"):
-        cl.exponent_at(curve, p, curve.samples[7])
 
 
 def test_reversal_invariance(spiral1):

@@ -146,6 +146,20 @@ def test_build_curve_kinds():
         build_curve({"kind": "nonagon"}, 512)
 
 
+@pytest.mark.parametrize("n", [7, 256, 4096])
+def test_segment_kind_is_the_delta_zero_log_spiral(n):
+    """The straight ray on log-spaced radii, byte for byte."""
+    curve, t0, _ = build_curve({"kind": "segment", "r_min": 1e-3,
+                                "r_max": 2.0}, n)
+    spiral = cl.generate_log_spiral(0.0, 1e-3, 2.0, n)
+    assert t0 == 0j
+    assert curve.samples.tobytes() == spiral.samples.tobytes()
+    assert curve.cumlen.tobytes() == spiral.cumlen.tobytes()
+    r = np.geomspace(1e-3, 2.0, n)
+    assert curve.samples.tobytes() == r.astype(np.complex128).tobytes()
+    assert curve.cumlen.tobytes() == (r - 1e-3).tobytes()
+
+
 def test_build_curve_rejects_unknown_key():
     """A misspelled key raises instead of falling back to the default."""
     with pytest.raises(PreconditionError,
@@ -230,7 +244,7 @@ def test_build_curve_reads_numpy_reals_not_numpy_bools():
 def test_build_exponent_rejects_bad_spec(spec, message):
     """Exponent specs are checked like curve specs: PreconditionError, not
     KeyError, and no key is silently ignored."""
-    curve = cl.generate_segment(1e-3, 1.0, 256)
+    curve = cl.generate_log_spiral(0.0, 1e-3, 1.0, 256)
     with pytest.raises(PreconditionError, match=message):
         build_exponent(curve, spec, 0j)
 

@@ -497,7 +497,7 @@ CURVES = {
     "circle": lambda n: cl.generate_circle(1.0, n),
     "graded_circle": lambda n: cl.generate_graded_circle(1.0, n),
     "spiral": lambda n: cl.generate_log_spiral(1.0, 1e-3, 1.0, n),
-    "segment": lambda n: cl.generate_segment(1e-3, 1.0, n),
+    "segment": lambda n: cl.generate_log_spiral(0.0, 1e-3, 1.0, n),
     "corner": lambda n: cl.generate_corner(np.pi / 2, 1e-3, 1.0, n),
     "closed_square": _square,
     "tight_spiral": _tight_spiral,

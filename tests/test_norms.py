@@ -267,7 +267,7 @@ def test_luxemburg_invariant_under_reversal(spiral1, spiral1_branch,
     p = (cl.profile_exponent(spiral1, 0j, 1.8, 2.2) if profile
          else cl.constant_exponent(spiral1, 2.5))
     rev = spiral1.reversed()
-    w_rev = cl.tabulated_weight(log_values=w.log_values[::-1])
+    w_rev = cl.Weight(log_values=w.log_values[::-1])
     p_rev = cl.tabulated_exponent(rev, p.values[::-1])
     assert cl.luxemburg_norm(rev, f[::-1], w_rev, p_rev) == pytest.approx(
         cl.luxemburg_norm(spiral1, f, w, p), rel=1e-12, abs=0.0)

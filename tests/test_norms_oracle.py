@@ -50,7 +50,7 @@ CURVES = {
     "circle": lambda n: (cl.generate_circle(1.0, n), 0j),
     "graded_circle": lambda n: (cl.generate_graded_circle(1.0, n), 1 + 0j),
     "log_spiral": lambda n: (cl.generate_log_spiral(1.0, 1e-3, 1.0, n), 0j),
-    "segment": lambda n: (cl.generate_segment(1e-3, 1.0, n), 0j),
+    "segment": lambda n: (cl.generate_log_spiral(0.0, 1e-3, 1.0, n), 0j),
     "corner": lambda n: (cl.generate_corner(np.pi / 2, 1e-3, 1.0, n), 0j),
     "mixed_spirality": lambda n: (
         cl.generate_mixed_spirality(-1.0, 1.0, 1e-3, 1.0, n), 0j),
@@ -91,7 +91,7 @@ def norm_cases(draw):
                     draw(st.sampled_from([0.0, -1.0, -0.3, 0.3, 1.0])))
     base = cl.phi(cl.unwrap_arg(curve, t0), gamma)
     offset, scale = draw(st.sampled_from(REGIMES))
-    w = cl.tabulated_weight(log_values=base.log_values + offset)
+    w = cl.Weight(log_values=base.log_values + offset)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = scale * _function(
         draw(st.sampled_from(["dense", "sparse", "indicator"])),

@@ -3,14 +3,19 @@
 A name it cannot find reports 0 for its layer without any error, so a
 rename or removal in the package would silently blind that layer.  This
 loads ``perfbench/tracing.py`` from the checkout and checks that every
-name it wraps still resolves.
+name it wraps still resolves.  Each workload's set-up time includes
+``import carlesonlab``, so the package import is kept free of the CLI.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -43,3 +48,16 @@ def test_workloads_build_their_inputs():
     workloads = _load("workloads")
     for name in workloads.WORKLOADS:
         assert workloads.make(name, 0, None) is not None
+
+
+def test_package_import_loads_no_cli():
+    """A fresh ``import carlesonlab`` loads neither click nor the CLI."""
+    code = ("import sys, carlesonlab; "
+            "print([m for m in ('click', 'carlesonlab.cli') "
+            "if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

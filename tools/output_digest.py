@@ -118,17 +118,23 @@ def criteria_outputs(cl):
     spir = cl.IndexPair(1.0, 1.0, {"source": "digest"})
     mixed = cl.IndexPair(-1.0, 1.0, {"source": "digest"})
     w = cl.phi(cl.unwrap_arg(curve, 0j), 0.2 + 0.1j)
+    # criterion 6's curve and profile, which rises away from p(t0) = 1.8
+    n = 4096
+    p_mixed = cl.profile_exponent(cl.generate_mixed_spirality(
+        -1.0, 1.0, 118.0 / n, math.e ** 2, n), 0j, 1.8, 2.2)
     return {
         "criteria/select_delta_and_eps": _outcome(
-            cl.select_delta_and_eps, curve, p, 0j, 0.1j, spir),
+            cl.select_delta_and_eps, curve, p, 1.8, 0j, 0.1j, spir),
         "criteria/select_delta_and_eps/thin": _outcome(
-            cl.select_delta_and_eps, curve, p_falling, 0j, 0.45j, spir),
+            cl.select_delta_and_eps, curve, p_falling, 2.2, 0j, 0.45j, spir),
         "criteria/check_ersatz/limit": _outcome(
-            cl.check_ersatz, curve, p_falling, 0j, 0.45j, spir),
+            cl.check_ersatz, 2.2, p_falling.p_min, 0.45j, spir),
         "criteria/check_ersatz/bounded": _outcome(
-            cl.check_ersatz, curve, p, 0j, 0.1j, spir),
+            cl.check_ersatz, 1.8, p.p_min, 0.1j, spir),
         "criteria/check_ersatz/violated": _outcome(
-            cl.check_ersatz, curve, p, 0j, 0.6, spir),
+            cl.check_ersatz, 1.8, p.p_min, 0.6, spir),
+        "criteria/check_ersatz/mixed_profile": _outcome(
+            cl.check_ersatz, 1.8, p_mixed.p_min, 0.45, mixed),
         "criteria/check_main": _outcome(cl.check_main, 1.8, 0.2 + 0.1j,
                                         mixed),
         "criteria/check_kps/inside": _outcome(cl.check_kps, 2.0, 0.3),
