@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import curves as _curves
 from .argbranch import (ArgBranch, clamped_exp, phi, unit_weight,
                         unwrap_arg)
 from .criteria import Verdict, check_kps, check_main, verdict_doc
-from .curves import Curve, csv_text, d_t, omega_arc, strided_indices
+from .curves import Curve, csv_text, strided_indices
 from .errors import NotLocallyIntegrable, PreconditionError
 from .maximal import MAX_RADII, MaximalEvaluator, weighted_maximal
 from .norms import (ExponentField, constant_exponent, luxemburg_norm,
@@ -43,6 +44,7 @@ GROWING_FACTOR = 1.5
 STABLE_FACTOR = 1.35
 EXTREMAL_MARGIN = 0.1  # the extremal profile's exponent above -1/p
 N_RANDOM = 8  # seeded random test functions per level
+MAX_ARCS = 60  # nested arcs per level at most
 EVAL_POINTS = 256  # points of a level's evaluation subgrid
 
 
@@ -221,6 +223,8 @@ def build_curve(spec: dict, n: int) -> tuple[Curve, complex, bool]:
         curve = _curves.generate_mixed_spirality(spec["alpha"], spec["beta"],
                                                  r_min, r_max, n)
     elif kind == "segment":
+        if not 0 < r_min < r_max:  # the spiral's message names a delta
+            raise PreconditionError("need 0 < r_min < r_max")
         curve = _curves.generate_log_spiral(0.0, r_min, r_max, n)
     else:  # the last kind: corner
         curve = _curves.generate_corner(spec.get("turn", np.pi / 2), r_min,
@@ -238,20 +242,49 @@ def build_exponent(curve: Curve, spec: dict, t0: complex) -> ExponentField:
 def _nested_arc_indicators(curve: Curve, t0: complex, join_ends: bool):
     """Indicators of nested arcs omega(t0, delta0 * 2^-j) down to resolution.
 
-    Kept as boolean masks, one byte per sample; every consumer reads them
-    as 0.0/1.0.
+    Returns ([(tag, mask)], note): the masks are boolean, one byte per
+    sample, and every consumer reads them as 0.0/1.0; note is None, or the
+    reason no deeper arc is measured when MAX_ARCS arcs stop the halving
+    above the resolution 2 * d_min.  All masks come from one distance pass:
+    omega_arc's run around k0 = argmin d ends at the first sample each way
+    whose distance reaches delta, where the running maximum of d outward
+    from k0 reaches it, and its join through the array ends takes the runs
+    of the running maxima from each end.
     """
-    delta0 = d_t(curve, t0) / 4.0
-    d_min = float(np.min(curve.distances_from(t0)))
+    d = curve.distances_from(t0)
+    delta0 = float(np.max(d)) / 4.0
+    d_min = float(np.min(d))
+    m = d.size
+    k0 = int(np.argmin(d))
+    # running maxima of d: right of k0, left of k0, from the start, from
+    # the end; the samples before each reaches delta are inside the arc
+    right, left, head, tail = (np.maximum.accumulate(run) for run in (
+        d[k0:], d[k0::-1], d, d[::-1]))
+    join = join_ends or curve.closed
     out = []
-    j = 0
     delta = delta0
-    while delta >= 2.0 * d_min and j < 60:
-        mask = omega_arc(curve, t0, delta, join_ends=join_ends)
-        out.append((f"arc_j{j}", mask))
+    while delta >= 2.0 * d_min and len(out) < MAX_ARCS:
+        lo = k0 + 1 - int(np.searchsorted(left, delta))
+        hi = k0 + int(np.searchsorted(right, delta))
+        mask = np.zeros(m, dtype=bool)
+        mask[lo:hi] = True
+        n_head = int(np.searchsorted(head, delta))
+        # the arc touches exactly one array end: join the run at the other
+        if join and n_head < m:
+            if lo == 0:
+                mask[m - int(np.searchsorted(tail, delta)):] = True
+            elif hi == m:
+                mask[:n_head] = True
+        if curve.closed:
+            mask[-1] = mask[0] = mask[0] or mask[-1]
+        out.append((f"arc_j{len(out)}", mask))
         delta *= 0.5
-        j += 1
-    return out
+    note = None
+    if delta >= 2.0 * d_min:
+        note = (f"nested arcs stop at MAX_ARCS = {MAX_ARCS}: the last has "
+                f"delta {2.0 * delta:.6g}, above the resolution 2 * d_min "
+                f"= {2.0 * d_min:.6g}")
+    return out, note
 
 
 def _extremal_profile(curve: Curve, t0: complex, p: ExponentField,
@@ -270,33 +303,51 @@ def _extremal_profile(curve: Curve, t0: complex, p: ExponentField,
     return f
 
 
+class Group(NamedTuple):
+    """Test functions measured together, one tag each: f itself when
+    supports is None, else f * chi_S for each of the nested masks S.
+    served holds the gammas that measure them; note, when set, is the
+    skipped entry each of them reports after the group's rows."""
+
+    tags: tuple
+    f: np.ndarray
+    supports: tuple | None
+    served: tuple
+    note: str | None = None
+
+
 def build_family(config: ExperimentConfig, n: int, curve: Curve,
                  t0: complex, join_ends: bool, p: ExponentField,
                  branch: ArgBranch, gammas: tuple):
-    """The level's test functions, each built once and yielded as (tag,
-    values, the gammas it serves).
+    """The level's test functions, built once and yielded as Groups.
 
-    The nested arc indicators and the seeded nonnegative random functions
-    serve every gamma; each gamma alone gets its weight-inverted arcs
-    phi^-1 * chi (the classical two-sided witnesses, which blow up at the
-    full rate when the conditions fail) and one near-critical profile, so
-    each gamma sees arcs, weighted arcs, profile, randoms, in that order.
-    Members are built as the consumer asks for them, so a level holds one
-    full-length member at a time whatever its number of arcs.
+    The nested arc indicators chi_{omega_j} are one group with f =
+    chi_{omega_0}, and the seeded nonnegative random functions lone
+    members; both serve every gamma.  Each gamma alone gets one group of
+    weight-inverted arcs phi^-1 * chi_{omega_j} (the classical two-sided
+    witnesses, which blow up at the full rate when the conditions fail),
+    with f = chi_{omega_0} * phi^-1 on the arcs' masks, and one
+    near-critical profile, so each gamma sees arcs, weighted arcs,
+    profile, randoms, in that order.  Members are built as the consumer
+    asks for them, so a level holds one full-length function at a time
+    besides the arcs' masks, whatever its number of arcs.
     """
-    arcs = _nested_arc_indicators(curve, t0, join_ends)
-    for tag, mask in arcs:
-        yield tag, mask, gammas
+    arcs, note = _nested_arc_indicators(curve, t0, join_ends)
+    tags = tuple(tag for tag, _ in arcs)
+    masks = tuple(mask for _, mask in arcs)
+    if arcs:
+        yield Group(tags, masks[0], masks, gammas, note)
     for gamma in gammas:
         log_phi = phi(branch, gamma).log_values
-        inv_phi = clamped_exp(-log_phi)
-        for tag, mask in arcs:
-            yield tag.replace("arc", "warc"), mask * inv_phi, (gamma,)
-        del inv_phi
-        yield "extremal", _extremal_profile(curve, t0, p, log_phi), (gamma,)
+        if arcs:
+            yield Group(tuple(tag.replace("arc", "warc") for tag in tags),
+                        masks[0] * clamped_exp(-log_phi), masks, (gamma,))
+        yield Group(("extremal",), _extremal_profile(curve, t0, p, log_phi),
+                    None, (gamma,))
     rng = np.random.default_rng([config.seed, n])
     for k in range(N_RANDOM):
-        yield f"random_{k}", rng.uniform(0.0, 1.0, curve.n_samples), gammas
+        yield Group((f"random_{k}",), rng.uniform(0.0, 1.0, curve.n_samples),
+                    None, gammas)
 
 
 def _denominator(curve: Curve, f: np.ndarray, one, p: ExponentField):
@@ -308,6 +359,34 @@ def _denominator(curve: Curve, f: np.ndarray, one, p: ExponentField):
     if den == 0.0:
         return None, "zero norm"
     return den, None
+
+
+def _denominators(curve: Curve, group: Group, one, p: ExponentField):
+    """Per tag of group: _denominator of its function."""
+    if group.supports is None:
+        return [_denominator(curve, group.f, one, p)]
+    try:
+        dens = luxemburg_norm(curve, group.f, one, p,
+                              supports=group.supports)
+    except NotLocallyIntegrable as exc:
+        return [(None, str(exc))] * len(group.tags)
+    return [(None, "zero norm") if den == 0.0 else (den, None)
+            for den in dens]
+
+
+def _maxima(curve: Curve, group: Group, dens, t0: complex, gamma: complex,
+            branch: ArgBranch, evaluator: MaximalEvaluator) -> list:
+    """The weighted_maximal results of group's members whose denominator
+    stands, in order, from at most one call."""
+    kept = [k for k, (den, _) in enumerate(dens) if den is not None]
+    if not kept:
+        return []
+    if group.supports is None:
+        return [weighted_maximal(curve, group.f, t0, gamma, branch=branch,
+                                 evaluator=evaluator)]
+    return weighted_maximal(curve, group.f, t0, gamma, branch=branch,
+                            evaluator=evaluator,
+                            supports=[group.supports[k] for k in kept])
 
 
 def _subcurve(curve: Curve, idx: np.ndarray) -> Curve:
@@ -359,8 +438,10 @@ def _probe_levels(config: ExperimentConfig, gammas):
 def _probe_level(config: ExperimentConfig, n: int, cells):
     """One refinement level: extends each gamma's cell in cells.
 
-    Everything the level builds dies with the call, before the next level
-    builds its own.
+    A group's denominators are taken once for all the gammas it serves,
+    and its numerators with one weighted_maximal call per gamma over the
+    supports whose denominator stands.  Everything the level builds dies
+    with the call, before the next level builds its own.
     """
     curve, t0, join_ends = build_curve(config.curve, n)
     p = build_exponent(curve, config.exponent, t0)
@@ -374,27 +455,29 @@ def _probe_level(config: ExperimentConfig, n: int, cells):
     sub_one = unit_weight(sub)
     one = unit_weight(curve)
     level_rows = {g: [] for g in cells}
-    for tag, f, served in build_family(config, n, curve, t0, join_ends, p,
-                                       branch, tuple(cells)):
-        den, skip = _denominator(curve, f, one, p)
-        for gamma in served:
-            reason = skip
-            if reason is None:
-                try:
-                    res = weighted_maximal(curve, f, t0, gamma,
-                                           branch=branch,
-                                           evaluator=evaluator)
-                    num = luxemburg_norm(sub, res.values, sub_one, sub_p)
-                except NotLocallyIntegrable as exc:
-                    reason = str(exc)
-            if reason is None and not math.isfinite(num / den):
-                reason = "non-finite ratio"
-            if reason is not None:
-                cells[gamma][1].append((n, tag, reason))
-                continue
-            level_rows[gamma].append({"level": n, "function": tag,
-                                      "ratio": num / den, "num": num,
-                                      "den": den})
+    for group in build_family(config, n, curve, t0, join_ends, p, branch,
+                              tuple(cells)):
+        dens = _denominators(curve, group, one, p)
+        for gamma in group.served:
+            results = iter(_maxima(curve, group, dens, t0, gamma, branch,
+                                   evaluator))
+            for tag, (den, reason) in zip(group.tags, dens):
+                if reason is None:
+                    try:
+                        num = luxemburg_norm(sub, next(results).values,
+                                             sub_one, sub_p)
+                    except NotLocallyIntegrable as exc:
+                        reason = str(exc)
+                if reason is None and not math.isfinite(num / den):
+                    reason = "non-finite ratio"
+                if reason is not None:
+                    cells[gamma][1].append((n, tag, reason))
+                    continue
+                level_rows[gamma].append({"level": n, "function": tag,
+                                          "ratio": num / den, "num": num,
+                                          "den": den})
+            if group.note is not None:
+                cells[gamma][1].append((n, f"arc_j{MAX_ARCS}", group.note))
     for gamma, rows in level_rows.items():
         if not rows:
             raise PreconditionError(

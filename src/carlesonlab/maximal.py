@@ -47,7 +47,7 @@ import numpy as np
 from .argbranch import ArgBranch, LOG_CLAMP, clamped_exp, gamma_weight
 from .curves import Curve, write_csv
 from .errors import PreconditionError
-from .norms import as_sampled
+from .norms import as_sampled, nested_shells, support_maxima
 
 MAX_RADII = 256
 _CHUNK_ENTRIES = 1 << 18  # distances per build chunk: bounds its memory
@@ -682,8 +682,8 @@ def _sup_average(curve: Curve, g, evaluator):
 
 def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
                      branch: ArgBranch | None = None,
-                     evaluator: MaximalEvaluator | None = None
-                     ) -> MaximalResult:
+                     evaluator: MaximalEvaluator | None = None,
+                     supports=None):
     """The weight-conjugated maximal operator for phi_{t0,gamma}.
 
     Computes phi(t) * sup of portion averages of |f| / phi in log-space.
@@ -695,25 +695,65 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     used once and freed before the next, so the call holds one block's
     slots (1 MB), not the full grid's 16 bytes per sample and radius, and
     returns what one full-grid evaluator gives, bit for bit.
+
+    supports, a sequence of nested boolean masks (see norms.nested_shells),
+    returns instead the list of the results for f * chi_S, one per mask S,
+    each what a call on f * chi_S alone returns, bit for bit.  The weight
+    and log g = log|f| - log phi are taken once, and each support's shift
+    M_S, the largest finite log g on S, from the maxima on the shells; its
+    integrand exp(log g - M_S) is computed on S's samples only, so no deep
+    support loses range to the outermost one.  Each integrand goes through
+    the evaluator on its own.
     """
     if evaluator is not None and evaluator.curve is not curve:
         raise PreconditionError("the evaluator was built on another curve")
+    order, starts = nested_shells(curve, supports)
     gamma = complex(gamma)
     log_phi = (None if gamma == 0
                else gamma_weight(curve, t0, gamma, branch).log_values)
     absf = np.abs(as_sampled(curve, f))
     if log_phi is None:
-        return MaximalResult(*_sup_average(curve, absf, evaluator))
-    # log g, its shifted form and g itself share absf's buffer; the logs
-    # that are not finite, log 0 = -inf, stay -inf, and an f that is 0
-    # everywhere gives shift = -inf and g = 0
+        if supports is None:
+            return MaximalResult(*_sup_average(curve, absf, evaluator))
+        return [MaximalResult(*_sup_average(
+            curve, np.where(mask, absf, 0.0), evaluator))
+            for mask in supports]
+    # log g shares absf's buffer; the logs that are not finite, log 0 =
+    # -inf, stay -inf, and an f that is 0 everywhere gives shift = -inf
+    # and g = 0
     with np.errstate(divide="ignore"):
         log_g = np.log(absf, out=absf)
     log_g -= log_phi
-    finite = np.isfinite(log_g)
-    shift = float(np.max(log_g, where=finite, initial=-np.inf))
-    np.subtract(log_g, shift, out=log_g, where=finite)
-    g = np.exp(log_g, out=log_g)
+    if supports is None:
+        # g in place too: a separate g array, with the same arithmetic,
+        # made the benchmark's 4096-sample calls with no evaluator about
+        # 10 % slower, through the allocator, not the arithmetic
+        finite = np.isfinite(log_g)
+        shift = float(np.max(log_g, where=finite, initial=-np.inf))
+        np.subtract(log_g, shift, out=log_g, where=finite)
+        g = np.exp(log_g, out=log_g)
+        return _conjugated(curve, g, shift, log_phi, evaluator)
+    ordered = log_g[order]
+    shifts = support_maxima(np.where(np.isfinite(ordered), ordered, -np.inf),
+                            starts)
+    del ordered
+    out = []
+    for mask, shift in zip(supports, shifts):
+        # the single call's integrand on the support and 0 off it: the
+        # shift leaves the logs that are not finite as they are, and a
+        # support with no finite log g (shift = -inf) is not shifted
+        g = np.zeros(log_g.size)
+        np.subtract(log_g, shift if shift > -np.inf else 0.0, out=g,
+                    where=mask)
+        np.exp(g, out=g, where=mask)
+        out.append(_conjugated(curve, g, shift, log_phi, evaluator))
+    return out
+
+
+def _conjugated(curve: Curve, g: np.ndarray, shift: float,
+                log_phi: np.ndarray, evaluator) -> MaximalResult:
+    """phi times the sup of portion averages of g * exp(shift), with
+    g = |f| / phi scaled by exp(-shift)."""
     avg, eps, eval_indices = _sup_average(curve, g, evaluator)
     with np.errstate(divide="ignore"):
         log_vals = log_phi[eval_indices] + shift + np.log(avg)

@@ -144,30 +144,94 @@ def modular(curve: Curve, f, w: Weight, p: ExponentField,
     return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * seg))
 
 
+def nested_shells(curve: Curve, supports) -> tuple:
+    """(order, starts): the curve's samples ordered, stably, by how many
+    of the nested boolean masks supports hold them, and where each mask's
+    samples start, so that mask k holds order[starts[k]:] and its shell,
+    the samples of mask k outside mask k + 1, is
+    order[starts[k]:starts[k + 1]] (starts[-1] = n).  supports None is
+    one support of every sample, in place: (slice(None), [0, n]).
+
+    PreconditionError unless supports is None or a nonempty sequence of
+    boolean masks of the curve's samples, each holding the next.
+    """
+    if supports is None:
+        return slice(None), [0, curve.n_samples]
+    masks = [np.asarray(s) for s in supports]
+    if not masks:
+        raise PreconditionError("supports must be a nonempty sequence")
+    if any(m.dtype != bool or m.shape != curve.samples.shape for m in masks):
+        raise PreconditionError("each support must be a boolean mask of the "
+                                "curve's samples")
+    if any(np.any(inner > outer) for outer, inner in zip(masks, masks[1:])):
+        raise PreconditionError("supports must be nested, each holding the "
+                                "next")
+    depth = np.zeros(curve.n_samples,
+                     dtype=np.uint8 if len(masks) < 256 else np.intp)
+    for mask in masks:
+        depth += mask
+    order = np.argsort(depth, kind="stable")
+    starts = np.cumsum(np.bincount(depth, minlength=len(masks) + 1))
+    return order, starts.tolist()
+
+
+def support_maxima(values: np.ndarray, starts) -> np.ndarray:
+    """Per support: the max of values, ordered as nested_shells orders
+    the samples, over the support (-inf on an empty one), the largest of
+    its own shell's maximum and its inner shells'."""
+    shell_max = [np.max(values[a:b], initial=-np.inf)
+                 for a, b in zip(starts, starts[1:])]
+    return np.maximum.accumulate(shell_max[::-1])[::-1]
+
+
 def _logsumexp(x: np.ndarray) -> float:
     """log(sum(exp(x))) for an array whose maximum is finite."""
     m = float(np.max(x))
     return m + float(np.log(np.sum(np.exp(x - m))))
 
 
-def _newton_log_lambda(x: np.ndarray, p: ExponentField) -> float:
+def _support_logsumexp(x: np.ndarray, starts) -> list:
+    """Per support: log(sum(exp(x))) over it, for an x below +inf ordered
+    as nested_shells orders the samples; -inf where x is.
+
+    One log-sum-exp per shell, accumulated from the innermost shell
+    outward at the running maximum of x.  A single shell of every sample
+    gives _logsumexp(x) bit for bit.
+    """
+    out = []
+    top, mass = -np.inf, 0.0
+    for a, b in zip(starts[-2::-1], starts[:0:-1]):
+        m = float(np.max(x[a:b], initial=-np.inf))
+        if m > -np.inf:
+            new = max(top, m)
+            mass = (mass * np.exp(top - new)
+                    + float(np.sum(np.exp(x[a:b] - m))) * np.exp(m - new))
+            top = new
+        with np.errstate(divide="ignore"):
+            out.append(top + float(np.log(mass)))
+    return out[::-1]
+
+
+def _newton_log_lambda(x: np.ndarray, p_values: np.ndarray, p_min: float,
+                       p_max: float) -> float:
     """Root s of F(s) = log(sum exp(x - p*s)) by Newton from the left.
 
     F is convex and decreasing, and s0 = min(L/p_min, L/p_max) with
-    L = F(0) has F(s0) >= 0, so every iterate stays left of the root and
-    the iterates increase monotonically to it.  Raises NumericalError
-    rather than return an iterate that has not converged.
+    L = F(0) has F(s0) >= 0 for any p_min <= p_values <= p_max, so every
+    iterate stays left of the root and the iterates increase
+    monotonically to it.  Raises NumericalError rather than return an
+    iterate that has not converged.
     """
     log_mass = _logsumexp(x)
-    s = min(log_mass / p.p_min, log_mass / p.p_max)
+    s = min(log_mass / p_min, log_mass / p_max)
     for _ in range(NEWTON_MAX_STEPS):
-        y = x - p.values * s
+        y = x - p_values * s
         m = float(np.max(y))
         np.subtract(y, m, out=y)
         e = np.exp(y, out=y)
         mass = float(np.sum(e))
         # -F / F'(s), with F'(s) the negated p-weighted mean of the terms
-        step = (m + np.log(mass)) * mass / float(np.dot(p.values, e))
+        step = (m + np.log(mass)) * mass / float(np.dot(p_values, e))
         s += step
         if step <= 0.1 * LUXEMBURG_RTOL:
             return s
@@ -175,7 +239,8 @@ def _newton_log_lambda(x: np.ndarray, p: ExponentField) -> float:
         f"Luxemburg Newton solve did not converge in {NEWTON_MAX_STEPS} steps")
 
 
-def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField) -> float:
+def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
+                   supports=None):
     """inf{lam > 0 : modular(f, w, p, lam) <= 1}, solved in s = log lam.
 
     With x_i = p_i*log|f_i*w_i| + log aw_i (aw the arc weights, whose logs
@@ -188,34 +253,51 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField) -> float:
     a term of the modular is infinite, or when the norm exceeds
     max|f*w| * (total length + 1); NumericalError when the norm itself
     leaves the float range.
+
+    supports, a sequence of nested boolean masks (see nested_shells),
+    returns instead the list of the norms of f * chi_S, one per mask S,
+    from one x ordered shell by shell: for constant p every logsumexp
+    comes from one pass over the shells (see _support_logsumexp); for
+    variable p each support's Newton solve runs on its own samples only.
+    A support that raises raises for all of them.
     """
-    f = as_sampled(curve, f)
-    abs_f = np.abs(f)
+    order, starts = nested_shells(curve, supports)
+    abs_f = np.abs(as_sampled(curve, f))[order]
     with np.errstate(over="ignore"):
-        peak = abs_f * np.exp(np.minimum(w.log_values, LOG_CLAMP))
-    fmax = float(np.max(peak))
-    if fmax == 0.0:
-        return 0.0
-    if not np.isfinite(fmax):
+        peak = abs_f * np.exp(np.minimum(w.log_values[order], LOG_CLAMP))
+    fmax = support_maxima(peak, starts)
+    if not np.all(np.isfinite(fmax)):
         raise NotLocallyIntegrable("f * w overflows the float range")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.log(abs_f)
-        x += w.log_values
-        x *= p.values
-        x += curve.log_arc_weights
+        x += w.log_values[order]
+        x *= p.values[order]
+        x += curve.log_arc_weights[order]
     x[np.isnan(x)] = -np.inf  # |f| == 0 contributes nothing
-    if np.any(x == np.inf):
+    if np.any(support_maxima(x, starts) == np.inf):
         raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
     if p.p_min == p.p_max:
-        s = _logsumexp(x) / p.p_min
+        log_lams = [lse / p.p_min for lse in _support_logsumexp(x, starts)]
     else:
-        s = _newton_log_lambda(x, p)
-    if s > np.log(fmax) + np.log(curve.total_length + 1.0):
-        raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
-    norm = float(np.exp(s))
-    if not 0.0 < norm < np.inf:
-        raise NumericalError("Luxemburg norm outside the float range")
-    return norm
+        p_values = p.values[order]
+    norms = []
+    for k, top in enumerate(fmax):
+        if top == 0.0:
+            norms.append(0.0)
+            continue
+        if p.p_min == p.p_max:
+            s = log_lams[k]
+        else:
+            at = slice(starts[k], None)
+            s = _newton_log_lambda(x[at], p_values[at], p.p_min, p.p_max)
+        if s > np.log(top) + np.log(curve.total_length + 1.0):
+            raise NotLocallyIntegrable(
+                "modular exceeds 1 at the upper bracket")
+        norm = float(np.exp(s))
+        if not 0.0 < norm < np.inf:
+            raise NumericalError("Luxemburg norm outside the float range")
+        norms.append(norm)
+    return norms if supports is not None else norms[0]
 
 
 def _cum_logsumexp(x_sorted: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,12 +1,15 @@
 """The shared, streamed probe family against the list-building family it
-replaced.
+replaced, and the grouped measurement of the nested arcs against the
+per-member one.
 
 ``reference_nested_arc_indicators``, ``reference_level_functions`` and
 ``reference_build_family`` are the previous harness functions: they hold
 float64 copies of every arc indicator, the level's random functions for
 all gammas, and every weight-inverted companion at once, and build the
-whole family again for each gamma.  They are kept here only as test
-references.
+whole family again for each gamma.  ``reference_probe_level`` is the
+previous level loop, which measured each member with its own
+``weighted_maximal`` and ``luxemburg_norm`` calls.  They are kept here
+only as test references.
 """
 
 import dataclasses
@@ -18,13 +21,15 @@ import pytest
 
 import carlesonlab as cl
 from carlesonlab import harness
-from carlesonlab.argbranch import unwrap_arg
-from carlesonlab.curves import d_t, omega_arc
-from carlesonlab.errors import EmptyArc
-from carlesonlab.harness import (_extremal_profile, build_curve,
-                                 build_exponent, build_family,
-                                 probe_report_csv, probe_report_json)
-from carlesonlab.norms import as_sampled
+from carlesonlab.argbranch import unit_weight, unwrap_arg
+from carlesonlab.curves import d_t, omega_arc, strided_indices
+from carlesonlab.errors import EmptyArc, NotLocallyIntegrable
+from carlesonlab.harness import (Group, _denominator, _extremal_profile,
+                                 _subcurve, build_curve, build_exponent,
+                                 build_family, probe_report_csv,
+                                 probe_report_json)
+from carlesonlab.maximal import MAX_RADII, MaximalEvaluator
+from carlesonlab.norms import as_sampled, tabulated_exponent
 
 
 def reference_nested_arc_indicators(curve, t0, join_ends):
@@ -75,6 +80,59 @@ def reference_build_family(curve, t0, p, log_phi, arcs, randoms):
     return family
 
 
+def reference_probe_level(config, n, cells):
+    """One refinement level, each member measured on its own: one
+    luxemburg_norm call for its denominator and, per gamma, one
+    weighted_maximal and one luxemburg_norm call for its numerator.  The
+    members are the reference family's, built again for each gamma."""
+    curve, t0, join_ends = build_curve(config.curve, n)
+    p = build_exponent(curve, config.exponent, t0)
+    branch = unwrap_arg(curve, t0)
+    eval_idx = strided_indices(curve.n_samples, harness.EVAL_POINTS)
+    evaluator = MaximalEvaluator(curve, eval_idx, MAX_RADII)
+    sub = _subcurve(curve, eval_idx)
+    sub_p = tabulated_exponent(sub, p.values[eval_idx])
+    sub_one = unit_weight(sub)
+    one = unit_weight(curve)
+    level_rows = {g: [] for g in cells}
+    for gamma in cells:
+        family = reference_build_family(
+            curve, t0, p, _log_phi(branch, gamma),
+            *reference_level_functions(curve, t0, config, n, join_ends))
+        for tag, f in family:
+            den, reason = _denominator(curve, f, one, p)
+            if reason is None:
+                try:
+                    res = cl.weighted_maximal(curve, f, t0, gamma,
+                                              branch=branch,
+                                              evaluator=evaluator)
+                    num = cl.luxemburg_norm(sub, res.values, sub_one, sub_p)
+                except NotLocallyIntegrable as exc:
+                    reason = str(exc)
+            if reason is None and not math.isfinite(num / den):
+                reason = "non-finite ratio"
+            if reason is not None:
+                cells[gamma][1].append((n, tag, reason))
+                continue
+            level_rows[gamma].append({"level": n, "function": tag,
+                                      "ratio": num / den, "num": num,
+                                      "den": den})
+    for gamma, rows in level_rows.items():
+        cells[gamma][0].extend(rows)
+        cells[gamma][2].append(max(r["ratio"] for r in rows))
+
+
+def members(stream):
+    """(tag, values, gammas served) per member of a stream of Groups, a
+    group's member j being f * chi_{S_j}."""
+    for group in stream:
+        if group.supports is None:
+            yield group.tags[0], group.f, group.served
+            continue
+        for tag, mask in zip(group.tags, group.supports, strict=True):
+            yield tag, group.f * mask, group.served
+
+
 GRADED = cl.ExperimentConfig(
     curve={"kind": "graded_circle", "radius": 1.0, "grade": 3.0},
     exponent={"kind": "constant", "value": 2.0},
@@ -99,7 +157,7 @@ def _log_phi(branch, gamma):
 
 def _families(config, n):
     """(reference, streamed) family of one level at config.gamma; the
-    streamed one as (tag, values, gammas served)."""
+    streamed one as its Groups."""
     curve, t0, join_ends, p, branch = _level(config, n)
     ref = reference_build_family(
         curve, t0, p, _log_phi(branch, config.gamma),
@@ -112,7 +170,8 @@ def _families(config, n):
 @pytest.mark.parametrize("config", [GRADED, MIXED], ids=["graded", "mixed"])
 @pytest.mark.parametrize("level", [0, 1])
 def test_streamed_family_matches_reference(config, level):
-    curve, ref, new = _families(config, config.levels[level])
+    curve, ref, groups = _families(config, config.levels[level])
+    new = list(members(groups))
     assert [tag for tag, _, _ in new] == [tag for tag, _ in ref]
     assert all(served == (config.gamma,) for _, _, served in new)
     assert any(tag.startswith("warc") for tag, _, _ in new)
@@ -123,9 +182,14 @@ def test_streamed_family_matches_reference(config, level):
 
 
 def test_arc_indicators_are_masks():
-    _, _, new = _families(GRADED, 2048)
-    arcs = [f for tag, f, _ in new if tag.startswith("arc")]
-    assert arcs and all(mask.dtype == bool for mask in arcs)
+    """The arcs and the weighted arcs are one group each, on the same
+    boolean masks; the arcs' function is the outermost mask itself."""
+    _, _, groups = _families(GRADED, 2048)
+    arcs, warcs = groups[:2]
+    assert arcs.tags[0] == "arc_j0" and warcs.tags[0] == "warc_j0"
+    assert warcs.supports is arcs.supports and arcs.f is arcs.supports[0]
+    assert len(arcs.supports) > 5
+    assert all(mask.dtype == bool for mask in arcs.supports)
 
 
 def test_stream_builds_shared_members_once_for_all_gammas():
@@ -133,7 +197,7 @@ def test_stream_builds_shared_members_once_for_all_gammas():
     serving all G gammas, and each gamma reads its single-gamma family."""
     gammas = (0.1j, 0.2 + 0.1j, 1j)
     level = _level(MIXED, 2048)
-    stream = list(build_family(MIXED, 2048, *level, gammas))
+    stream = list(members(build_family(MIXED, 2048, *level, gammas)))
     shared = [tag for tag, _, served in stream if served == gammas]
     n_arcs = sum(tag.startswith("arc") for tag in shared)
     assert n_arcs > 0
@@ -142,7 +206,7 @@ def test_stream_builds_shared_members_once_for_all_gammas():
     for gamma in gammas:
         own = [tag for tag, _, served in stream if served == (gamma,)]
         assert own == [f"warc_j{j}" for j in range(n_arcs)] + ["extremal"]
-        single = build_family(MIXED, 2048, *level, (gamma,))
+        single = members(build_family(MIXED, 2048, *level, (gamma,)))
         mine = [(tag, f) for tag, f, served in stream if gamma in served]
         for (tag, f), (tag1, f1, _) in zip(mine, single, strict=True):
             assert tag == tag1 and f.tobytes() == f1.tobytes(), tag
@@ -151,14 +215,20 @@ def test_stream_builds_shared_members_once_for_all_gammas():
 
 def _reference_patch(monkeypatch):
     """Run the harness on the reference family, built again for each gamma,
-    each drawing its own random functions."""
+    each drawing its own random functions.  Its arcs and weighted arcs go
+    as the streamed family's groups, on masks of its float arcs."""
     def family(config, n, curve, t0, join_ends, p, branch, gammas):
         for gamma in gammas:
             arcs, randoms = reference_level_functions(curve, t0, config, n,
                                                       join_ends)
-            for tag, f in reference_build_family(
-                    curve, t0, p, _log_phi(branch, gamma), arcs, randoms):
-                yield tag, f, (gamma,)
+            ref = reference_build_family(
+                curve, t0, p, _log_phi(branch, gamma), arcs, randoms)
+            masks = tuple(f == 1.0 for _, f in arcs)
+            for group in (ref[:len(arcs)], ref[len(arcs):2 * len(arcs)]):
+                yield Group(tuple(tag for tag, _ in group), group[0][1],
+                            masks, (gamma,))
+            for tag, f in ref[2 * len(arcs):]:
+                yield Group((tag,), f, None, (gamma,))
 
     monkeypatch.setattr(harness, "build_family", family)
 
@@ -222,3 +292,93 @@ def test_levels_release_their_state():
     _, single = _traced_peak(dataclasses.replace(LADDER, levels=(32768,)))
     _, ladder = _traced_peak(LADDER)
     assert ladder - single < 1.0, f"{single:.2f} -> {ladder:.2f} MB"
+
+
+SPIRAL = cl.ExperimentConfig(
+    curve={"kind": "log_spiral", "delta": 1.0, "r_min_scale": 16.0},
+    exponent={"kind": "profile", "p_at": 1.8, "p_far": 2.2},
+    gamma=0.2 + 0.1j, levels=(512, 2048), seed=3, spirality=(1.0, 1.0))
+CORNER = cl.ExperimentConfig(
+    curve={"kind": "corner", "turn": math.pi / 2, "r_min": 1e-6},
+    exponent={"kind": "constant", "value": 2.0},
+    gamma=0.3, levels=(2048, 4096), seed=2)
+DEEP_SEGMENT = cl.ExperimentConfig(
+    curve={"kind": "segment", "r_min": 1e-48},
+    exponent={"kind": "constant", "value": 2.0},
+    gamma=0.3, levels=(8192,), seed=4)
+
+
+def _arc_rows(report):
+    return {(r["level"], r["function"]): r for r in report.rows
+            if r["function"].startswith(("arc", "warc"))}
+
+
+def _check_against_per_member(monkeypatch, config, gammas, rtol):
+    """Every arc and weighted-arc row of the grouped sweep against the
+    per-member reference: num bit for bit, den and ratio within rtol.
+    Returns the grouped reports."""
+    grouped = cl.run_sweep(config, gammas)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_probe_level", reference_probe_level)
+        reference = cl.run_sweep(config, gammas)
+    for got, ref in zip(grouped, reference, strict=True):
+        rows, ref_rows = _arc_rows(got), _arc_rows(ref)
+        assert list(rows) == list(ref_rows)
+        assert any(tag.startswith("warc") for _, tag in rows)
+        for key, row in rows.items():
+            want = ref_rows[key]
+            assert row["num"] == want["num"], key
+            for name in ("den", "ratio"):
+                assert row[name] == pytest.approx(want[name], rel=rtol,
+                                                  abs=0.0), (key, name)
+        # the reference never skips an arc; the grouped sweep adds only
+        # the cap's entry
+        assert not [s for s in ref.skipped if "arc" in s[1]]
+        assert [s for s in got.skipped
+                if s[1] != f"arc_j{harness.MAX_ARCS}"] == list(ref.skipped)
+    return grouped
+
+
+@pytest.mark.parametrize("config, gammas", [
+    (GRADED, [-0.8, 0.0, 0.55, 0.7]),
+    (MIXED, [0.1j, 0.2 + 0.1j, 1j]),
+    (SPIRAL, [SPIRAL.gamma]),
+    (CORNER, [CORNER.gamma]),
+    (DEEP_SEGMENT, [DEEP_SEGMENT.gamma]),
+], ids=["graded", "mixed", "spiral_profile", "corner", "segment_1e-48"])
+def test_grouped_arcs_match_per_member_calls(monkeypatch, config, gammas):
+    _check_against_per_member(monkeypatch, config, gammas, 1e-13)
+
+
+def test_grouped_steep_weighted_arcs_keep_their_range(monkeypatch):
+    """At gamma = -20 log g spans about 800 e-folds over omega_0: shifted
+    by its maximum there, the deepest weighted arcs' integrands would be
+    subnormal or 0.  Each support takes its own shift, so every weighted
+    arc stays a finite row; den agrees to 1e-12, limited by that span."""
+    config = dataclasses.replace(GRADED, gamma=-20.0)
+    report, = _check_against_per_member(monkeypatch, config, [-20.0], 1e-12)
+    warcs = [r for r in report.rows
+             if r["level"] == 8192 and r["function"].startswith("warc")]
+    assert [r["function"] for r in warcs] == [f"warc_j{j}"
+                                              for j in range(30)]
+    assert all(math.isfinite(r["ratio"]) and r["ratio"] > 0 for r in warcs)
+
+
+@pytest.mark.parametrize("supports", [
+    lambda m: [m[1], m[0]],
+    lambda m: [m[0] & ~m[2], m[1]],
+    lambda m: [m[0].astype(float)],
+    lambda m: [m[0][:-1]],
+    lambda m: [],
+], ids=["inner-first", "not-nested", "float", "short", "empty"])
+def test_supports_must_be_nested_masks(supports):
+    curve, t0, join_ends, p, branch = _level(GRADED, 2048)
+    masks = [mask for _, mask in
+             harness._nested_arc_indicators(curve, t0, join_ends)[0]]
+    bad = supports(masks)
+    with pytest.raises(cl.PreconditionError, match="support"):
+        cl.weighted_maximal(curve, masks[0], t0, 0.3, branch=branch,
+                            supports=bad)
+    with pytest.raises(cl.PreconditionError, match="support"):
+        cl.luxemburg_norm(curve, masks[0], unit_weight(curve), p,
+                          supports=bad)

@@ -204,16 +204,19 @@ def test_build_curve_rejects_r_min_with_r_min_scale():
     ({"kind": "segment", "r_max": np.nan}, "'r_max' must be finite"),
     ({"kind": "mixed_spirality", "alpha": np.inf, "beta": 1.0},
      "'alpha' must be finite"),
+    ({"kind": "segment", "r_min": 2.0, "r_max": 1.0},
+     "^need 0 < r_min < r_max$"),
 ], ids=["str", "list-kind", "none", "bool", "inf-grade", "nan-grade",
         "nan-radius", "inf-radius", "inf-t0_angle", "nan-r_max",
-        "inf-alpha"])
+        "inf-alpha", "segment-r_min-above-r_max"])
 def test_build_curve_rejects_values_of_the_wrong_type(spec, message):
     """A kind is a string and every other value a finite real number: a
     string radius and a list kind raised TypeError, a None delta too, a
     True radius built the unit circle, an infinite grade was accepted with
     theta_min at the float floor, a NaN one failed naming theta_min, and
     the other non-finite values failed as non-finite samples after numpy
-    RuntimeWarnings, naming no key."""
+    RuntimeWarnings, naming no key.  A segment with r_min above r_max
+    failed naming a delta, which the segment spec does not have."""
     with pytest.raises(PreconditionError, match=message):
         build_curve(spec, 64)
 
@@ -307,6 +310,69 @@ def test_sweep_matches_single_probes_byte_for_byte():
         solo = cl.run_probe(small_config(gamma=gamma, spirality=(1.0, 1.0)))
         assert probe_report_csv(solo) == probe_report_csv(swept)
         assert probe_report_json(solo) == probe_report_json(swept)
+
+
+ARC_CURVES = {
+    "graded_circle": ({"kind": "graded_circle", "radius": 1.0,
+                       "grade": 3.0}, 8192),
+    "segment": ({"kind": "segment", "r_min": 1e-6}, 4096),
+    "spiral_1": ({"kind": "log_spiral", "delta": 1.0, "r_min": 1e-4}, 4096),
+    "corner": ({"kind": "corner", "turn": math.pi / 2, "r_min": 1e-6}, 4096),
+    "mixed": ({"kind": "mixed_spirality", "alpha": -1.0, "beta": 1.0,
+               "r_min_scale": 118.0, "r_max": math.e ** 2}, 4096),
+    # closed, with t0 on its first sample: d_min = 0, so the cap binds
+    "circle": ({"kind": "circle", "t0_angle": 0.0}, 1000),
+}
+
+
+@pytest.mark.parametrize("name", ARC_CURVES)
+def test_nested_arcs_are_omega_arcs(name):
+    """One distance pass gives omega_arc's masks byte for byte, each
+    holding the next."""
+    spec, n = ARC_CURVES[name]
+    curve, t0, join_ends = build_curve(spec, n)
+    arcs, _ = harness._nested_arc_indicators(curve, t0, join_ends)
+    assert len(arcs) >= 5
+    delta = cl.d_t(curve, t0) / 4.0
+    for j, (tag, mask) in enumerate(arcs):
+        assert tag == f"arc_j{j}"
+        want = cl.omega_arc(curve, t0, delta, join_ends=join_ends)
+        assert mask.dtype == bool and mask.tobytes() == want.tobytes(), tag
+        delta *= 0.5
+    for (_, outer), (_, inner) in zip(arcs, arcs[1:]):
+        assert not np.any(inner & ~outer)
+
+
+def test_nested_arc_cap_is_reported():
+    """The segment at r_min 1e-48 resolves arcs far below delta_60; the
+    halving stops at MAX_ARCS and each gamma's skipped list says so."""
+    config = small_config(curve={"kind": "segment", "r_min": 1e-48},
+                          levels=(8192,))
+    curve, t0, join_ends = build_curve(config.curve, 8192)
+    arcs, note = harness._nested_arc_indicators(curve, t0, join_ends)
+    assert len(arcs) == harness.MAX_ARCS == 60
+    assert note == ("nested arcs stop at MAX_ARCS = 60: the last has delta "
+                    "4.33681e-19, above the resolution 2 * d_min = 2e-48")
+    for report in cl.run_sweep(config, [0.3, 0.2 + 0.1j]):
+        assert report.skipped == ((8192, "arc_j60", note),)
+        assert sum(r["function"].startswith("warc") for r in report.rows) \
+            == 60
+
+
+@pytest.mark.parametrize("spec, levels, n_arcs", [
+    ({"kind": "graded_circle", "radius": 1.0, "grade": 3.0},
+     (2048, 8192, 32768), 34),
+    ({"kind": "mixed_spirality", "alpha": -1.0, "beta": 1.0,
+      "r_min_scale": 118.0, "r_max": math.e ** 2},
+     (2048, 4096, 8192, 16384), 8),
+], ids=["kps_ladder", "mixed_spiral_probe"])
+def test_benchmark_ladders_stay_below_the_arc_cap(spec, levels, n_arcs):
+    """The benchmark's probes resolve their arcs before the cap: no level
+    reports it, and the top level has 34 and 8 arcs."""
+    for n in levels:
+        arcs, note = harness._nested_arc_indicators(*build_curve(spec, n))
+        assert note is None
+    assert len(arcs) == n_arcs
 
 
 def test_denominator_skip_reasons(segment):

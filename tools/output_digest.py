@@ -14,7 +14,7 @@ counterpart; the largest relative difference follows) or ``DIFFERENT``:
 
     python tools/output_digest.py --against ../parent
 
-The outputs are the probe and sweep reports of three probe configurations,
+The outputs are the probe and sweep reports of five probe configurations,
 every ``single_shot`` call of ``perfbench/workloads.py``, the criteria
 checks, the weight/submult/maximal CSV exports and a set of CLI invocations
 (exit code, stdout and the files written).  Files go to a temporary
@@ -90,9 +90,20 @@ def probe_outputs(cl):
         exponent={"kind": "profile", "p_at": 1.8, "p_far": 2.2},
         gamma=0.2 + 0.1j, levels=(512, 2048, 8192), seed=3,
         spirality=(1.0, 1.0))
-    rep = cl.run_probe(spiral)
-    out["probe/spiral.csv"] = cl.harness.probe_report_csv(rep)
-    out["probe/spiral.json"] = cl.harness.probe_report_json(rep)
+    # t0 mid-array, and a depth where the nested arcs reach their cap
+    corner = cl.ExperimentConfig(
+        curve={"kind": "corner", "turn": math.pi / 2, "r_min_scale": 1.0},
+        exponent={"kind": "constant", "value": 2.0},
+        gamma=0.3, levels=(512, 1024, 2048), seed=2)
+    segment = cl.ExperimentConfig(
+        curve={"kind": "segment", "r_min": 1e-48},
+        exponent={"kind": "constant", "value": 2.0},
+        gamma=0.2 + 0.1j, levels=(1024,), seed=4, spirality=(0.0, 0.0))
+    for name, config in (("spiral", spiral), ("corner", corner),
+                         ("segment", segment)):
+        rep = cl.run_probe(config)
+        out[f"probe/{name}.csv"] = cl.harness.probe_report_csv(rep)
+        out[f"probe/{name}.json"] = cl.harness.probe_report_json(rep)
     return out
 
 
