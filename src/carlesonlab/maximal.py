@@ -707,7 +707,7 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     """
     if evaluator is not None and evaluator.curve is not curve:
         raise PreconditionError("the evaluator was built on another curve")
-    order, starts = nested_shells(curve, supports)
+    shells = None if supports is None else nested_shells(curve, supports)
     gamma = complex(gamma)
     log_phi = (None if gamma == 0
                else gamma_weight(curve, t0, gamma, branch).log_values)
@@ -733,6 +733,7 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
         np.subtract(log_g, shift, out=log_g, where=finite)
         g = np.exp(log_g, out=log_g)
         return _conjugated(curve, g, shift, log_phi, evaluator)
+    order, starts = shells
     ordered = log_g[order]
     shifts = support_maxima(np.where(np.isfinite(ordered), ordered, -np.inf),
                             starts)

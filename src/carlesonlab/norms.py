@@ -149,14 +149,11 @@ def nested_shells(curve: Curve, supports) -> tuple:
     of the nested boolean masks supports hold them, and where each mask's
     samples start, so that mask k holds order[starts[k]:] and its shell,
     the samples of mask k outside mask k + 1, is
-    order[starts[k]:starts[k + 1]] (starts[-1] = n).  supports None is
-    one support of every sample, in place: (slice(None), [0, n]).
+    order[starts[k]:starts[k + 1]] (starts[-1] = n).
 
-    PreconditionError unless supports is None or a nonempty sequence of
-    boolean masks of the curve's samples, each holding the next.
+    PreconditionError unless supports is a nonempty sequence of boolean
+    masks of the curve's samples, each holding the next.
     """
-    if supports is None:
-        return slice(None), [0, curve.n_samples]
     masks = [np.asarray(s) for s in supports]
     if not masks:
         raise PreconditionError("supports must be a nonempty sequence")
@@ -195,8 +192,7 @@ def _support_logsumexp(x: np.ndarray, starts) -> list:
     as nested_shells orders the samples; -inf where x is.
 
     One log-sum-exp per shell, accumulated from the innermost shell
-    outward at the running maximum of x.  A single shell of every sample
-    gives _logsumexp(x) bit for bit.
+    outward at the running maximum of x.
     """
     out = []
     top, mass = -np.inf, 0.0
@@ -261,6 +257,29 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
     variable p each support's Newton solve runs on its own samples only.
     A support that raises raises for all of them.
     """
+    if supports is None:
+        f = as_sampled(curve, f)
+        abs_f = np.abs(f)
+        with np.errstate(over="ignore"):
+            peak = abs_f * np.exp(np.minimum(w.log_values, LOG_CLAMP))
+        fmax = float(np.max(peak))
+        if fmax == 0.0:
+            return 0.0
+        if not np.isfinite(fmax):
+            raise NotLocallyIntegrable("f * w overflows the float range")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = np.log(abs_f)
+            x += w.log_values
+            x *= p.values
+            x += curve.log_arc_weights
+        x[np.isnan(x)] = -np.inf  # |f| == 0 contributes nothing
+        if np.any(x == np.inf):
+            raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
+        if p.p_min == p.p_max:
+            s = _logsumexp(x) / p.p_min
+        else:
+            s = _newton_log_lambda(x, p.values, p.p_min, p.p_max)
+        return _checked_norm(curve, s, fmax)
     order, starts = nested_shells(curve, supports)
     abs_f = np.abs(as_sampled(curve, f))[order]
     with np.errstate(over="ignore"):
@@ -290,14 +309,19 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
         else:
             at = slice(starts[k], None)
             s = _newton_log_lambda(x[at], p_values[at], p.p_min, p.p_max)
-        if s > np.log(top) + np.log(curve.total_length + 1.0):
-            raise NotLocallyIntegrable(
-                "modular exceeds 1 at the upper bracket")
-        norm = float(np.exp(s))
-        if not 0.0 < norm < np.inf:
-            raise NumericalError("Luxemburg norm outside the float range")
-        norms.append(norm)
-    return norms if supports is not None else norms[0]
+        norms.append(_checked_norm(curve, s, top))
+    return norms
+
+
+def _checked_norm(curve: Curve, s: float, fmax: float) -> float:
+    """exp(s), the norm solved in s = log lam; NotLocallyIntegrable when it
+    exceeds fmax * (total length + 1), NumericalError outside the floats."""
+    if s > np.log(fmax) + np.log(curve.total_length + 1.0):
+        raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
+    norm = float(np.exp(s))
+    if not 0.0 < norm < np.inf:
+        raise NumericalError("Luxemburg norm outside the float range")
+    return norm
 
 
 def _cum_logsumexp(x_sorted: np.ndarray) -> tuple[float, np.ndarray]:
