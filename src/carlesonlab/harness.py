@@ -375,9 +375,10 @@ def _denominators(curve: Curve, group: Group, one, p: ExponentField):
 
 
 def _maxima(curve: Curve, group: Group, dens, t0: complex, gamma: complex,
-            branch: ArgBranch, evaluator: MaximalEvaluator) -> list:
+            branch: ArgBranch, evaluator: MaximalEvaluator):
     """The weighted_maximal results of group's members whose denominator
-    stands, in order, from at most one call."""
+    stands, in order, from at most one call; a group's results come as
+    they are taken."""
     kept = [k for k, (den, _) in enumerate(dens) if den is not None]
     if not kept:
         return []

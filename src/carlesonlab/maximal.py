@@ -697,13 +697,15 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     returns what one full-grid evaluator gives, bit for bit.
 
     supports, a sequence of nested boolean masks (see norms.nested_shells),
-    returns instead the list of the results for f * chi_S, one per mask S,
-    each what a call on f * chi_S alone returns, bit for bit.  The weight
-    and log g = log|f| - log phi are taken once, and each support's shift
-    M_S, the largest finite log g on S, from the maxima on the shells; its
-    integrand exp(log g - M_S) is computed on S's samples only, so no deep
-    support loses range to the outermost one.  Each integrand goes through
-    the evaluator on its own.
+    returns instead an iterator over the results for f * chi_S, one per
+    mask S in order, each what a call on f * chi_S alone returns, bit for
+    bit.  The weight and log g = log|f| - log phi are taken once, and each
+    support's shift M_S, the largest finite log g on S, from the maxima on
+    the shells; its integrand exp(log g - M_S) is computed on S's samples
+    only, so no deep support loses range to the outermost one.  Each
+    integrand is made when its result is taken and goes through the
+    evaluator on its own, so a consumer taking the results one at a time
+    holds one integrand at a time.
     """
     if evaluator is not None and evaluator.curve is not curve:
         raise PreconditionError("the evaluator was built on another curve")
@@ -715,9 +717,9 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     if log_phi is None:
         if supports is None:
             return MaximalResult(*_sup_average(curve, absf, evaluator))
-        return [MaximalResult(*_sup_average(
+        return (MaximalResult(*_sup_average(
             curve, np.where(mask, absf, 0.0), evaluator))
-            for mask in supports]
+            for mask in supports)
     # log g shares absf's buffer; the logs that are not finite, log 0 =
     # -inf, stay -inf, and an f that is 0 everywhere gives shift = -inf
     # and g = 0
@@ -738,7 +740,14 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     shifts = support_maxima(np.where(np.isfinite(ordered), ordered, -np.inf),
                             starts)
     del ordered
-    out = []
+    return _support_results(curve, log_g, supports, shifts, log_phi,
+                            evaluator)
+
+
+def _support_results(curve: Curve, log_g: np.ndarray, supports, shifts,
+                     log_phi: np.ndarray, evaluator):
+    """Per support S and its shift M_S: the result for exp(log g) * chi_S,
+    each computed when it is taken."""
     for mask, shift in zip(supports, shifts):
         # the single call's integrand on the support and 0 off it: the
         # shift leaves the logs that are not finite as they are, and a
@@ -747,8 +756,8 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
         np.subtract(log_g, shift if shift > -np.inf else 0.0, out=g,
                     where=mask)
         np.exp(g, out=g, where=mask)
-        out.append(_conjugated(curve, g, shift, log_phi, evaluator))
-    return out
+        yield _conjugated(curve, g, shift, log_phi, evaluator)
+        del g  # before the next integrand is made
 
 
 def _conjugated(curve: Curve, g: np.ndarray, shift: float,

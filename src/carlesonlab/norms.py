@@ -258,21 +258,13 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
     A support that raises raises for all of them.
     """
     if supports is None:
-        f = as_sampled(curve, f)
-        abs_f = np.abs(f)
-        with np.errstate(over="ignore"):
-            peak = abs_f * np.exp(np.minimum(w.log_values, LOG_CLAMP))
+        peak, x = _log_terms(np.abs(as_sampled(curve, f)), w.log_values,
+                             p.values, curve.log_arc_weights)
         fmax = float(np.max(peak))
         if fmax == 0.0:
             return 0.0
         if not np.isfinite(fmax):
             raise NotLocallyIntegrable("f * w overflows the float range")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x = np.log(abs_f)
-            x += w.log_values
-            x *= p.values
-            x += curve.log_arc_weights
-        x[np.isnan(x)] = -np.inf  # |f| == 0 contributes nothing
         if np.any(x == np.inf):
             raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
         if p.p_min == p.p_max:
@@ -281,24 +273,17 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
             s = _newton_log_lambda(x, p.values, p.p_min, p.p_max)
         return _checked_norm(curve, s, fmax)
     order, starts = nested_shells(curve, supports)
-    abs_f = np.abs(as_sampled(curve, f))[order]
-    with np.errstate(over="ignore"):
-        peak = abs_f * np.exp(np.minimum(w.log_values[order], LOG_CLAMP))
+    p_values = p.values[order]
+    peak, x = _log_terms(np.abs(as_sampled(curve, f))[order],
+                         w.log_values[order], p_values,
+                         curve.log_arc_weights[order])
     fmax = support_maxima(peak, starts)
     if not np.all(np.isfinite(fmax)):
         raise NotLocallyIntegrable("f * w overflows the float range")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.log(abs_f)
-        x += w.log_values[order]
-        x *= p.values[order]
-        x += curve.log_arc_weights[order]
-    x[np.isnan(x)] = -np.inf  # |f| == 0 contributes nothing
     if np.any(support_maxima(x, starts) == np.inf):
         raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
     if p.p_min == p.p_max:
         log_lams = [lse / p.p_min for lse in _support_logsumexp(x, starts)]
-    else:
-        p_values = p.values[order]
     norms = []
     for k, top in enumerate(fmax):
         if top == 0.0:
@@ -311,6 +296,21 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
             s = _newton_log_lambda(x[at], p_values[at], p.p_min, p.p_max)
         norms.append(_checked_norm(curve, s, top))
     return norms
+
+
+def _log_terms(abs_f: np.ndarray, log_w: np.ndarray, p_values: np.ndarray,
+               log_aw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|f*w| with log w capped at LOG_CLAMP, x = p*log|f*w| + log aw), x
+    -inf where |f| == 0."""
+    with np.errstate(over="ignore"):
+        peak = abs_f * np.exp(np.minimum(log_w, LOG_CLAMP))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.log(abs_f)
+        x += log_w
+        x *= p_values
+        x += log_aw
+    x[np.isnan(x)] = -np.inf  # |f| == 0 contributes nothing
+    return peak, x
 
 
 def _checked_norm(curve: Curve, s: float, fmax: float) -> float:
