@@ -172,6 +172,10 @@ def generate_graded_circle(radius: float, n: int, t0_angle: float = 0.0,
     floor = _min_resolvable_theta(n)
     if theta_min is None:
         theta_min = max((2.0 * np.pi / n) ** grade, floor)
+        if not theta_min < np.pi / 4:
+            raise PreconditionError(
+                f"grade {grade:g} gives theta_min = (2*pi/n)**grade = "
+                f"{theta_min:.3g} at n={n}, which must lie below pi/4")
     if not floor <= theta_min < np.pi / 4:
         raise PreconditionError(
             f"theta_min must lie in [{floor:.3g}, pi/4) at n={n}")

@@ -350,26 +350,16 @@ def build_family(config: ExperimentConfig, n: int, curve: Curve,
                     None, gammas)
 
 
-def _denominator(curve: Curve, f: np.ndarray, one, p: ExponentField):
-    """(||f||, None), or (None, the reason f is skipped)."""
-    try:
-        den = luxemburg_norm(curve, f, one, p)
-    except NotLocallyIntegrable as exc:
-        return None, str(exc)
-    if den == 0.0:
-        return None, "zero norm"
-    return den, None
-
-
 def _denominators(curve: Curve, group: Group, one, p: ExponentField):
-    """Per tag of group: _denominator of its function."""
-    if group.supports is None:
-        return [_denominator(curve, group.f, one, p)]
+    """Per tag of group: (the norm of its function, None), or (None, the
+    reason it is skipped), from one luxemburg_norm call."""
     try:
         dens = luxemburg_norm(curve, group.f, one, p,
                               supports=group.supports)
     except NotLocallyIntegrable as exc:
         return [(None, str(exc))] * len(group.tags)
+    if group.supports is None:
+        dens = [dens]
     return [(None, "zero norm") if den == 0.0 else (den, None)
             for den in dens]
 

@@ -699,60 +699,55 @@ def weighted_maximal(curve: Curve, f, t0: complex, gamma: complex,
     supports, a sequence of nested boolean masks (see norms.nested_shells),
     returns instead an iterator over the results for f * chi_S, one per
     mask S in order, each what a call on f * chi_S alone returns, bit for
-    bit.  The weight and log g = log|f| - log phi are taken once, and each
-    support's shift M_S, the largest finite log g on S, from the maxima on
-    the shells; its integrand exp(log g - M_S) is computed on S's samples
-    only, so no deep support loses range to the outermost one.  Each
-    integrand is made when its result is taken and goes through the
-    evaluator on its own, so a consumer taking the results one at a time
-    holds one integrand at a time.
+    bit; it needs an evaluator, which every support's integrand goes
+    through.  supports None, the default, is the whole curve, whose result
+    is returned alone.  The weight and log g = log|f| - log phi are taken
+    once, and each support's shift M_S, the largest finite log g on S,
+    from the maxima on the shells; its integrand exp(log g - M_S) is
+    computed on S's samples only, so no deep support loses range to the
+    outermost one.  Each integrand is made when its result is taken, so a
+    consumer taking the results one at a time holds one integrand at a
+    time.
     """
     if evaluator is not None and evaluator.curve is not curve:
         raise PreconditionError("the evaluator was built on another curve")
-    shells = None if supports is None else nested_shells(curve, supports)
+    if supports is not None and evaluator is None:
+        raise PreconditionError("supports need an evaluator")
+    order, starts = nested_shells(curve, supports)
+    masks = [True] if supports is None else supports
     gamma = complex(gamma)
     log_phi = (None if gamma == 0
                else gamma_weight(curve, t0, gamma, branch).log_values)
     absf = np.abs(as_sampled(curve, f))
     if log_phi is None:
-        if supports is None:
-            return MaximalResult(*_sup_average(curve, absf, evaluator))
-        return (MaximalResult(*_sup_average(
-            curve, np.where(mask, absf, 0.0), evaluator))
-            for mask in supports)
-    # log g shares absf's buffer; the logs that are not finite, log 0 =
-    # -inf, stay -inf, and an f that is 0 everywhere gives shift = -inf
-    # and g = 0
-    with np.errstate(divide="ignore"):
-        log_g = np.log(absf, out=absf)
-    log_g -= log_phi
-    if supports is None:
-        # g in place too: a separate g array, with the same arithmetic,
-        # made the benchmark's 4096-sample calls with no evaluator about
-        # 10 % slower, through the allocator, not the arithmetic
-        finite = np.isfinite(log_g)
-        shift = float(np.max(log_g, where=finite, initial=-np.inf))
-        np.subtract(log_g, shift, out=log_g, where=finite)
-        g = np.exp(log_g, out=log_g)
-        return _conjugated(curve, g, shift, log_phi, evaluator)
-    order, starts = shells
-    ordered = log_g[order]
-    shifts = support_maxima(np.where(np.isfinite(ordered), ordered, -np.inf),
-                            starts)
-    del ordered
-    return _support_results(curve, log_g, supports, shifts, log_phi,
-                            evaluator)
+        results = (MaximalResult(*_sup_average(
+            curve, absf if mask is True else np.where(mask, absf, 0.0),
+            evaluator)) for mask in masks)
+    else:
+        # log g shares absf's buffer; the logs that are not finite, log 0
+        # = -inf, stay -inf, and an f that is 0 everywhere gives
+        # shift = -inf and g = 0
+        with np.errstate(divide="ignore"):
+            log_g = np.log(absf, out=absf)
+        log_g -= log_phi
+        ordered = log_g[order]
+        shifts = support_maxima(
+            np.where(np.isfinite(ordered), ordered, -np.inf), starts)
+        results = _support_results(curve, log_g, masks, shifts, log_phi,
+                                   evaluator)
+    return next(results) if supports is None else results
 
 
-def _support_results(curve: Curve, log_g: np.ndarray, supports, shifts,
+def _support_results(curve: Curve, log_g: np.ndarray, masks, shifts,
                      log_phi: np.ndarray, evaluator):
-    """Per support S and its shift M_S: the result for exp(log g) * chi_S,
-    each computed when it is taken."""
-    for mask, shift in zip(supports, shifts):
+    """Per mask S and its shift M_S: the result for exp(log g) * chi_S,
+    each computed when it is taken.  The mask True, the whole curve, is
+    the only support and writes its integrand into log g's buffer."""
+    for mask, shift in zip(masks, shifts):
         # the single call's integrand on the support and 0 off it: the
         # shift leaves the logs that are not finite as they are, and a
         # support with no finite log g (shift = -inf) is not shifted
-        g = np.zeros(log_g.size)
+        g = log_g if mask is True else np.zeros(log_g.size)
         np.subtract(log_g, shift if shift > -np.inf else 0.0, out=g,
                     where=mask)
         np.exp(g, out=g, where=mask)

@@ -17,6 +17,7 @@ returned in place of the norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,11 +150,14 @@ def nested_shells(curve: Curve, supports) -> tuple:
     of the nested boolean masks supports hold them, and where each mask's
     samples start, so that mask k holds order[starts[k]:] and its shell,
     the samples of mask k outside mask k + 1, is
-    order[starts[k]:starts[k + 1]] (starts[-1] = n).
+    order[starts[k]:starts[k + 1]] (starts[-1] = n).  supports None, the
+    whole curve as one support and one shell, gives (slice(None), [0, n]).
 
-    PreconditionError unless supports is a nonempty sequence of boolean
-    masks of the curve's samples, each holding the next.
+    PreconditionError unless supports is None or a nonempty sequence of
+    boolean masks of the curve's samples, each holding the next.
     """
+    if supports is None:
+        return slice(None), [0, curve.n_samples]
     masks = [np.asarray(s) for s in supports]
     if not masks:
         raise PreconditionError("supports must be a nonempty sequence")
@@ -176,7 +180,7 @@ def support_maxima(values: np.ndarray, starts) -> np.ndarray:
     """Per support: the max of values, ordered as nested_shells orders
     the samples, over the support (-inf on an empty one), the largest of
     its own shell's maximum and its inner shells'."""
-    shell_max = [np.max(values[a:b], initial=-np.inf)
+    shell_max = [values[a:b].max(initial=-np.inf)
                  for a, b in zip(starts, starts[1:])]
     return np.maximum.accumulate(shell_max[::-1])[::-1]
 
@@ -196,14 +200,14 @@ def _support_logsumexp(x: np.ndarray, starts) -> list:
     """
     out = []
     top, mass = -np.inf, 0.0
-    for a, b in zip(starts[-2::-1], starts[:0:-1]):
-        m = float(np.max(x[a:b], initial=-np.inf))
-        if m > -np.inf:
-            new = max(top, m)
-            mass = (mass * np.exp(top - new)
-                    + float(np.sum(np.exp(x[a:b] - m))) * np.exp(m - new))
-            top = new
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for a, b in zip(starts[-2::-1], starts[:0:-1]):
+            m = float(x[a:b].max(initial=-np.inf))
+            if m > -np.inf:
+                new = max(top, m)
+                mass *= np.exp(top - new)
+                mass += float(np.exp(x[a:b] - m).sum()) * np.exp(m - new)
+                top = new
             out.append(top + float(np.log(mass)))
     return out[::-1]
 
@@ -255,32 +259,19 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
     from one x ordered shell by shell: for constant p every logsumexp
     comes from one pass over the shells (see _support_logsumexp); for
     variable p each support's Newton solve runs on its own samples only.
-    A support that raises raises for all of them.
+    A support that raises raises for all of them.  supports None, the
+    default, is the whole curve, whose norm is returned alone.
     """
-    if supports is None:
-        peak, x = _log_terms(np.abs(as_sampled(curve, f)), w.log_values,
-                             p.values, curve.log_arc_weights)
-        fmax = float(np.max(peak))
-        if fmax == 0.0:
-            return 0.0
-        if not np.isfinite(fmax):
-            raise NotLocallyIntegrable("f * w overflows the float range")
-        if np.any(x == np.inf):
-            raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
-        if p.p_min == p.p_max:
-            s = _logsumexp(x) / p.p_min
-        else:
-            s = _newton_log_lambda(x, p.values, p.p_min, p.p_max)
-        return _checked_norm(curve, s, fmax)
     order, starts = nested_shells(curve, supports)
     p_values = p.values[order]
     peak, x = _log_terms(np.abs(as_sampled(curve, f))[order],
                          w.log_values[order], p_values,
                          curve.log_arc_weights[order])
     fmax = support_maxima(peak, starts)
-    if not np.all(np.isfinite(fmax)):
+    # the outermost support holds every other one
+    if not math.isfinite(fmax[0]):
         raise NotLocallyIntegrable("f * w overflows the float range")
-    if np.any(support_maxima(x, starts) == np.inf):
+    if (x[starts[0]:] == np.inf).any():
         raise NotLocallyIntegrable("modular exceeds 1 at the upper bracket")
     if p.p_min == p.p_max:
         log_lams = [lse / p.p_min for lse in _support_logsumexp(x, starts)]
@@ -295,7 +286,7 @@ def luxemburg_norm(curve: Curve, f, w: Weight, p: ExponentField,
             at = slice(starts[k], None)
             s = _newton_log_lambda(x[at], p_values[at], p.p_min, p.p_max)
         norms.append(_checked_norm(curve, s, top))
-    return norms
+    return norms[0] if supports is None else norms
 
 
 def _log_terms(abs_f: np.ndarray, log_w: np.ndarray, p_values: np.ndarray,

@@ -24,10 +24,9 @@ from carlesonlab import harness
 from carlesonlab.argbranch import unit_weight, unwrap_arg
 from carlesonlab.curves import d_t, omega_arc, strided_indices
 from carlesonlab.errors import EmptyArc, NotLocallyIntegrable
-from carlesonlab.harness import (Group, _denominator, _extremal_profile,
-                                 _subcurve, build_curve, build_exponent,
-                                 build_family, probe_report_csv,
-                                 probe_report_json)
+from carlesonlab.harness import (Group, _extremal_profile, _subcurve,
+                                 build_curve, build_exponent, build_family,
+                                 probe_report_csv, probe_report_json)
 from carlesonlab.maximal import MAX_RADII, MaximalEvaluator
 from carlesonlab.norms import as_sampled, tabulated_exponent
 
@@ -80,6 +79,18 @@ def reference_build_family(curve, t0, p, log_phi, arcs, randoms):
     return family
 
 
+def reference_denominator(curve, f, one, p):
+    """(||f||, None), or (None, the reason f is skipped), from a lone
+    luxemburg_norm call."""
+    try:
+        den = cl.luxemburg_norm(curve, f, one, p)
+    except NotLocallyIntegrable as exc:
+        return None, str(exc)
+    if den == 0.0:
+        return None, "zero norm"
+    return den, None
+
+
 def reference_probe_level(config, n, cells):
     """One refinement level, each member measured on its own: one
     luxemburg_norm call for its denominator and, per gamma, one
@@ -100,7 +111,7 @@ def reference_probe_level(config, n, cells):
             curve, t0, p, _log_phi(branch, gamma),
             *reference_level_functions(curve, t0, config, n, join_ends))
         for tag, f in family:
-            den, reason = _denominator(curve, f, one, p)
+            den, reason = reference_denominator(curve, f, one, p)
             if reason is None:
                 try:
                     res = cl.weighted_maximal(curve, f, t0, gamma,
@@ -375,10 +386,78 @@ def test_supports_must_be_nested_masks(supports):
     curve, t0, join_ends, p, branch = _level(GRADED, 2048)
     masks = [mask for _, mask in
              harness._nested_arc_indicators(curve, t0, join_ends)[0]]
+    evaluator = MaximalEvaluator(
+        curve, strided_indices(curve.n_samples, harness.EVAL_POINTS),
+        MAX_RADII)
     bad = supports(masks)
     with pytest.raises(cl.PreconditionError, match="support"):
         cl.weighted_maximal(curve, masks[0], t0, 0.3, branch=branch,
-                            supports=bad)
+                            evaluator=evaluator, supports=bad)
     with pytest.raises(cl.PreconditionError, match="support"):
         cl.luxemburg_norm(curve, masks[0], unit_weight(curve), p,
                           supports=bad)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_supports_need_an_evaluator(gamma):
+    """Without an evaluator each support would build and free every
+    256-row block's evaluator again, several times the cost of one lone
+    call; the call is rejected before any of that work."""
+    curve, t0, join_ends, _, branch = _level(GRADED, 2048)
+    masks = [mask for _, mask in
+             harness._nested_arc_indicators(curve, t0, join_ends)[0]]
+    with pytest.raises(cl.PreconditionError, match="need an evaluator"):
+        cl.weighted_maximal(curve, masks[0], t0, gamma, branch=branch,
+                            supports=masks)
+
+
+def _with_zeros(curve, seed):
+    """A seeded nonnegative function that is 0 on about a quarter of the
+    curve, its two ends included."""
+    f = np.random.default_rng(seed).uniform(0.0, 1.0, curve.n_samples)
+    f[f < 0.25] = 0.0
+    f[[0, -1]] = 0.0
+    return f
+
+
+@pytest.mark.parametrize("exponent", [
+    {"kind": "constant", "value": 2.0},
+    {"kind": "profile", "p_at": 1.8, "p_far": 2.2},
+], ids=["constant", "profile"])
+def test_whole_curve_norm_is_one_all_true_support(exponent):
+    """supports=None is the whole curve: the norm of a lone call is the
+    one of an explicit all-True mask, bit for bit."""
+    curve, t0, _ = build_curve(GRADED.curve, 2048)
+    p = build_exponent(curve, exponent, t0)
+    w = cl.phi(unwrap_arg(curve, t0), 0.2 + 0.1j)
+    f = _with_zeros(curve, 5)
+    whole = [np.ones(curve.n_samples, dtype=bool)]
+    for weight in (unit_weight(curve), w):
+        lone = cl.luxemburg_norm(curve, f, weight, p)
+        assert isinstance(lone, float) and lone > 0.0
+        assert lone == cl.luxemburg_norm(curve, f, weight, p,
+                                         supports=whole)[0]
+    assert cl.luxemburg_norm(curve, np.zeros(curve.n_samples),
+                             unit_weight(curve), p) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2 + 0.1j])
+def test_whole_curve_maximal_is_one_all_true_support(gamma):
+    """supports=None is the whole curve: the result of a lone call is the
+    one of an explicit all-True mask, bit for bit."""
+    curve, t0, _ = build_curve(GRADED.curve, 2048)
+    branch = unwrap_arg(curve, t0)
+    evaluator = MaximalEvaluator(
+        curve, strided_indices(curve.n_samples, harness.EVAL_POINTS),
+        MAX_RADII)
+    f = _with_zeros(curve, 6)
+    lone = cl.weighted_maximal(curve, f, t0, gamma, branch=branch,
+                               evaluator=evaluator)
+    grouped, = cl.weighted_maximal(
+        curve, f, t0, gamma, branch=branch, evaluator=evaluator,
+        supports=[np.ones(curve.n_samples, dtype=bool)])
+    assert isinstance(lone, cl.MaximalResult)
+    for name in ("values", "argmax_eps", "eval_indices"):
+        assert np.array_equal(getattr(lone, name), getattr(grouped, name))
+    assert lone.clipped == grouped.clipped
+    assert np.all(lone.values > 0.0)

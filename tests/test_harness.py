@@ -10,8 +10,8 @@ import carlesonlab as cl
 from carlesonlab import harness
 from carlesonlab.cli import _read_spec, main
 from carlesonlab.errors import AllAnnuliEmpty, PreconditionError
-from carlesonlab.harness import (CURVE_KEYS, REQUIRED_CURVE_KEYS,
-                                 _denominator, build_curve, build_exponent,
+from carlesonlab.harness import (CURVE_KEYS, REQUIRED_CURVE_KEYS, Group,
+                                 _denominators, build_curve, build_exponent,
                                  probe_report_csv, probe_report_json,
                                  sweep_csv)
 
@@ -206,9 +206,14 @@ def test_build_curve_rejects_r_min_with_r_min_scale():
      "'alpha' must be finite"),
     ({"kind": "segment", "r_min": 2.0, "r_max": 1.0},
      "^need 0 < r_min < r_max$"),
+    ({"kind": "graded_circle", "grade": 0.0},
+     "^grade 0 gives theta_min .* = 1 at n=64, which must lie below pi/4$"),
+    ({"kind": "graded_circle", "grade": -2.0},
+     "^grade -2 gives theta_min .* = 104 at n=64"),
 ], ids=["str", "list-kind", "none", "bool", "inf-grade", "nan-grade",
         "nan-radius", "inf-radius", "inf-t0_angle", "nan-r_max",
-        "inf-alpha", "segment-r_min-above-r_max"])
+        "inf-alpha", "segment-r_min-above-r_max", "zero-grade",
+        "negative-grade"])
 def test_build_curve_rejects_values_of_the_wrong_type(spec, message):
     """A kind is a string and every other value a finite real number: a
     string radius and a list kind raised TypeError, a None delta too, a
@@ -216,7 +221,9 @@ def test_build_curve_rejects_values_of_the_wrong_type(spec, message):
     theta_min at the float floor, a NaN one failed naming theta_min, and
     the other non-finite values failed as non-finite samples after numpy
     RuntimeWarnings, naming no key.  A segment with r_min above r_max
-    failed naming a delta, which the segment spec does not have."""
+    failed naming a delta, which the segment spec does not have, and a
+    graded circle whose grade gives theta_min >= pi/4 failed naming only
+    theta_min, which it does not have either."""
     with pytest.raises(PreconditionError, match=message):
         build_curve(spec, 64)
 
@@ -312,6 +319,37 @@ def test_sweep_matches_single_probes_byte_for_byte():
         assert probe_report_json(solo) == probe_report_json(swept)
 
 
+def _rotated_sweep(angle):
+    config = cl.ExperimentConfig(
+        curve={"kind": "graded_circle", "radius": 1.0, "grade": 3.0,
+               "t0_angle": angle},
+        exponent={"kind": "constant", "value": 2.0},
+        gamma=0.55, levels=(512, 1024, 2048), seed=0)
+    return cl.run_sweep(config, [0.55, 0.3j])
+
+
+@pytest.fixture(scope="module")
+def unrotated_sweep():
+    return _rotated_sweep(0.0)
+
+
+@pytest.mark.parametrize("angle", [0.7, math.pi / 2, 2.0])
+def test_probe_invariant_under_rotation(unrotated_sweep, angle):
+    """The weights depend only on tau - t0, so rotating the graded circle
+    with its t0 keeps every row, skip, verdict and trend; the ratios move
+    by rounding only (at most 6.9e-9 relative, at pi/2)."""
+    for want, got in zip(unrotated_sweep, _rotated_sweep(angle),
+                         strict=True):
+        assert got.trend == want.trend
+        assert got.verdict.classification == want.verdict.classification
+        assert got.skipped == want.skipped
+        assert [(r["level"], r["function"]) for r in got.rows] \
+            == [(r["level"], r["function"]) for r in want.rows]
+        for row, ref in zip(got.rows, want.rows):
+            assert row["ratio"] == pytest.approx(ref["ratio"], rel=1e-7,
+                                                 abs=0.0), row["function"]
+
+
 ARC_CURVES = {
     "graded_circle": ({"kind": "graded_circle", "radius": 1.0,
                        "grade": 3.0}, 8192),
@@ -378,13 +416,19 @@ def test_benchmark_ladders_stay_below_the_arc_cap(spec, levels, n_arcs):
 def test_denominator_skip_reasons(segment):
     one = cl.unit_weight(segment)
     p = cl.constant_exponent(segment, 2.0)
-    assert _denominator(segment, np.zeros(segment.n_samples), one, p) \
+
+    def denominator(f, w):
+        dens = _denominators(segment, Group(("f",), f, None, ()), w, p)
+        assert len(dens) == 1
+        return dens[0]
+
+    assert denominator(np.zeros(segment.n_samples), one) \
         == (None, "zero norm")
     huge = np.full(segment.n_samples, 1e300)
     steep = cl.power_weight(segment, 0j, -50.0)
-    den, reason = _denominator(segment, huge, steep, p)
+    den, reason = denominator(huge, steep)
     assert den is None and "overflows" in reason
-    den, reason = _denominator(segment, np.ones(segment.n_samples), one, p)
+    den, reason = denominator(np.ones(segment.n_samples), one)
     assert reason is None and den > 0.0
 
 

@@ -16,8 +16,9 @@ counterpart; the largest relative difference follows) or ``DIFFERENT``:
 
 The outputs are the probe and sweep reports of five probe configurations,
 every ``single_shot`` call of ``perfbench/workloads.py``, the criteria
-checks, the weight/submult/maximal CSV exports and a set of CLI invocations
-(exit code, stdout and the files written).  Files go to a temporary
+checks, ``luxemburg_norm`` and ``weighted_maximal`` called with nested arcs
+as ``supports``, the weight/submult/maximal CSV exports and a set of CLI
+invocations (exit code, stdout and the files written).  Files go to a temporary
 directory only; nothing is written inside the checkout, bytecode included.
 A whole run takes about five seconds on two cores.
 """
@@ -154,6 +155,30 @@ def criteria_outputs(cl):
                                            0.05, 0.01),
         "norms/dini_constant": f"{p.dini_constant:.17g}",
     }
+
+
+def supports_outputs(cl):
+    """luxemburg_norm and weighted_maximal called with nested arcs as
+    supports, on a graded circle at n = 1024 with a level's evaluator, as
+    one output."""
+    curve, t0 = cl.generate_graded_circle(1.0, 1024), 1.0 + 0j
+    delta0 = cl.d_t(curve, t0) / 4.0
+    masks = [cl.omega_arc(curve, t0, delta0 * 0.5 ** j, join_ends=True)
+             for j in range(12)]
+    branch = cl.unwrap_arg(curve, t0)
+    evaluator = cl.MaximalEvaluator(curve, range(0, 1024, 4), 256)
+    f = masks[0] * cl.argbranch.clamped_exp(-cl.phi(branch, 0.3).log_values)
+    lines = []
+    for p in (cl.constant_exponent(curve, 2.0),
+              cl.profile_exponent(curve, t0, 1.8, 2.2)):
+        lines.append(_floats(cl.luxemburg_norm(
+            curve, f, cl.phi(branch, 0.2 + 0.1j), p, supports=masks)))
+    for gamma in (0.0, 0.3, 0.2 + 0.1j):
+        lines += [f"{_floats(r.values)};{_floats(r.argmax_eps)};{r.clipped}"
+                  for r in cl.weighted_maximal(
+                      curve, f, t0, gamma, branch=branch,
+                      evaluator=evaluator, supports=masks)]
+    return {"supports/nested_arcs": "\n".join(lines)}
 
 
 def export_outputs(cl, tmp: Path):
@@ -297,6 +322,7 @@ def collect(root: Path) -> dict:
         outputs.update(probe_outputs(cl))
         outputs.update(single_shot_outputs(root))
         outputs.update(criteria_outputs(cl))
+        outputs.update(supports_outputs(cl))
         outputs.update(export_outputs(cl, tmp))
         outputs.update(cli_outputs(tmp / "cli"))
     return {name: data.encode("utf-8") if isinstance(data, str) else data
