@@ -246,16 +246,18 @@ def generate_mixed_spirality(alpha: float, beta: float, r_min: float,
     theta, dtheta = _mixed_phase(r, alpha, beta)
     _check_angular_steps(theta, "mixed spirality")
     samples = r * np.exp(1j * theta)
-    # |tau'(r)| = sqrt(1 + (dtheta/dlog(1/r))^2); 4-point Gauss per segment.
+    # |tau'(r)| = sqrt(1 + (dtheta/dlog(1/r))^2); 4-point Gauss per segment,
+    # one node at a time, summed in node order
     nodes, gw = np.polynomial.legendre.leggauss(4)
     lr = np.log(r)
     mid = 0.5 * (lr[1:] + lr[:-1])
     half = 0.5 * np.diff(lr)
-    li = mid[:, None] + half[:, None] * nodes[None, :]
-    ri = np.exp(li)
-    _, dth = _mixed_phase(ri.ravel(), alpha, beta)
-    speed = np.sqrt(1.0 + dth.reshape(ri.shape) ** 2) * ri
-    seg = half * (speed * gw[None, :]).sum(axis=1)
+    seg = np.zeros(n - 1)
+    for node, weight in zip(nodes, gw):
+        ri = np.exp(mid + half * node)
+        _, dth = _mixed_phase(ri, alpha, beta)
+        seg += np.sqrt(1.0 + dth ** 2) * ri * weight
+    seg *= half
     cumlen = np.concatenate(([0.0], np.cumsum(seg)))
     return Curve(samples, cumlen, False)
 

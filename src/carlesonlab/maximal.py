@@ -50,7 +50,8 @@ from .errors import PreconditionError
 from .norms import as_sampled, nested_shells, support_maxima
 
 MAX_RADII = 256
-_CHUNK_ENTRIES = 1 << 18  # distances per build chunk: bounds its memory
+_CHUNK_ENTRIES = 1 << 17  # distances per build chunk: bounds its memory
+_PIECE_ENTRIES = 1 << 15  # entries per row piece of a chunk's passes
 _MIN_BLOCK = 8  # smallest node spacing at which the block build pays
 _SLACK = 1e-12  # relative widening of a gap's polyline distance bound
 _BLOCK_SLOTS = 1 << 14  # portions per prefix-sum gather
@@ -118,7 +119,9 @@ def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
     that the float grid point may fall on either side.  Returns the mask of
     those entries and of the entries whose u is not finite (d = 0, or a
     single radius); the floor of buf is the id of every other entry.  row
-    gives each entry's row of eps and broadcasts against buf.
+    gives each entry's row of eps and has buf's first axis.  buf is taken
+    in pieces of rows of about _PIECE_ENTRIES entries, so the only
+    temporary the size of a piece is the distance to the nearest integer.
     """
     n_radii = eps.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -133,14 +136,17 @@ def _grid_position(buf: np.ndarray, eps: np.ndarray, row) -> np.ndarray:
                                            + 1.0))
         # u + 1 = log d * scale - (log0 * scale - 1)
         shift = log0 * scale - 1.0
-        np.log(buf, out=buf)
-        np.multiply(buf, scale[row], out=buf)
-        np.subtract(buf, shift[row], out=buf)
-        off = np.rint(buf)
-        np.subtract(buf, off, out=off)
-        np.abs(off, out=off)
-        fix = np.greater_equal(off, tol)
-    del off
+        fix = np.empty(buf.shape, dtype=bool)
+        step = max(1, _PIECE_ENTRIES // math.prod(buf.shape[1:]))
+        for a in range(0, len(buf), step):
+            u, r = buf[a:a + step], row[a:a + step]
+            np.log(u, out=u)
+            np.multiply(u, scale[r], out=u)
+            np.subtract(u, shift[r], out=u)
+            off = np.rint(u)
+            np.subtract(u, off, out=off)
+            np.abs(off, out=off)
+            np.greater_equal(off, tol, out=fix[a:a + step])
     np.logical_not(fix, out=fix)  # NaN compares false: fixed up too
     return fix
 
@@ -172,18 +178,24 @@ def _dense_runs(samples, eval_indices, radii, n_radii: int, exact: bool):
     """Run heads of every row from all of its distances, chunk by chunk.
 
     Yields (first row, rows, row, start, bucket id) per chunk of at most
-    _CHUNK_ENTRIES distances.  With exact set, the grid is every realized
+    _CHUNK_ENTRIES distances, held in one float64 buffer that each piece
+    of about _PIECE_ENTRIES entries fills, so no complex difference the
+    size of the chunk is made.  With exact set, the grid is every realized
     distance, written to the rows of the table radii, and each row is
     searched; otherwise the grid is log-spaced, its ends are written to
     the columns of radii (2 x rows) and the ids come in closed form.
     """
     n = samples.size
     chunk = max(1, _CHUNK_ENTRIES // n)
+    step = max(1, _PIECE_ENTRIES // n)
     for lo in range(0, eval_indices.size, chunk):
         idx = eval_indices[lo:lo + chunk]
         m = idx.size
         centres = samples[idx]
-        dists = np.abs(samples[None, :] - centres[:, None])
+        # the chunk's one distance buffer, filled a piece of rows at a time
+        dists = np.empty((m, n))
+        for a in range(0, m, step):
+            np.abs(samples - centres[a:a + step, None], out=dists[a:a + step])
         # the smallest positive distance: a plain minimum with each row's
         # own zero masked, and the masked reduction only for rows with a
         # second zero, such as a closed curve's duplicate closure sample
@@ -249,8 +261,9 @@ def _block_runs(samples, eval_indices, ends_out, n_radii: int, block: int):
     ell = np.add.reduceat(np.abs(np.diff(samples)), first)
     n_gaps = first.size
     # a row holds n_gaps gaps and about as many computed samples, each in
-    # several arrays: this keeps a chunk's temporaries below the dense scan's
-    chunk = max(1, _CHUNK_ENTRIES // (8 * n_gaps))
+    # several arrays: a quarter of a dense chunk's entries in gaps keeps the
+    # temporaries to a few MB (an eighth took 9 to 24 % longer to build)
+    chunk = max(1, _CHUNK_ENTRIES // (4 * n_gaps))
     for lo in range(0, eval_indices.size, chunk):
         idx = eval_indices[lo:lo + chunk]
         m = idx.size
@@ -415,7 +428,10 @@ class MaximalEvaluator:
     beside the evaluator's buffers.  weighted_maximal with no evaluator
     builds and evaluates 256 rows at a time (1 MB of slots at R = 256),
     each block's evaluator freed before the next, so that its memory does
-    not grow with n * R.
+    not grow with n * R.  The dense build holds one chunk's distances, 1 MB
+    in one float64 buffer, and beside it the temporaries of one piece of
+    rows: a one-use call peaks at 2.7 to 2.8 MiB under tracemalloc at
+    n = 4096 (on the log spiral and the graded circle of the tests).
 
     The intervals come from the runs of equal bucket ids, chunk by chunk as
     the build yields them.  Going right from the point's own run (the eval
@@ -493,14 +509,20 @@ class MaximalEvaluator:
     entries are found by ``np.flatnonzero`` on it, and their distances are
     recomputed from the samples.
 
-    The dense scan works on each chunk's row-major distance buffer as one
-    flat array.  d_lo is a plain row minimum with each row's own zero set
-    to +inf for the moment; only a row with a second zero distance, such as
-    a closed curve's end rows, takes the masked reduction.  Run heads come
-    from one comparison of neighbouring ids over the flat buffer, with every
-    row's first entry set as a head, so that no run joins one row's last
-    sample to the next row's first; ``np.divmod`` by n gives their rows and
-    columns.
+    The dense scan works on each chunk's row-major distance buffer.  The
+    distances, and then their places on the grid and the test for the
+    entries next to a grid point, are computed a piece of rows at a time
+    (about _PIECE_ENTRIES entries, which fit in L2), each written into the
+    buffer, so that neither the complex differences nor the nearest
+    integers exist for the whole chunk at once; every id depends only on
+    its entry's distance and its row's grid, so the pieces change no bit.
+    d_lo is a plain row minimum with each row's own zero set to +inf for
+    the moment; only a row with a second zero distance, such as a closed
+    curve's end rows, takes the masked reduction.  Run heads come from one
+    comparison of neighbouring ids over the buffer as one flat array, with
+    every row's first entry set as a head, so that no run joins one row's
+    last sample to the next row's first; ``np.divmod`` by n gives their
+    rows and columns.
 
     Which distances are computed follows from n and max_radii alone: with
     B = isqrt(n // max_radii) below _MIN_BLOCK, all of them, in chunks of
@@ -519,8 +541,7 @@ class MaximalEvaluator:
     distances away from the point, such as a closed curve's duplicate
     closure sample.  A row then computes about n / B node distances and B
     per run, not n, and the runs are the ones the dense scan gives, bit for
-    bit.  Rows go in chunks of about _CHUNK_ENTRIES / (8 * n / B), which
-    keeps a chunk's temporaries below the dense scan's.
+    bit.  Rows go in chunks of about _CHUNK_ENTRIES / (4 * n / B).
     """
 
     def __init__(self, curve: Curve, eval_indices=None,

@@ -187,8 +187,8 @@ def support_maxima(values: np.ndarray, starts) -> np.ndarray:
 
 def _logsumexp(x: np.ndarray) -> float:
     """log(sum(exp(x))) for an array whose maximum is finite."""
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
+    m = float(x.max())
+    return m + float(np.log(np.exp(x - m).sum()))
 
 
 def _support_logsumexp(x: np.ndarray, starts) -> list:
@@ -226,10 +226,10 @@ def _newton_log_lambda(x: np.ndarray, p_values: np.ndarray, p_min: float,
     s = min(log_mass / p_min, log_mass / p_max)
     for _ in range(NEWTON_MAX_STEPS):
         y = x - p_values * s
-        m = float(np.max(y))
+        m = float(y.max())
         np.subtract(y, m, out=y)
         e = np.exp(y, out=y)
-        mass = float(np.sum(e))
+        mass = float(e.sum())
         # -F / F'(s), with F'(s) the negated p-weighted mean of the terms
         step = (m + np.log(mass)) * mass / float(np.dot(p_values, e))
         s += step

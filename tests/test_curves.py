@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
-from carlesonlab.curves import Curve, _inside_fractions
+from carlesonlab.curves import Curve, _inside_fractions, _mixed_phase
 from carlesonlab.errors import EmptyArc, PreconditionError
 
 
@@ -122,6 +122,31 @@ def test_mixed_collapses_to_log_spiral():
 def test_mixed_rejects_reversed_indices():
     with pytest.raises(PreconditionError):
         cl.generate_mixed_spirality(1.0, 0.0, 1e-4, 1.0, 4096)
+
+
+def reference_mixed_cumlen(alpha, beta, r_min, r_max, n):
+    """generate_mixed_spirality's arc length before it took the Gauss nodes
+    one at a time: all four on one (n - 1) x 4 array, summed by row."""
+    r = np.geomspace(r_min, r_max, n)
+    nodes, gw = np.polynomial.legendre.leggauss(4)
+    lr = np.log(r)
+    mid = 0.5 * (lr[1:] + lr[:-1])
+    half = 0.5 * np.diff(lr)
+    ri = np.exp(mid[:, None] + half[:, None] * nodes[None, :])
+    _, dth = _mixed_phase(ri.ravel(), alpha, beta)
+    speed = np.sqrt(1.0 + dth.reshape(ri.shape) ** 2) * ri
+    seg = half * (speed * gw[None, :]).sum(axis=1)
+    return np.concatenate(([0.0], np.cumsum(seg)))
+
+
+@pytest.mark.parametrize("spec", [
+    (-1.0, 1.0, 1e-6, 1.0), (-1.0, 1.0, 1e-3, 1.0), (0.5, 0.5, 1e-4, 2.0),
+    (-2.0, 3.0, 1e-8, 0.5), (0.0, 1.0, 1e-6, 1.0),
+])
+@pytest.mark.parametrize("n", [1000, 4097, 16384])
+def test_mixed_cumlen_matches_row_sum_reference(spec, n):
+    m = cl.generate_mixed_spirality(*spec, n)
+    assert np.array_equal(m.cumlen, reference_mixed_cumlen(*spec, n))
 
 
 def test_mixed_arclength_close_to_chords():

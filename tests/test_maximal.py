@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlesonlab as cl
-from carlesonlab import argbranch
+from carlesonlab import argbranch, maximal as engine_module
+from carlesonlab.curves import strided_indices
 from carlesonlab.errors import PreconditionError
 from carlesonlab.harness import build_curve
 
@@ -403,7 +405,8 @@ def test_one_use_grid_equals_full_grid_evaluator(name):
 ], ids=["spiral_1", "graded_circle"])
 def test_one_use_grid_holds_one_row_block(spec, gamma):
     """At n = 4096 one full-grid evaluator holds 16 MB of slots; the row
-    blocks hold 1 MB each, one at a time."""
+    blocks hold 1 MB each, one at a time, and each block's build one
+    chunk's distances and one piece's temporaries."""
     curve, t0, join_ends = build_curve(spec, 4096)
     f = cl.omega_arc(curve, t0, 0.05, join_ends=join_ends).astype(float)
     tracemalloc.start()
@@ -412,7 +415,28 @@ def test_one_use_grid_holds_one_row_block(spec, gamma):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("spec, n", [
+    ({"kind": "graded_circle", "radius": 1.0}, 8192),
+    ({"kind": "mixed_spirality", "alpha": -1.0, "beta": 1.0, "r_min": 1e-6},
+     4096),
+], ids=["graded_circle", "mixed"])
+def test_probe_size_dense_build_holds_one_chunk(spec, n):
+    """A probe's evaluator (256 strided rows) at a size that the dense scan
+    builds holds one chunk's float64 distances (1 MB) beside its slots,
+    and no complex difference or rounded copy of the whole chunk."""
+    curve, _, _ = build_curve(spec, n)
+    assert math.isqrt(curve.n_samples // 256) < engine_module._MIN_BLOCK
+    idx = strided_indices(curve.n_samples, 256)
+    tracemalloc.start()
+    try:
+        cl.MaximalEvaluator(curve, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 def test_zero_integrand_reads_the_grid_for_every_gamma():

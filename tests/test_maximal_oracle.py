@@ -583,24 +583,34 @@ def build_cases(draw):
     inner = draw(st.sets(st.integers(0, n - 1), max_size=22))
     idx = np.array(sorted(inner | {0, n - 1}))
     chunk_entries = draw(st.integers(1, 8)) * n
-    return curve, idx, max_radii, chunk_entries
+    # pieces of 1 to 3 rows of the dense scan, which need not divide its
+    # chunks, and of any entry count of the block build's gap samples
+    piece_entries = draw(st.integers(n, 4 * n - 1))
+    return curve, idx, max_radii, chunk_entries, piece_entries
+
+
+def _build_sizes(chunk_entries, piece_entries=engine_module._PIECE_ENTRIES):
+    """The build's chunks and pieces set to these entry counts."""
+    return mock.patch.multiple(engine_module, _CHUNK_ENTRIES=chunk_entries,
+                               _PIECE_ENTRIES=piece_entries)
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=build_cases())
 def test_build_matches_dense_reference(case):
     """The block build and the closed-form ids give the reference table
-    bit for bit, on every path and across chunks."""
-    curve, idx, max_radii, chunk_entries = case
-    with mock.patch.object(engine_module, "_CHUNK_ENTRIES", chunk_entries):
+    bit for bit, on every path, across chunks and across pieces."""
+    curve, idx, max_radii, *sizes = case
+    with _build_sizes(*sizes):
         engine = cl.MaximalEvaluator(curve, idx, max_radii)
     _assert_same_table(engine, curve, idx, max_radii,
                        _integrands(curve, curve.n_samples))
 
 
-def _assert_same_portions(curve, idx, max_radii, chunk_entries):
+def _assert_same_portions(curve, idx, max_radii, *sizes):
     """Every build chunk's p, q and extra segments from the engine's walk
-    kernel and from stretch_portions, at chunk_entries distances a chunk."""
+    kernel and from stretch_portions, at the chunk and piece entry counts
+    sizes (see _build_sizes)."""
     walk_portions = engine_module._portions
     chunks = []
 
@@ -615,7 +625,7 @@ def _assert_same_portions(curve, idx, max_radii, chunk_entries):
         return out
 
     with mock.patch.object(engine_module, "_portions", both), \
-            mock.patch.object(engine_module, "_CHUNK_ENTRIES", chunk_entries):
+            _build_sizes(*sizes):
         cl.MaximalEvaluator(curve, idx, max_radii)
     assert sum(chunks) == len(idx)
 
@@ -660,12 +670,13 @@ def test_full_grid_build_matches_dense_reference(make):
 
 
 def test_full_grid_build_across_chunks_closed_square():
-    """Five rows per chunk, so that run heads are found on flat buffers of
-    several rows; the square's last sample repeats its first, so rows 0
-    and n - 1 have a second zero distance."""
+    """Five rows per chunk in pieces of two, so that run heads are found on
+    flat buffers of several rows and the last piece of a chunk is short;
+    the square's last sample repeats its first, so rows 0 and n - 1 have a
+    second zero distance."""
     curve = _square(1024)
     n = curve.n_samples
-    with mock.patch.object(engine_module, "_CHUNK_ENTRIES", 5 * n):
+    with _build_sizes(5 * n, 2 * n):
         engine = cl.MaximalEvaluator(curve)
     _assert_same_table(engine, curve, np.arange(n), 256,
                        _integrands(curve, 5))
